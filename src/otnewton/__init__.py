@@ -20,7 +20,6 @@ from .dual import DualState
 from .newton import (
     DiscountedSystem,
     NewtonResult,
-    lambda2,
     newton_solve,
     next_rho0,
     pcg_solve,
@@ -29,7 +28,6 @@ from .oracles import (
     ExactSolution,
     dense_spd_solve,
     exact_ot_small,
-    finite_diff_grad,
     sinkhorn_project,
 )
 from .problems import (
@@ -45,7 +43,6 @@ from .problems import (
 )
 from .projector import (
     ProjStats,
-    ProjectOptions,
     StepRecord,
     armijo_accept,
     chi_sinkhorn,
@@ -61,14 +58,12 @@ __all__ = [
     "adjust_schedule", "eps_rule", "error_bound", "extrapolate", "mdot",
     "round_plan", "smooth_marginals",
     "DualState",
-    "DiscountedSystem", "NewtonResult", "lambda2", "newton_solve", "next_rho0",
-    "pcg_solve",
-    "ExactSolution", "dense_spd_solve", "exact_ot_small", "finite_diff_grad",
-    "sinkhorn_project",
+    "DiscountedSystem", "NewtonResult", "newton_solve", "next_rho0", "pcg_solve",
+    "ExactSolution", "dense_spd_solve", "exact_ot_small", "sinkhorn_project",
     "Problem", "TraceRow", "gen_grid_cost", "gen_marginal", "grid_points_cost",
     "load_problem", "read_trace", "save_problem", "write_trace",
-    "ProjStats", "ProjectOptions", "StepRecord", "armijo_accept", "chi_sinkhorn",
-    "delta_ratio", "eta_rule", "project",
+    "ProjStats", "StepRecord", "armijo_accept", "chi_sinkhorn", "delta_ratio",
+    "eta_rule", "project",
 ]
 
 __version__ = "0.1.0"

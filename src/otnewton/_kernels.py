@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import opcount
 from .errors import PlanOverflowError
 
 BLOCK = 256
@@ -24,6 +25,7 @@ def log_plan_row_sums(K, u, v):
 
     Handles rows whose entries are all -inf (they reduce to -inf).
     """
+    opcount.add(4)
     n = K.shape[0]
     out = np.empty(n)
     buf = np.empty((min(BLOCK, n), K.shape[1]))
@@ -44,6 +46,7 @@ def log_plan_row_sums(K, u, v):
 
 def materialize_plan(K, u, v, out=None):
     """exp(u 1^T + 1 v^T + K), with entries that would overflow rejected."""
+    opcount.add(4)
     n, m = K.shape
     if out is None:
         out = np.empty((n, m))
@@ -63,6 +66,7 @@ def materialize_plan(K, u, v, out=None):
 
 def square_matvec(P, w):
     """(P * P) @ w without materializing the squared matrix."""
+    opcount.add(2)
     n = P.shape[0]
     out = np.empty(n)
     buf = np.empty((min(BLOCK, n), P.shape[1]))

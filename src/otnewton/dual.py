@@ -3,9 +3,10 @@
 The plan implied by potentials ``(u, v)`` at inverse temperature ``gamma``
 is ``P_ij = exp(u_i + v_j - gamma * C_ij)``.  Row and column sums of P are
 always taken from log-domain log-sum-exp reductions, never from the (possibly
-underflowed) linear matrix, and are cached until ``u``, ``v`` or ``gamma``
-is reassigned.  Update potentials by assignment (``state.u = ...``), not by
-in-place mutation, so the cache invalidation hook can see the write.
+underflowed) linear matrix, and are cached alongside the potentials.
+``u``, ``v`` and ``gamma`` are read-only: change them through
+``set_potentials``, ``set_gamma`` or the exact scaling updates, which all
+install the potentials and their sums together in ``_set``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 from . import opcount
 from ._kernels import log_plan_row_sums, materialize_plan
 from .errors import DomainError
-
-_INVALIDATING = frozenset({"u", "v", "gamma"})
 
 
 class DualState:
@@ -28,38 +27,58 @@ class DualState:
     """
 
     def __init__(self, problem, gamma, u=None, v=None, r=None, c=None):
-        self._cache_valid = False
-        self._K = None
-        self._KT = None
         self._C_symmetric = None
-        self._log_rP = None
-        self._log_cP = None
         self._plan_buf = None
         self.problem = problem
-        if not np.isfinite(gamma) or gamma <= 0.0:
-            raise DomainError(f"gamma must be positive and finite, got {gamma}")
-        self.gamma = float(gamma)
         n = problem.n
-        self.u = np.zeros(n) if u is None else np.asarray(u, dtype=np.float64).copy()
-        self.v = np.zeros(n) if v is None else np.asarray(v, dtype=np.float64).copy()
+        self.set_potentials(np.zeros(n) if u is None else u,
+                            np.zeros(n) if v is None else v)
+        self.set_gamma(gamma)
         self.r = problem.r if r is None else np.asarray(r, dtype=np.float64)
         self.c = problem.c if c is None else np.asarray(c, dtype=np.float64)
-
-    def __setattr__(self, name, value):
-        if name in _INVALIDATING:
-            object.__setattr__(self, "_cache_valid", False)
-            if name == "gamma":
-                object.__setattr__(self, "_K", None)
-                object.__setattr__(self, "_KT", None)
-        object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return self.problem.n
 
     @property
+    def u(self):
+        return self._u
+
+    @property
+    def v(self):
+        return self._v
+
+    @property
+    def gamma(self):
+        return self._gamma
+
+    @property
     def cache_valid(self):
-        return self._cache_valid
+        return self._log_rP is not None and self._log_cP is not None
+
+    def _set(self, u, v, log_rP=None, log_cP=None):
+        """The one writer of the potentials and their cached log sums; a sum
+        left as ``None`` is recomputed (with the other) on first read."""
+        self._u = u
+        self._v = v
+        self._log_rP = log_rP
+        self._log_cP = log_cP
+
+    def set_potentials(self, u, v):
+        """Install copies of new potentials; the sums are recomputed on first read."""
+        self._set(np.array(u, dtype=np.float64), np.array(v, dtype=np.float64))
+
+    def set_gamma(self, gamma):
+        """Move to a new temperature: drops the log kernels and the cached sums."""
+        if not np.isfinite(gamma) or gamma <= 0.0:
+            raise DomainError(f"gamma must be positive and finite, got {gamma}")
+        self._gamma = float(gamma)
+        # Drop the old -gamma C before the next read builds the new one, so
+        # two n-by-n kernels are never alive at once.
+        self._K = None
+        self._KT = None
+        self._set(self.u, self.v)
 
     def set_targets(self, r, c):
         """Swap the target marginals (does not touch the plan caches)."""
@@ -71,7 +90,7 @@ class DualState:
     def _neg_gamma_C(self):
         if self._K is None:
             opcount.add(1)
-            object.__setattr__(self, "_K", -self.gamma * self.problem.C)
+            self._K = -self.gamma * self.problem.C
         return self._K
 
     def _neg_gamma_C_T(self):
@@ -79,57 +98,32 @@ class DualState:
         if self._KT is None:
             if self._C_symmetric is None:
                 C = self.problem.C
-                object.__setattr__(self, "_C_symmetric", bool((C == C.T).all()))
+                self._C_symmetric = bool((C == C.T).all())
             K = self._neg_gamma_C()
             if self._C_symmetric:
-                object.__setattr__(self, "_KT", K)
+                self._KT = K
             else:
                 opcount.add(1)
-                object.__setattr__(self, "_KT", np.ascontiguousarray(K.T))
+                self._KT = np.ascontiguousarray(K.T)
         return self._KT
 
     def refresh(self):
         """Recompute the cached log row/column sums of the implied plan."""
-        if not np.isfinite(self.gamma):
-            raise DomainError("gamma must be finite")
-        opcount.add(4)
-        log_rP = log_plan_row_sums(self._neg_gamma_C(), self.u, self.v)
-        opcount.add(4)
-        log_cP = log_plan_row_sums(self._neg_gamma_C_T(), self.v, self.u)
-        object.__setattr__(self, "_log_rP", log_rP)
-        object.__setattr__(self, "_log_cP", log_cP)
-        object.__setattr__(self, "_cache_valid", True)
-
-    def refresh_row_sums(self):
-        """Spec hook: refresh caches and return log r(P)."""
-        self.refresh()
-        return self._log_rP
+        u, v = self.u, self.v
+        self._set(u, v, log_plan_row_sums(self._neg_gamma_C(), u, v),
+                  log_plan_row_sums(self._neg_gamma_C_T(), v, u))
 
     @property
     def log_rP(self):
-        if not self._cache_valid:
+        if self._log_rP is None:
             self.refresh()
         return self._log_rP
 
     @property
     def log_cP(self):
-        if not self._cache_valid:
+        if self._log_cP is None:
             self.refresh()
         return self._log_cP
-
-    def set_log_row_sums(self, log_rP):
-        """Overwrite the cached log r(P) after an update that keeps log c(P) valid.
-
-        Used by scaling loops that rebalance columns exactly and track the row
-        sums incrementally (the column cache is set alongside by the caller).
-        """
-        object.__setattr__(self, "_log_rP", log_rP)
-
-    def set_log_col_sums(self, log_cP):
-        object.__setattr__(self, "_log_cP", log_cP)
-
-    def mark_cache_valid(self):
-        object.__setattr__(self, "_cache_valid", True)
 
     def row_sums(self):
         return np.exp(self.log_rP)
@@ -160,17 +154,15 @@ class DualState:
         be done with it by then (the Newton loop snapshots one plan at a
         time, so it qualifies).
         """
-        opcount.add(4)
         out = None
         if reuse_buffer:
             if self._plan_buf is None:
-                object.__setattr__(self, "_plan_buf", np.empty_like(self.problem.C))
+                self._plan_buf = np.empty_like(self.problem.C)
             out = self._plan_buf
         return materialize_plan(self._neg_gamma_C(), self.u, self.v, out=out)
 
     def trial_log_col_sums(self, d_u, d_v, alpha):
         """Log column sums at (u + alpha d_u, v + alpha d_v) without mutating state."""
-        opcount.add(4)
         return log_plan_row_sums(self._neg_gamma_C_T(),
                                  self.v + alpha * d_v, self.u + alpha * d_u)
 
@@ -178,34 +170,25 @@ class DualState:
 
     def rebalance_columns(self):
         """Set v so the column sums equal c exactly, then refresh the row cache."""
-        opcount.add(4)
-        self.v = np.log(self.c) - log_plan_row_sums(self._neg_gamma_C_T(), 0.0, self.u)
-        self.set_log_col_sums(np.log(self.c))
-        self.refresh_rows_only()
+        v = np.log(self.c) - log_plan_row_sums(self._neg_gamma_C_T(), 0.0, self.u)
+        self.refresh_rows_only(self.u, v, np.log(self.c))
 
     def scale_rows_to_target(self):
         """One exact row Sinkhorn step: u += log r - log r(P); refresh the column cache."""
         log_r = np.log(self.r)
-        self.u = self.u + log_r - self.log_rP
-        self.set_log_row_sums(log_r)
-        opcount.add(4)
-        self.set_log_col_sums(
-            log_plan_row_sums(self._neg_gamma_C_T(), self.v, self.u))
-        self.mark_cache_valid()
+        u = self.u + log_r - self.log_rP
+        self._set(u, self.v, log_r,
+                  log_plan_row_sums(self._neg_gamma_C_T(), self.v, u))
 
     def scale_cols_to_target(self):
         """One exact column Sinkhorn step: v += log c - log c(P); refresh the row cache."""
         log_c = np.log(self.c)
-        self.v = self.v + log_c - self.log_cP
-        self.set_log_col_sums(log_c)
-        self.refresh_rows_only()
+        self.refresh_rows_only(self.u, self.v + log_c - self.log_cP, log_c)
 
-    def refresh_rows_only(self):
-        """Recompute log r(P) assuming the column cache is already current."""
-        opcount.add(4)
-        self.set_log_row_sums(
-            log_plan_row_sums(self._neg_gamma_C(), self.u, self.v))
-        self.mark_cache_valid()
+    def refresh_rows_only(self, u, v, log_cP):
+        """Install (u, v) whose log column sums ``log_cP`` are already known,
+        recomputing only the log row sums."""
+        self._set(u, v, log_plan_row_sums(self._neg_gamma_C(), u, v), log_cP)
 
     # -- stacked potentials for the annealing driver -------------------------
 
@@ -215,5 +198,4 @@ class DualState:
 
     def set_z(self, z):
         n = self.n
-        self.u = np.asarray(z[:n], dtype=np.float64).copy()
-        self.v = np.asarray(z[n:], dtype=np.float64).copy()
+        self.set_potentials(z[:n], z[n:])

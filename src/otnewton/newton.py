@@ -10,10 +10,13 @@ which is symmetric positive-definite.  Solving ``F(rho) d = -grad_u`` for a
 sequence of discounts rho approaching 1 yields a direction whose
 *undiscounted* residual satisfies the truncated-Newton forcing test.  All
 products are evaluated as two matrix-vector passes; P_rc is never formed.
+``OTN_DETERMINISTIC=1``, read when a system is built, makes its products
+fixed-order summations, bit-identical regardless of BLAS threading.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,22 +43,6 @@ TRUE_RESIDUAL_REFRESH = 50
 LAMBDA2_MAX_N = 2048
 
 
-def _matvec(P, x):
-    """P @ x; fixed-order summation when deterministic mode is on."""
-    opcount.add(1)
-    if opcount.deterministic():
-        return (P * x[None, :]).sum(axis=1)
-    return P @ x
-
-
-def _rmatvec(P, x):
-    """P.T @ x; fixed-order summation when deterministic mode is on."""
-    opcount.add(1)
-    if opcount.deterministic():
-        return (P * x[:, None]).sum(axis=0)
-    return P.T @ x
-
-
 @dataclass
 class NewtonResult:
     """Outcome of one annealed truncated-Newton direction solve."""
@@ -77,6 +64,7 @@ class DiscountedSystem:
             raise ConditioningError("plan row/column sums must be strictly positive")
         self.n = P.shape[0]
         self._mu = None
+        self._fixed_order = os.environ.get("OTN_DETERMINISTIC", "") == "1"
 
     @classmethod
     def from_state(cls, state):
@@ -89,25 +77,35 @@ class DiscountedSystem:
         return cls(state.materialize_plan(reuse_buffer=True),
                    state.row_sums(), state.col_sums())
 
+    def _matvec(self, x):
+        """P @ x; a fixed-order summation in deterministic mode."""
+        return (self.P * x[None, :]).sum(axis=1) if self._fixed_order else self.P @ x
+
+    def _rmatvec(self, x):
+        """P.T @ x; a fixed-order summation in deterministic mode."""
+        return (self.P * x[:, None]).sum(axis=0) if self._fixed_order else self.P.T @ x
+
     def apply_prc(self, d):
         """P_rc @ d via two matrix-vector products."""
-        return _matvec(self.P, _rmatvec(self.P, d) / self.cP) / self.rP
+        opcount.add(2)
+        return self._matvec(self._rmatvec(d) / self.cP) / self.rP
 
     def apply_pc(self, d):
         """P_c @ d = D(cP)^-1 P^T d; gives d_v = -apply_pc(d_u) for free."""
-        return _rmatvec(self.P, d) / self.cP
+        opcount.add(1)
+        return self._rmatvec(d) / self.cP
 
     def apply_F(self, rho, d):
         """F(rho) @ d = rP * d - rho * P (P^T d / cP)."""
         out = self.rP * d
         if rho != 0.0:
-            out -= rho * _matvec(self.P, _rmatvec(self.P, d) / self.cP)
+            opcount.add(2)
+            out -= rho * self._matvec(self._rmatvec(d) / self.cP)
         return out
 
     def diag_prc(self):
         """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1]."""
         if self._mu is None:
-            opcount.add(2)
             self._mu = square_matvec(self.P, 1.0 / self.cP) / self.rP
         return self._mu
 
@@ -172,7 +170,7 @@ def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None):
     )
 
 
-def newton_solve(grad_u, sys, eta, rho0=0.0, zero_init=False, max_cg_iters=None):
+def newton_solve(grad_u, sys, eta, rho0=0.0, zero_init=False):
     """Annealed discounted solve for the truncated Newton direction.
 
     Starts from the pure scaling direction ``-grad_u / rP`` and, while the
@@ -204,7 +202,7 @@ def newton_solve(grad_u, sys, eta, rho0=0.0, zero_init=False, max_cg_iters=None)
                 f"discount reached {rho} without meeting the forcing test "
                 f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})")
         d0 = None if zero_init else d
-        d, iters = pcg_solve(sys, rho, -grad_u, cg_tol, d0=d0, max_iters=max_cg_iters)
+        d, iters = pcg_solve(sys, rho, -grad_u, cg_tol, d0=d0)
         total_cg += iters
         rho_used = rho
         rho = 1.0 - (1.0 - rho) / RHO_DECAY

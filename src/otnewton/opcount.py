@@ -4,11 +4,16 @@ The hardware-independent cost metric used throughout the benchmarks is the
 number of primitive operations that touch every entry of an n-by-n matrix
 once: a matrix-vector product, an elementwise matrix exponential, a row or
 column reduction, a broadcast add of a vector onto a matrix, and so on.
-Each dense kernel in this package calls :func:`add` with the number of such
-passes it performs; the counting convention is fixed at the call sites and
-identical for every solver, so totals are comparable across configurations.
+The convention is fixed where the passes happen: each function that makes
+a pass calls :func:`add` with its own count, and no caller adds passes on
+behalf of a callee.  The counting functions are the dense kernels in
+``_kernels``, the operators of ``newton.DiscountedSystem``, the log kernel
+``-gamma C`` built by ``DualState``, and ``round_plan`` and the final cost
+evaluation in the driver.
 
-Counts are attributed to the subroutine category active at call time:
+The convention is identical for every solver, so totals are comparable
+across configurations.  Counts are attributed to the subroutine category
+active at call time:
 
 * ``"newton_solve"``     - discounted-system construction, CG iterations,
                            undiscounted residual checks, the candidate
@@ -21,71 +26,42 @@ Counts are attributed to the subroutine category active at call time:
                            driver-level finalization (materialize + round).
 * ``"sinkhorn"``         - sweeps of the log-domain Sinkhorn baseline.
 
-The counter is process-global; one solve runs per process in benchmarks, so
-no locking is needed.  ``OTN_DETERMINISTIC=1`` additionally routes
-matrix-vector products through a fixed-order summation so repeated runs are
-bit-identical regardless of BLAS threading.
+The tally is process-global; one solve runs per process in benchmarks, so
+no locking is needed.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-
-class OpCounter:
-    """Tally of O(n^2) passes per category, with a category stack."""
-
-    def __init__(self):
-        self.by_category: dict[str, int] = {}
-        self._stack: list[str] = []
-
-    def reset(self):
-        self.by_category.clear()
-        self._stack.clear()
-
-    def add(self, passes=1):
-        cat = self._stack[-1] if self._stack else "other"
-        self.by_category[cat] = self.by_category.get(cat, 0) + passes
-
-    def total(self):
-        return sum(self.by_category.values())
-
-    def snapshot(self):
-        return dict(self.by_category)
-
-    @contextmanager
-    def category(self, name):
-        self._stack.append(name)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-
-
-COUNTER = OpCounter()
+_by_category: dict[str, int] = {}
+_stack: list[str] = []
 
 
 def add(passes=1):
-    COUNTER.add(passes)
+    """Add ``passes`` O(n^2) passes to the active category."""
+    cat = _stack[-1] if _stack else "other"
+    _by_category[cat] = _by_category.get(cat, 0) + passes
 
 
+@contextmanager
 def category(name):
-    return COUNTER.category(name)
+    """Attribute the passes made inside the block to ``name``."""
+    _stack.append(name)
+    try:
+        yield
+    finally:
+        _stack.pop()
 
 
 def reset():
-    COUNTER.reset()
+    _by_category.clear()
+    _stack.clear()
 
 
 def snapshot():
-    return COUNTER.snapshot()
+    return dict(_by_category)
 
 
 def total():
-    return COUNTER.total()
-
-
-def deterministic():
-    """True when fixed-order (non-BLAS) reductions are requested via env."""
-    return os.environ.get("OTN_DETERMINISTIC", "") == "1"
+    return sum(_by_category.values())

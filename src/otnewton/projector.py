@@ -33,20 +33,6 @@ ETA_MAX = 0.99
 CHI_EXPONENT = 0.4
 MIN_ALPHA = 2.0 ** -30
 
-DEFAULT_CHI_BUDGET = 10 ** 6
-DEFAULT_NEWTON_BUDGET = 200
-
-
-@dataclass
-class ProjectOptions:
-    """Knobs for the projection loop; defaults match the benchmarked setup."""
-
-    newton_step_budget: int = DEFAULT_NEWTON_BUDGET
-    chi_budget: int = DEFAULT_CHI_BUDGET
-    adaptive_rho0: bool = True
-    cg_zero_init: bool = False
-    max_cg_iters: int | None = None
-
 
 @dataclass
 class StepRecord:
@@ -87,27 +73,24 @@ class ProjStats:
 
 
 def eta_rule(grad_norm_l1, eps_d):
-    """Forcing parameter: aim for quadratic contraction without over-solving."""
+    """Forcing parameter, and whether its target-tolerance branch was active.
+
+    Aims for quadratic contraction without over-solving."""
     if not grad_norm_l1 > 0.0:
         raise DomainError("eta_rule needs a positive gradient norm")
     if not 0.0 < eps_d < grad_norm_l1:
         raise DomainError(f"eta_rule needs 0 < eps_d < grad_norm, got {eps_d}, {grad_norm_l1}")
-    return min(max(grad_norm_l1, 0.8 * eps_d / grad_norm_l1), ETA_MAX)
-
-
-def _eta_with_branch(grad_norm_l1, eps_d):
-    """eta plus whether the target-tolerance branch was the active one."""
-    quad = grad_norm_l1
     terminal = 0.8 * eps_d / grad_norm_l1
-    return min(max(quad, terminal), ETA_MAX), terminal > quad
+    return min(max(grad_norm_l1, terminal), ETA_MAX), terminal > grad_norm_l1
 
 
-def armijo_accept(alpha, mass_at_alpha, grad_u, d_u):
-    """Mass-form Armijo test: accept iff mass excess <= (1-c1) * alpha * slope."""
-    slope = float(-(grad_u @ d_u))
+def armijo_accept(alpha, mass_at_alpha, slope):
+    """Mass-form Armijo test: accept iff mass excess <= (1-c1) * alpha * slope,
+    or the slope ``<-grad_u, d_u>`` is at most ``ARMIJO_SLOPE_FLOOR``."""
     if slope <= 0.0:
         raise DomainError(f"not a descent direction: <-grad, d> = {slope:.3g}")
-    return mass_at_alpha - 1.0 <= (1.0 - ARMIJO_C1) * alpha * slope
+    return (slope <= ARMIJO_SLOPE_FLOOR
+            or mass_at_alpha - 1.0 <= (1.0 - ARMIJO_C1) * alpha * slope)
 
 
 def delta_ratio(grad_k, grad_k1, eta_k):
@@ -126,7 +109,7 @@ def _mass(log_cols):
         return float(np.exp(log_cols).sum())
 
 
-def chi_sinkhorn(state, r, c, eps_chi, budget=DEFAULT_CHI_BUDGET):
+def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
     """Row-scale / column-rebalance sweeps until chi^2(r | r(P)) <= eps_chi.
 
     Expects column sums already on target; every sweep restores them exactly,
@@ -143,32 +126,32 @@ def chi_sinkhorn(state, r, c, eps_chi, budget=DEFAULT_CHI_BUDGET):
                     f"chi-square balancing still above {eps_chi:.3g} after {budget} sweeps",
                     diagnostics={"chi_sq": chi_sq_div(r, state.row_sums())},
                 )
-            state.u = state.u + log_r - state.log_rP
+            state.set_potentials(state.u + log_r - state.log_rP, state.v)
             state.rebalance_columns()
             steps += 1
     return steps
 
 
-def project(state, r, c, eps_d, rho0=0.0, options=None):
+def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget=200):
     """Project the dual state onto marginals (r, c) to gradient tolerance eps_d.
 
     Implements the truncated Newton projection loop: entry column rebalance;
     then, while the row mismatch exceeds ``eps_d``, chi-square balancing to
     ``eps_d ** 0.4``, an annealed discounted Newton direction, backtracking
     from step size 1, and an exact column rebalance.  A final exact row step
-    zeroes the row half of the gradient on exit.  The state is updated in
-    place; returns :class:`ProjStats`.
+    zeroes the row half of the gradient on exit.  ``adaptive_rho0`` warm
+    starts each discount from ``rho0``, then from the previous solve's.  The
+    state is updated in place; returns :class:`ProjStats`.
     """
     if not 0.0 < eps_d < 1.0:
         raise DomainError(f"eps_d must be in (0, 1), got {eps_d}")
     if np.min(r) <= 0.0 or np.min(c) <= 0.0:
         raise DomainError("project requires strictly positive marginals")
-    opts = options or ProjectOptions()
     state.set_targets(r, c)
     stats = ProjStats()
     log_c = np.log(c)
     eps_chi = eps_d ** CHI_EXPONENT
-    rho_next = rho0 if opts.adaptive_rho0 else 0.0
+    rho_next = rho0 if adaptive_rho0 else 0.0
     with opcount.category("mirror_descent"):
         state.rebalance_columns()
 
@@ -177,7 +160,7 @@ def project(state, r, c, eps_d, rho0=0.0, options=None):
         grad_norm = float(np.abs(grad_u).sum())
         if grad_norm <= eps_d:
             break
-        if stats.newton_steps >= opts.newton_step_budget:
+        if stats.newton_steps >= newton_step_budget:
             raise NonconvergenceError(
                 f"projection still at gradient norm {grad_norm:.3g} > {eps_d:.3g} "
                 f"after {stats.newton_steps} Newton steps",
@@ -185,29 +168,27 @@ def project(state, r, c, eps_d, rho0=0.0, options=None):
                              "grad_norm": grad_norm, "stats": stats},
             )
 
-        stats.sinkhorn_steps += chi_sinkhorn(state, r, c, eps_chi, budget=opts.chi_budget)
+        stats.sinkhorn_steps += chi_sinkhorn(state, r, c, eps_chi)
         grad_u = state.row_sums() - r
         grad_norm = float(np.abs(grad_u).sum())
-        if grad_norm == 0.0:
+        if grad_norm <= eps_d:
             break
 
-        eta, terminal_branch = _eta_with_branch(grad_norm, eps_d)
+        eta, terminal_branch = eta_rule(grad_norm, eps_d)
         with opcount.category("newton_solve"):
             sys = DiscountedSystem.from_state(state)
-            result = newton_solve(grad_u, sys, eta, rho0=rho_next,
-                                  zero_init=opts.cg_zero_init,
-                                  max_cg_iters=opts.max_cg_iters)
+            result = newton_solve(grad_u, sys, eta, rho0=rho_next)
             d_u = result.d_u
             d_v = -sys.apply_pc(d_u)
         stats.rho_final = result.rho_final
-        rho_next = next_rho0(result.rho_final) if opts.adaptive_rho0 else 0.0
+        rho_next = next_rho0(result.rho_final) if adaptive_rho0 else 0.0
 
         slope = float(-(grad_u @ d_u))
         if slope <= 0.0:
             # Numerically non-descent direction: fall back to one full
             # Sinkhorn sweep and re-enter the loop.  Never hit in practice.
             with opcount.category("chi_sinkhorn"):
-                state.u = state.u + np.log(r) - state.log_rP
+                state.set_potentials(state.u + np.log(r) - state.log_rP, state.v)
                 state.rebalance_columns()
             stats.sinkhorn_steps += 1
             continue
@@ -216,8 +197,7 @@ def project(state, r, c, eps_d, rho0=0.0, options=None):
         with opcount.category("newton_solve"):
             trial_cols = state.trial_log_col_sums(d_u, d_v, alpha)
         backtracks = 0
-        while (slope > ARMIJO_SLOPE_FLOOR
-               and _mass(trial_cols) - 1.0 > (1.0 - ARMIJO_C1) * alpha * slope):
+        while not armijo_accept(alpha, _mass(trial_cols), slope):
             alpha *= 0.5
             if alpha < MIN_ALPHA:
                 raise LineSearchError(
@@ -231,11 +211,9 @@ def project(state, r, c, eps_d, rho0=0.0, options=None):
 
         # Apply the accepted step, restore the column sums exactly with the
         # already-computed trial reduction, and refresh the row cache.
-        state.u = state.u + alpha * d_u
-        state.v = state.v + alpha * d_v + (log_c - trial_cols)
-        state.set_log_col_sums(log_c)
         with opcount.category("newton_solve"):
-            state.refresh_rows_only()
+            state.refresh_rows_only(state.u + alpha * d_u,
+                                    state.v + alpha * d_v + (log_c - trial_cols), log_c)
 
         grad_after = float(np.abs(state.row_sums() - r).sum())
         delta = delta_ratio(grad_norm, grad_after, eta)

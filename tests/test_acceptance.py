@@ -172,7 +172,7 @@ def test_05_armijo_equivalence():
         if abs(lhs_mass - rhs_mass) < 1e-12 or abs(lhs_obj - rhs_obj) < 1e-12:
             continue  # knife-edge tie, excluded
         samples += 1
-        if ot.armijo_accept(alpha, mass, grad_u, d_u) == (lhs_obj <= rhs_obj):
+        if ot.armijo_accept(alpha, mass, float(slope)) == (lhs_obj <= rhs_obj):
             agreements += 1
     assert agreements == samples == 200
     print("\nACCEPTANCE 5: PASS - Armijo mass/objective agreement on 200 samples")

@@ -207,6 +207,15 @@ class TestMdot:
         np.testing.assert_allclose(sol.P.sum(axis=0), prob.c, atol=1e-12)
         assert sol.P.min() >= 0.0
 
+    def test_rounded_plan_has_no_negative_entries(self):
+        # Roundoff leaves some row/column deficits slightly negative after the
+        # scaling steps; the rank-one repair must not carry them into the plan.
+        prob = Problem(C=grid_points_cost(64, "l1"),
+                       r=gen_marginal(64, "smooth-random", 0),
+                       c=gen_marginal(64, "smooth-random", 1))
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 10)
+        assert sol.P.min() >= 0.0
+
     def test_monotone_gamma_and_trace_shape(self):
         prob = grid_problem(16, seed=4)
         sol = mdot(prob, 2.0 ** 4, 2.0 ** 12)

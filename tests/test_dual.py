@@ -55,12 +55,32 @@ class TestRowSums:
         state = random_state(4)
         state.refresh()
         assert state.cache_valid
-        state.u = state.u + 0.1
+        state.set_potentials(state.u + 0.1, state.v)
         assert not state.cache_valid
         state.refresh()
         assert state.cache_valid
-        state.gamma = 5.0
+        state.set_gamma(5.0)
         assert not state.cache_valid
+
+    @pytest.mark.parametrize("name", ["u", "v", "gamma"])
+    def test_direct_assignment_rejected(self, name):
+        state = random_state(4)
+        with pytest.raises(AttributeError):
+            setattr(state, name, getattr(state, name))
+
+    def test_set_potentials_copies(self):
+        state = random_state(4)
+        u = state.u + 0.1
+        state.set_potentials(u, state.v)
+        u[0] = 100.0
+        assert state.u[0] != 100.0
+
+    def test_set_gamma_rejects_nonpositive(self):
+        from otnewton.errors import DomainError
+        state = random_state(4)
+        for bad in (0.0, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                state.set_gamma(bad)
 
 
 class TestGradient:
@@ -139,7 +159,7 @@ class TestMaterialize:
 
     def test_overflow_rejected(self):
         state = random_state(3)
-        state.u = state.u + 800.0
+        state.set_potentials(state.u + 800.0, state.v)
         with pytest.raises(PlanOverflowError):
             state.materialize_plan()
 

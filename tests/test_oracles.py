@@ -169,8 +169,7 @@ class TestSinkhornProject:
 class TestFiniteDiffGrad:
     def test_zero_at_independence_optimum(self):
         state = make_state(5, seed=4, zero_cost=True)
-        state.u = np.log(state.problem.r)
-        state.v = np.log(state.problem.c)
+        state.set_potentials(np.log(state.problem.r), np.log(state.problem.c))
         fu, fv = finite_diff_grad(state, h=1e-5)
         assert np.abs(fu).max() <= 1e-8
         assert np.abs(fv).max() <= 1e-8
