@@ -5,6 +5,16 @@ add/max/exp/sum chain, and every operation writes into a small reusable
 buffer, so no n-by-n temporaries are allocated.  Each row is still reduced
 whole by numpy's pairwise summation, so results are bit-identical to the
 unblocked expressions regardless of the tile size.
+
+The kernels never exponentiate below ``EXP_FLOOR`` = -700.  Two slow
+paths sit just below it: numpy's SIMD ``exp`` falls back to a scalar loop,
+about 20x slower, for any vector holding an argument below about -707.7, and
+BLAS products on subnormal operands run several times slower than on normal
+ones.  So ``log_plan_row_sums`` clamps its shifted exponents at the floor
+(each row sum is at least 1 after the shift, and the n * e^-700 the clamp can
+add is far below half an ulp), and ``materialize_plan`` writes exactly 0 for
+every entry whose log is below the floor (e^-700 ~ 9.9e-305 is a normal
+number, so a plan never holds a subnormal).
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ BLOCK = 256
 
 # exp() of anything above this overflows in float64.
 LOG_OVERFLOW = 700.0
+# No kernel calls exp() below this; plan entries whose log is lower are 0.
+EXP_FLOOR = -700.0
 
 
 def log_plan_row_sums(K, u, v):
@@ -37,6 +49,7 @@ def log_plan_row_sums(K, u, v):
         finite = np.isfinite(m)
         shift = np.where(finite, m, 0.0)
         np.subtract(b, shift[:, None], out=b)
+        np.maximum(b, EXP_FLOOR, out=b)
         np.exp(b, out=b)
         with np.errstate(divide="ignore"):
             s = shift + np.log(b.sum(axis=1))
@@ -45,7 +58,10 @@ def log_plan_row_sums(K, u, v):
 
 
 def materialize_plan(K, u, v, out=None):
-    """exp(u 1^T + 1 v^T + K), with entries that would overflow rejected."""
+    """exp(u 1^T + 1 v^T + K), with entries that would overflow rejected.
+
+    Entries whose log is below ``EXP_FLOOR`` come out as exactly 0.
+    """
     opcount.add(4)
     n, m = K.shape
     if out is None:
@@ -59,8 +75,10 @@ def materialize_plan(K, u, v, out=None):
         if top > LOG_OVERFLOW:
             raise PlanOverflowError(
                 f"log-plan entry {top:.3g} would overflow exp(); warm start is broken")
-        with np.errstate(under="ignore"):
-            np.exp(b, out=b)
+        low = b < EXP_FLOOR
+        np.maximum(b, EXP_FLOOR, out=b)
+        np.exp(b, out=b)
+        np.copyto(b, 0.0, where=low)
     return out
 
 

@@ -147,7 +147,7 @@ class DualState:
         return mass - 1.0 - float(self.u @ self.r) - float(self.v @ self.c)
 
     def materialize_plan(self, reuse_buffer=False):
-        """Linear-domain plan; entries below the 64-bit underflow become 0.
+        """Linear-domain plan; entries below e^-700 (``EXP_FLOOR``) become 0.
 
         With ``reuse_buffer`` the returned array is a state-owned scratch
         matrix that the next ``reuse_buffer`` call overwrites; callers must

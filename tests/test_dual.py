@@ -175,34 +175,3 @@ class TestTrialColSums:
                           u=state.u + 0.3 * d_u, v=state.v + 0.3 * d_v)
         np.testing.assert_allclose(got, probe.log_cP, rtol=0, atol=1e-13)
 
-
-class TestBlockedKernels:
-    """The tiled internal kernels agree with the reference reductions."""
-
-    def test_row_sums_match_reference(self):
-        from otnewton._kernels import BLOCK, log_plan_row_sums
-        from otnewton.core import lse_rows
-        rng = np.random.default_rng(9)
-        n = BLOCK + 17  # force a partial tail block
-        K = rng.normal(size=(n, n)) * 10
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        np.testing.assert_array_equal(log_plan_row_sums(K, u, v),
-                                      u + lse_rows(K + v[None, :]))
-
-    def test_square_matvec_matches_reference(self):
-        from otnewton._kernels import BLOCK, square_matvec
-        rng = np.random.default_rng(10)
-        n = BLOCK + 3
-        P = rng.random((n, n))
-        w = rng.random(n)
-        np.testing.assert_allclose(square_matvec(P, w), (P * P) @ w, rtol=1e-13)
-
-    def test_materialize_matches_reference(self):
-        from otnewton._kernels import materialize_plan
-        rng = np.random.default_rng(11)
-        K = rng.normal(size=(7, 7))
-        u = rng.normal(size=7)
-        v = rng.normal(size=7)
-        ref = np.exp(u[:, None] + v[None, :] + K)
-        np.testing.assert_allclose(materialize_plan(K, u, v), ref, rtol=1e-15)
