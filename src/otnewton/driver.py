@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcount, oracles
+from ._kernels import EXP_FLOOR
 from .core import shannon_entropy
 from .dual import DualState
 from .errors import DegenerateInputError, DomainError, OTNError
@@ -32,6 +33,8 @@ Q_MAX = 2.0
 # Floor for the decay rate: repeated square roots would otherwise collapse q
 # to 1.0 in floating point and freeze the temperature schedule.
 Q_MIN = 2.0 ** (1.0 / 16.0)
+# Smallest nonzero entry of a rounded plan: the kernels' plan floor.
+PLAN_FLOOR = math.exp(EXP_FLOOR)
 
 
 @dataclass
@@ -168,7 +171,9 @@ def round_plan(P, r, c):
 
     Scales rows then columns down toward their targets and repairs the
     remaining (nonnegative) deficit with a rank-one correction; the output
-    has row sums r and column sums c exactly up to roundoff.
+    has row sums r and column sums c exactly up to roundoff.  Entries below
+    e^EXP_FLOOR, the kernels' plan floor, are set to 0, so the plan holds no
+    subnormals (the scalings can push entries near the floor below it).
     """
     P = np.asarray(P, dtype=np.float64)
     if P.min() < 0.0:
@@ -195,6 +200,7 @@ def round_plan(P, r, c):
     if deficit > 0.0:
         opcount.add(1)
         P = P + np.outer(err_r, err_c) / deficit
+    P[P < PLAN_FLOOR] = 0.0
     return P
 
 

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import opcount
 from ._kernels import square_matvec
@@ -225,7 +224,7 @@ def lambda2(sys):
         raise RefusalError(f"lambda2 needs a dense eigensolve; n={sys.n} exceeds {LAMBDA2_MAX_N}")
     G = sys.P / (np.sqrt(sys.rP)[:, None] * np.sqrt(sys.cP)[None, :])
     S = G @ G.T
-    evals = scipy.linalg.eigh(S, eigvals_only=True)
+    evals = np.linalg.eigvalsh(S)
     lead = float(evals[-1])
     if abs(lead - 1.0) > 1e-8:
         raise ConditioningError(f"leading eigenvalue of P_rc is {lead}, expected 1")

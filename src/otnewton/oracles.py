@@ -1,22 +1,10 @@
-"""Independent ground-truth engines for validating the solver stack.
-
-``exact_ot_small`` enumerates every basic solution of the transportation
-polytope (each spanning tree of the complete bipartite support graph) and
-keeps the cheapest feasible one, so it is exact by exhaustion.  Trees are
-generated from sequence pairs via a bipartite Prufer-style decode: a pair
-``(A, B)`` with ``A`` listing n-1 row labels and ``B`` listing n-1 column
-labels decodes by repeatedly deleting the smallest current leaf and joining
-it to the next unconsumed label of the opposite side.  The decode doubles as
-a leaf-elimination order, so all basic systems are solved in one vectorized
-sweep across trees.  Tree counts are verified against n^(2n-2) in the tests.
-"""
+"""Independent ground-truth engines for validating the solver stack."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import opcount
 from .errors import (
@@ -27,107 +15,25 @@ from .errors import (
     RefusalError,
 )
 
-EXACT_MAX_N = 6
-# Basic variables this close to zero (from below) count as degenerate zeros.
-FEAS_SLACK = 1e-12
-_CHUNK = 1 << 20
-
-# Decoded elimination schedules per n, built once per process.
-_SCHEDULE_CACHE: dict = {}
+EXACT_MAX_N = 256
+# HiGHS primal and dual feasibility tolerances for the exact LP.
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass
 class ExactSolution:
-    """Minimum-cost vertex of the transportation polytope at tiny n."""
+    """Optimal vertex of the transportation polytope and its cost."""
 
     P_star: np.ndarray
     cost: float
-    basis: list
-
-
-def _digits(codes, n, width):
-    """Base-n digits of each code, least significant first, shape (len, width)."""
-    out = np.empty((codes.shape[0], width), dtype=np.int32)
-    rem = codes.copy()
-    for k in range(width):
-        out[:, k] = rem % n
-        rem //= n
-    return out
-
-
-def _decode_schedules(n, A, B):
-    """Decode sequence pairs into leaf-elimination schedules.
-
-    Returns ``(leaf, nb)`` of shape (T, 2n-1): at each step the recorded
-    vertex ``leaf`` has exactly one remaining incident edge, which joins it
-    to ``nb``.  Vertices 0..n-1 are rows, n..2n-1 are columns.
-    """
-    T = A.shape[0]
-    V = 2 * n
-    tidx = np.arange(T)
-    deg = np.ones((T, V), dtype=np.int16)
-    np.add.at(deg, (tidx[:, None], A), 1)
-    np.add.at(deg, (tidx[:, None], B + n), 1)
-    alive = np.ones((T, V), dtype=bool)
-    aptr = np.zeros(T, dtype=np.int64)
-    bptr = np.zeros(T, dtype=np.int64)
-    leaf = np.empty((T, V - 1), dtype=np.int32)
-    nb = np.empty((T, V - 1), dtype=np.int32)
-    hi = max(n - 2, 0)
-    for step in range(V - 2):
-        leafmask = alive & (deg == 1)
-        if not leafmask.any(axis=1).all():
-            raise AssertionError("decode invariant violated: a tree ran out of leaves")
-        l = np.argmax(leafmask, axis=1)
-        is_row = l < n
-        nbr = np.where(is_row,
-                       B[tidx, np.minimum(bptr, hi)] + n,
-                       A[tidx, np.minimum(aptr, hi)])
-        bptr += is_row
-        aptr += ~is_row
-        deg[tidx, nbr] -= 1
-        deg[tidx, l] = 0
-        alive[tidx, l] = False
-        leaf[:, step] = l
-        nb[:, step] = nbr
-    leaf[:, V - 2] = np.argmax(alive[:, :n], axis=1)
-    nb[:, V - 2] = np.argmax(alive[:, n:], axis=1) + n
-    return leaf, nb
-
-
-def _schedules_for(n, lo, hi):
-    """Elimination schedules for sequence-pair indices [lo, hi)."""
-    if n == 1:
-        return (np.array([[0]], dtype=np.int32), np.array([[1]], dtype=np.int32))
-    side = n ** (n - 1)
-    codes = np.arange(lo, hi, dtype=np.int64)
-    a_code, b_code = np.divmod(codes, side)
-    A = _digits(a_code, n, n - 1)
-    B = _digits(b_code, n, n - 1)
-    return _decode_schedules(n, A, B)
-
-
-def _tree_count(n):
-    return n ** (2 * n - 2)
-
-
-def _cached_schedules(n):
-    if n not in _SCHEDULE_CACHE:
-        _SCHEDULE_CACHE[n] = _schedules_for(n, 0, _tree_count(n))
-    return _SCHEDULE_CACHE[n]
-
-
-def _basis_key(eid_row):
-    return tuple(int(e) for e in np.sort(eid_row))
 
 
 def exact_ot_small(C, r, c):
-    """Exact optimal transport by exhausting the basic feasible solutions.
+    """Exact optimal transport from the HiGHS transportation LP.
 
-    Guarded to n <= 6 (n = 6 already enumerates ~6e7 trees and takes
-    minutes; the practical range is n <= 5).  Ties in cost are broken by the
-    lexicographically smallest sorted support, making the result
-    deterministic regardless of enumeration order.
+    Guarded to n <= 256 (the LP has n^2 variables; n = 256 takes about a
+    second).  HiGHS returns a basic solution, so ``P_star`` is a vertex of
+    the polytope; among tied optima, which vertex it returns is unspecified.
     """
     C = np.asarray(C, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
@@ -138,77 +44,26 @@ def exact_ot_small(C, r, c):
     if r.shape != (n,) or c.shape != (n,):
         raise DimensionError("marginal lengths must match the cost matrix")
     if n > EXACT_MAX_N:
-        raise RefusalError(f"exact enumeration is guarded to n <= {EXACT_MAX_N}, got {n}")
+        raise RefusalError(f"exact LP is guarded to n <= {EXACT_MAX_N}, got {n}")
     if np.any(r < 0.0) or np.any(c < 0.0):
         raise DomainError("marginals must be nonnegative")
     if abs(r.sum() - c.sum()) > 1e-12:
         raise DomainError(f"marginal sums differ: {r.sum():.17g} vs {c.sum():.17g}")
 
-    Cflat = C.ravel()
-    total = _tree_count(n)
-    best_cost = np.inf
-    best_key = None
-    best_sched = None
+    # Imported here: scipy.optimize would add a quarter second to importing
+    # the solver, which does not need it.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
 
-    use_cache = n <= 5
-    chunk_edges = range(0, total, _CHUNK)
-    for lo in chunk_edges:
-        hi = min(lo + _CHUNK, total)
-        if use_cache and lo == 0 and hi == total:
-            leaf, nb = _cached_schedules(n)
-        else:
-            leaf, nb = _schedules_for(n, lo, hi)
-        T = leaf.shape[0]
-        tidx = np.arange(T)
-        resid = np.empty((T, 2 * n))
-        resid[:, :n] = r
-        resid[:, n:] = c
-        rows = np.where(leaf < n, leaf, nb)
-        cols = np.where(leaf < n, nb, leaf) - n
-        eid = rows.astype(np.int64) * n + cols
-        cost = np.zeros(T)
-        minval = np.full(T, np.inf)
-        for step in range(2 * n - 1):
-            v = resid[tidx, leaf[:, step]]
-            resid[tidx, nb[:, step]] -= v
-            cost += v * Cflat[eid[:, step]]
-            minval = np.minimum(minval, v)
-        feasible = minval >= -FEAS_SLACK
-        if not feasible.any():
-            continue
-        cost = np.where(feasible, cost, np.inf)
-        cmin = cost.min()
-        if cmin > best_cost:
-            continue
-        cand = np.flatnonzero(cost == cmin)
-        keys = np.sort(eid[cand], axis=1)
-        order = np.lexsort(keys.T[::-1])
-        kbest = cand[order[0]]
-        key = _basis_key(eid[kbest])
-        if cmin < best_cost or (cmin == best_cost and key < best_key):
-            best_cost = float(cmin)
-            best_key = key
-            best_sched = (leaf[kbest].copy(), nb[kbest].copy())
-
-    if best_sched is None:
-        raise DomainError("no feasible basic solution found (inconsistent marginals)")
-
-    # Re-run the winner's elimination scalar-style to reconstruct the plan.
-    leaf, nb = best_sched
-    resid = np.concatenate([r, c])
-    P = np.zeros((n, n))
-    basis = []
-    cost = 0.0
-    for step in range(2 * n - 1):
-        l, b = int(leaf[step]), int(nb[step])
-        v = resid[l]
-        resid[b] -= v
-        i, j = (l, b - n) if l < n else (b, l - n)
-        v = max(v, 0.0)
-        P[i, j] += v
-        basis.append((i, j))
-        cost += v * C[i, j]
-    return ExactSolution(P_star=P, cost=float(cost), basis=sorted(basis))
+    rows = sp.kron(sp.eye(n), np.ones((1, n)))
+    cols = sp.kron(np.ones((1, n)), sp.eye(n))
+    res = linprog(C.ravel(), A_eq=sp.vstack([rows, cols]).tocsr(),
+                  b_eq=np.concatenate([r, c]), bounds=(0, None),
+                  method="highs", options=LP_OPTIONS)
+    if res.status != 0:
+        raise NonconvergenceError(f"exact LP found no optimum: {res.message}",
+                                  diagnostics={"status": int(res.status), "n": n})
+    return ExactSolution(P_star=res.x.reshape(n, n), cost=float(res.fun))
 
 
 def dense_spd_solve(A, b):
@@ -225,6 +80,8 @@ def dense_spd_solve(A, b):
     scale = np.abs(A).max()
     if not np.allclose(A, A.T, atol=1e-10 * max(scale, 1.0), rtol=0.0):
         raise DomainError("matrix is not symmetric to 1e-10")
+    import scipy.linalg
+
     try:
         factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -99,6 +99,22 @@ class TestBench:
         # gap against the exact oracle at n = 4, flagged as such
         assert all(line.endswith("exact") for line in summary[1:])
 
+    def test_exact_gap_at_side_eight(self, tmp_path):
+        # n = 64 is inside the exact LP's guard, so no reference run is needed
+        cfg = {
+            "problems": [{"kind": "grid", "metric": "l1", "side": 8, "seed": 1}],
+            "settings": [{"name": "s", "gamma_i": 32, "gamma_f": 1024}],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["bench", "--config", str(cfg_path)]) == 0
+        header, summary = (tmp_path / "out" / "summary.csv").read_text().strip().split("\n")
+        cols = dict(zip(header.split(","), summary.split(",")))
+        assert cols["gap_basis"] == "exact"
+        assert float(cols["gap_med"]) >= -1e-10
+
     def test_summary_percentiles_are_order_stats(self, tmp_path):
         cfg = {
             "problems": [{"kind": "grid", "metric": "l1", "side": 2, "seed": 5}],

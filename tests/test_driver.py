@@ -16,6 +16,7 @@ from otnewton.driver import (
     smooth_marginals,
 )
 from otnewton.errors import DegenerateInputError, DomainError
+from otnewton.oracles import exact_ot_small
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
 
@@ -261,3 +262,21 @@ class TestMdot:
             mdot(prob, 4.0, 8.0, p=0.5)
         with pytest.raises(DomainError):
             mdot(prob, 4.0, 8.0, q_init=1.0)
+
+
+class TestLpGap:
+    """0 <= primal - LP optimum <= error_bound, each side with 1e-10 slack."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [16, 64, 121])
+    @pytest.mark.parametrize("cost", ["l1", "l2sq", "random"])
+    def test_two_sided_gap(self, cost, n, seed):
+        if cost == "random":
+            C = np.random.default_rng(seed).random((n, n))  # not symmetric
+        else:
+            C = grid_points_cost(n, cost)
+        prob = Problem(C=C, r=gen_marginal(n, "smooth-random", seed),
+                       c=gen_marginal(n, "smooth-random", seed + 1000))
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 14)
+        gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
+        assert -1e-10 <= gap <= sol.error_bound + 1e-10, (gap, sol.error_bound)

@@ -6,6 +6,7 @@ from otnewton import _kernels
 from otnewton._kernels import (BLOCK, EXP_FLOOR, log_plan_row_sums,
                                materialize_plan, square_matvec)
 from otnewton.core import lse_rows
+from otnewton.driver import round_plan
 
 
 class TestBlockedKernels:
@@ -93,3 +94,15 @@ class TestExpFloor:
         monkeypatch.undo()
         assert len(lowest) == 6  # one exp per tile, two tiles per call
         assert min(lowest) >= EXP_FLOOR
+
+    def test_rounded_plan_holds_no_subnormals(self):
+        # Powers of two keep every step exact: the row scale 2^-31 pushes the
+        # off-diagonal entries 2^-1000 (above the floor) to the subnormal
+        # 2^-1031, and no deficit is left for the rank-one repair to fill.
+        n = 4
+        P = np.full((n, n), np.ldexp(1.0, -1000))
+        np.fill_diagonal(P, np.ldexp(1.0, 29))
+        assert P.min() > np.exp(EXP_FLOOR)
+        r = c = np.full(n, 0.25)
+        rounded = round_plan(P, r, c)
+        np.testing.assert_array_equal(rounded, np.diag(r))
