@@ -1,4 +1,4 @@
-"""Blocked dense kernels for the hot log-domain reductions.
+"""Dense kernels: blocked log-domain reductions and plan matrix-vector products.
 
 Row tiles of ``BLOCK`` rows (8 MB at n=4096) stay cache-resident across the
 add/max/exp/sum chain, and every operation writes into a small reusable
@@ -15,9 +15,17 @@ ones.  So ``log_plan_row_sums`` clamps its shifted exponents at the floor
 add is far below half an ulp), and ``materialize_plan`` writes exactly 0 for
 every entry whose log is below the floor (e^-700 ~ 9.9e-305 is a normal
 number, so a plan never holds a subnormal).
+
+``plan_matvec`` is the one matrix-vector product with a materialized plan,
+used by the Newton system and by ``log_plan_matvec``, which serves row or
+column log sums of a diagonally rescaled plan from one product instead of a
+log-sum-exp pass.  With ``OTN_DETERMINISTIC=1`` (see ``fixed_order``) the
+product is a fixed-order summation, bit-identical whatever the BLAS threading.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -94,3 +102,34 @@ def square_matvec(P, w):
         np.multiply(P[lo:hi], P[lo:hi], out=b)
         out[lo:hi] = b @ w
     return out
+
+
+def fixed_order():
+    """Whether ``OTN_DETERMINISTIC=1`` asks for fixed-order products; callers
+    read it once, when they take hold of a plan."""
+    return os.environ.get("OTN_DETERMINISTIC", "") == "1"
+
+
+def plan_matvec(P, x, fixed, transpose=False):
+    """P @ x, or P.T @ x with ``transpose``; one pass.
+
+    With ``fixed`` the product is numpy's summation of the elementwise
+    products (pairwise along each row, in row order down the columns), whose
+    order does not depend on BLAS threading.
+    """
+    opcount.add(1)
+    if fixed:
+        return (P * x[:, None]).sum(axis=0) if transpose else (P * x[None, :]).sum(axis=1)
+    return P.T @ x if transpose else P @ x
+
+
+def log_plan_matvec(P, x, fixed, transpose=False):
+    """log(P e^x) (log(P.T e^x) with ``transpose``) for a linear-domain plan.
+
+    Computed as ``max x + log(P e^(x - max x))``, so no weight exceeds 1 and
+    nothing overflows; one ``plan_matvec``.  A sum over entries that are all 0
+    comes out as -inf.
+    """
+    m = x.max()
+    with np.errstate(divide="ignore"):
+        return m + np.log(plan_matvec(P, np.exp(x - m), fixed, transpose))

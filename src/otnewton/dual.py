@@ -1,12 +1,23 @@
 """Dual potentials, log-domain plan, gradient, and dual objective value.
 
 The plan implied by potentials ``(u, v)`` at inverse temperature ``gamma``
-is ``P_ij = exp(u_i + v_j - gamma * C_ij)``.  Row and column sums of P are
-always taken from log-domain log-sum-exp reductions, never from the (possibly
-underflowed) linear matrix, and are cached alongside the potentials.
-``u``, ``v`` and ``gamma`` are read-only: change them through
-``set_potentials``, ``set_gamma`` or the exact scaling updates, which all
-install the potentials and their sums together in ``_set``.
+is ``P_ij = exp(u_i + v_j - gamma * C_ij)``.  Its row and column sums are
+kept in log form and cached alongside the potentials.  They come from one of
+two paths:
+
+* log-sum-exp passes over ``-gamma C`` (``log_plan_row_sums``, four passes);
+* the *anchored plan*: ``materialize_plan(reuse_buffer=True)`` records the
+  potentials ``(u0, v0)`` it filled its buffer at, and until the next such
+  call or ``set_gamma``, a sum at ``(u0 + a, v0 + b)`` is one matrix-vector
+  product with that plan, ``b + log(P^T e^(a - max a)) + max a`` for the
+  columns (rows alike), one pass.
+
+The anchored plan is used while the offsets stay within
+``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0 could add;
+otherwise the sums fall back to log-sum-exp.  ``u``, ``v`` and ``gamma``
+are read-only: change them through ``set_potentials``, ``set_gamma`` or the
+exact scaling updates, which all install the potentials and their sums
+together in ``_set``.
 """
 
 from __future__ import annotations
@@ -14,8 +25,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import opcount
-from ._kernels import log_plan_row_sums, materialize_plan
+from ._kernels import (EXP_FLOOR, fixed_order, log_plan_matvec,
+                       log_plan_row_sums, materialize_plan)
 from .errors import DomainError
+
+# Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
+# sums; beyond it they fall back to log-sum-exp.  A plan entry flushed to 0
+# had log below EXP_FLOOR, and the offsets scale it by at most e^B, so with
+# B = -EXP_FLOOR - 600 each dropped term stays below e^-600 ~ 2.7e-261 and
+# the n <= 2^20 of one sum below 3e-255: far below half an ulp of any target
+# above 1e-230.  The smallest smoothed target, w_c * eps_d / n, is about
+# 1e-11 on an n = 64 batch instance at gamma = 2^18.  The weights
+# e^(a - max a) stay above e^(-2B) = e^-200, a normal number.
+PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
+
+
+def _within_guard(a, b):
+    return bool(np.abs(a).max() + np.abs(b).max() <= PLAN_OFFSET_MAX)
 
 
 class DualState:
@@ -29,6 +55,8 @@ class DualState:
     def __init__(self, problem, gamma, u=None, v=None, r=None, c=None):
         self._C_symmetric = None
         self._plan_buf = None
+        self._anchor = None  # (u0, v0) that _plan_buf holds the plan of
+        self._fixed_order = False
         self.problem = problem
         n = problem.n
         self.set_potentials(np.zeros(n) if u is None else u,
@@ -78,6 +106,7 @@ class DualState:
         # two n-by-n kernels are never alive at once.
         self._K = None
         self._KT = None
+        self._anchor = None
         self._set(self.u, self.v)
 
     def set_targets(self, r, c):
@@ -107,11 +136,38 @@ class DualState:
                 self._KT = np.ascontiguousarray(K.T)
         return self._KT
 
+    # -- log row/column sums: anchored plan or log-sum-exp --------------------
+
+    def _plan_offsets(self, u, v):
+        """(u - u0, v - v0) when the anchored plan serves sums at (u, v), else None."""
+        if self._anchor is None:
+            return None
+        u0, v0 = self._anchor
+        a, b = u - u0, v - v0
+        return (a, b) if _within_guard(a, b) else None
+
+    def _log_row_sums(self, u, v):
+        off = self._plan_offsets(u, v)
+        if off is None:
+            return log_plan_row_sums(self._neg_gamma_C(), u, v)
+        a, b = off
+        return a + log_plan_matvec(self._plan_buf, b, self._fixed_order)
+
+    def _log_col_sums(self, u, v, on_plan=None):
+        """Log column sums at (u, v); ``on_plan`` overrides the guard, for a
+        line search whose path was chosen from its whole step."""
+        if on_plan is None:
+            on_plan = self._plan_offsets(u, v) is not None
+        if not on_plan:
+            return log_plan_row_sums(self._neg_gamma_C_T(), v, u)
+        u0, v0 = self._anchor
+        return (v - v0) + log_plan_matvec(self._plan_buf, u - u0, self._fixed_order,
+                                          transpose=True)
+
     def refresh(self):
         """Recompute the cached log row/column sums of the implied plan."""
         u, v = self.u, self.v
-        self._set(u, v, log_plan_row_sums(self._neg_gamma_C(), u, v),
-                  log_plan_row_sums(self._neg_gamma_C_T(), v, u))
+        self._set(u, v, self._log_row_sums(u, v), self._log_col_sums(u, v))
 
     @property
     def log_rP(self):
@@ -152,33 +208,58 @@ class DualState:
         With ``reuse_buffer`` the returned array is a state-owned scratch
         matrix that the next ``reuse_buffer`` call overwrites; callers must
         be done with it by then (the Newton loop snapshots one plan at a
-        time, so it qualifies).
+        time, so it qualifies).  The buffer becomes the anchored plan: later
+        sums are served from it until it is refilled or gamma changes.
         """
-        out = None
-        if reuse_buffer:
-            if self._plan_buf is None:
-                self._plan_buf = np.empty_like(self.problem.C)
-            out = self._plan_buf
-        return materialize_plan(self._neg_gamma_C(), self.u, self.v, out=out)
+        if not reuse_buffer:
+            return materialize_plan(self._neg_gamma_C(), self.u, self.v)
+        if self._plan_buf is None:
+            self._plan_buf = np.empty_like(self.problem.C)
+        self._anchor = None  # not a valid plan if materialization raises
+        materialize_plan(self._neg_gamma_C(), self.u, self.v, out=self._plan_buf)
+        self._anchor = (self.u, self.v)
+        self._fixed_order = fixed_order()
+        return self._plan_buf
 
     def trial_log_col_sums(self, d_u, d_v, alpha):
-        """Log column sums at (u + alpha d_u, v + alpha d_v) without mutating state."""
-        return log_plan_row_sums(self._neg_gamma_C_T(),
-                                 self.v + alpha * d_v, self.u + alpha * d_u)
+        """Log column sums at (u + alpha d_u, v + alpha d_v) without mutating state.
+
+        The path depends on the direction, not on ``alpha``: the anchored plan
+        when it covers both ends of the full step, hence (the offsets being
+        convex in alpha) every alpha in [0, 1]; log-sum-exp otherwise.  So a
+        line search, with its ``base_log_col_sums``, stays on one path.
+        """
+        return self._log_col_sums(self.u + alpha * d_u, self.v + alpha * d_v,
+                                  self._step_on_plan(d_u, d_v))
+
+    def base_log_col_sums(self, d_u, d_v):
+        """Log column sums at alpha = 0 from the path ``trial_log_col_sums(d_u,
+        d_v, .)`` takes: one product with the anchored plan, or the cache."""
+        if self._step_on_plan(d_u, d_v):
+            return self._log_col_sums(self.u, self.v, True)
+        return self.log_cP
+
+    def _step_on_plan(self, d_u, d_v):
+        off = self._plan_offsets(self.u, self.v)
+        return off is not None and _within_guard(off[0] + d_u, off[1] + d_v)
 
     # -- exact scaling updates that keep the caches coherent -----------------
 
     def rebalance_columns(self):
         """Set v so the column sums equal c exactly, then refresh the row cache."""
-        v = np.log(self.c) - log_plan_row_sums(self._neg_gamma_C_T(), 0.0, self.u)
-        self.refresh_rows_only(self.u, v, np.log(self.c))
+        log_c = np.log(self.c)
+        u, v = self.u, self.v
+        if self._plan_offsets(u, v) is not None:
+            v = v + log_c - self._log_col_sums(u, v, True)
+        else:
+            v = log_c - log_plan_row_sums(self._neg_gamma_C_T(), 0.0, u)
+        self.refresh_rows_only(u, v, log_c)
 
     def scale_rows_to_target(self):
         """One exact row Sinkhorn step: u += log r - log r(P); refresh the column cache."""
         log_r = np.log(self.r)
         u = self.u + log_r - self.log_rP
-        self._set(u, self.v, log_r,
-                  log_plan_row_sums(self._neg_gamma_C_T(), self.v, u))
+        self._set(u, self.v, log_r, self._log_col_sums(u, self.v))
 
     def scale_cols_to_target(self):
         """One exact column Sinkhorn step: v += log c - log c(P); refresh the row cache."""
@@ -188,7 +269,7 @@ class DualState:
     def refresh_rows_only(self, u, v, log_cP):
         """Install (u, v) whose log column sums ``log_cP`` are already known,
         recomputing only the log row sums."""
-        self._set(u, v, log_plan_row_sums(self._neg_gamma_C(), u, v), log_cP)
+        self._set(u, v, self._log_row_sums(u, v), log_cP)
 
     # -- stacked potentials for the annealing driver -------------------------
 

@@ -54,7 +54,15 @@ class LineSearchError(OTNError):
 
 
 class StagnationError(OTNError):
-    """Discount annealing hit its cap without satisfying the forcing test."""
+    """Discount annealing hit its cap without satisfying the forcing test.
+
+    ``diagnostics`` names the discount reached and the residual against its
+    target (L1 norms).
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class DegenerateInputError(OTNError, ValueError):

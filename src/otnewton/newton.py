@@ -9,20 +9,18 @@ distribution rP, and the coefficient matrix of the reduced Newton system is
 which is symmetric positive-definite.  Solving ``F(rho) d = -grad_u`` for a
 sequence of discounts rho approaching 1 yields a direction whose
 *undiscounted* residual satisfies the truncated-Newton forcing test.  All
-products are evaluated as two matrix-vector passes; P_rc is never formed.
-``OTN_DETERMINISTIC=1``, read when a system is built, makes its products
-fixed-order summations, bit-identical regardless of BLAS threading.
+products are evaluated as two ``_kernels.plan_matvec`` passes; P_rc is never
+formed.  ``OTN_DETERMINISTIC=1``, read when a system is built, makes its
+products fixed-order summations, bit-identical regardless of BLAS threading.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import opcount
-from ._kernels import square_matvec
+from ._kernels import fixed_order, plan_matvec, square_matvec
 from .errors import (
     ConditioningError,
     NonconvergenceError,
@@ -63,7 +61,7 @@ class DiscountedSystem:
             raise ConditioningError("plan row/column sums must be strictly positive")
         self.n = P.shape[0]
         self._mu = None
-        self._fixed_order = os.environ.get("OTN_DETERMINISTIC", "") == "1"
+        self._fixed_order = fixed_order()
 
     @classmethod
     def from_state(cls, state):
@@ -76,30 +74,24 @@ class DiscountedSystem:
         return cls(state.materialize_plan(reuse_buffer=True),
                    state.row_sums(), state.col_sums())
 
-    def _matvec(self, x):
-        """P @ x; a fixed-order summation in deterministic mode."""
-        return (self.P * x[None, :]).sum(axis=1) if self._fixed_order else self.P @ x
-
-    def _rmatvec(self, x):
-        """P.T @ x; a fixed-order summation in deterministic mode."""
-        return (self.P * x[:, None]).sum(axis=0) if self._fixed_order else self.P.T @ x
+    def round_trip(self, d):
+        """Q = P (P^T d / cP), the off-diagonal part of F(1) d; two passes."""
+        P, fixed = self.P, self._fixed_order
+        return plan_matvec(P, plan_matvec(P, d, fixed, transpose=True) / self.cP, fixed)
 
     def apply_prc(self, d):
         """P_rc @ d via two matrix-vector products."""
-        opcount.add(2)
-        return self._matvec(self._rmatvec(d) / self.cP) / self.rP
+        return self.round_trip(d) / self.rP
 
     def apply_pc(self, d):
         """P_c @ d = D(cP)^-1 P^T d; gives d_v = -apply_pc(d_u) for free."""
-        opcount.add(1)
-        return self._rmatvec(d) / self.cP
+        return plan_matvec(self.P, d, self._fixed_order, transpose=True) / self.cP
 
     def apply_F(self, rho, d):
-        """F(rho) @ d = rP * d - rho * P (P^T d / cP)."""
+        """F(rho) @ d = rP * d - rho * round_trip(d)."""
         out = self.rP * d
         if rho != 0.0:
-            opcount.add(2)
-            out -= rho * self._matvec(self._rmatvec(d) / self.cP)
+            out -= rho * self.round_trip(d)
         return out
 
     def diag_prc(self):
@@ -117,13 +109,14 @@ class DiscountedSystem:
         return np.diag(self.rP) @ (np.eye(self.n) - rho * self.dense_prc())
 
 
-def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None):
+def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None, F_d0=None):
     """Diagonally preconditioned CG for ``F(rho) d = b``.
 
     Terminates when the L1 norm of the (unpreconditioned) recurrence residual
     drops to ``tol_l1``; the true residual is recomputed every
-    ``TRUE_RESIDUAL_REFRESH`` iterations to bound drift.  Returns
-    ``(d, iterations)``.
+    ``TRUE_RESIDUAL_REFRESH`` iterations to bound drift.  A caller that
+    already holds ``F(rho) @ d0`` passes it as ``F_d0`` to save the product.
+    Returns ``(d, iterations)``.
     """
     if not 0.0 <= rho < 1.0:
         raise ConditioningError(f"pcg_solve needs rho in [0, 1), got {rho}")
@@ -140,7 +133,7 @@ def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None):
         r = b.copy()
     else:
         x = np.array(d0, dtype=np.float64, copy=True)
-        r = b - sys.apply_F(rho, x)
+        r = b - (sys.apply_F(rho, x) if F_d0 is None else F_d0)
     if np.abs(r).sum() <= tol_l1:
         return x, 0
     z = r / M
@@ -192,16 +185,23 @@ def newton_solve(grad_u, sys, eta, rho0=0.0, zero_init=False):
     total_cg = 0
     cg_tol = CG_TOL_FRACTION * eta * grad_norm
     while True:
-        residual = sys.apply_F(1.0, d) + grad_u
+        # F(rho) d = rP d - rho Q: one Q serves the residual and the warm start.
+        Q = sys.round_trip(d)
+        residual = (sys.rP * d - Q) + grad_u
         res_norm = float(np.abs(residual).sum())
         if res_norm <= eta * grad_norm:
             return NewtonResult(d, rho_used, total_cg, res_norm)
         if 1.0 - rho < RHO_CAP:
             raise StagnationError(
                 f"discount reached {rho} without meeting the forcing test "
-                f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})")
-        d0 = None if zero_init else d
-        d, iters = pcg_solve(sys, rho, -grad_u, cg_tol, d0=d0)
+                f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})",
+                diagnostics={"rho": rho, "residual_l1": res_norm,
+                             "target_l1": eta * grad_norm})
+        if zero_init:
+            d, iters = pcg_solve(sys, rho, -grad_u, cg_tol)
+        else:
+            d, iters = pcg_solve(sys, rho, -grad_u, cg_tol, d0=d,
+                                 F_d0=sys.rP * d - rho * Q)
         total_cg += iters
         rho_used = rho
         rho = 1.0 - (1.0 - rho) / RHO_DECAY

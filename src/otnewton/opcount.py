@@ -7,18 +7,19 @@ column reduction, a broadcast add of a vector onto a matrix, and so on.
 The convention is fixed where the passes happen: each function that makes
 a pass calls :func:`add` with its own count, and no caller adds passes on
 behalf of a callee.  The counting functions are the dense kernels in
-``_kernels``, the operators of ``newton.DiscountedSystem``, the log kernel
-``-gamma C`` built by ``DualState``, and ``round_plan`` and the final cost
-evaluation in the driver.
+``_kernels`` (a product with a materialized plan, ``plan_matvec``, is one
+pass, whether it serves ``newton.DiscountedSystem`` or a log sum from the
+anchored plan), the log kernel ``-gamma C`` built by ``DualState``, and
+``round_plan`` and the final cost evaluation in ``driver.mdot``.
 
 The convention is identical for every solver, so totals are comparable
 across configurations.  Counts are attributed to the subroutine category
 active at call time:
 
 * ``"newton_solve"``     - discounted-system construction, CG iterations,
-                           undiscounted residual checks, the candidate
-                           column-sum evaluation at step size 1, and the
-                           post-step row-sum refresh.
+                           undiscounted residual checks, the column sums at
+                           step sizes 0 and 1, and the post-step row-sum
+                           refresh.
 * ``"line_search"``      - column-sum re-evaluations after a backtrack only
                            (a perfect warm start incurs zero ops here).
 * ``"chi_sinkhorn"``     - the pre-Newton chi-square balancing sweeps.

@@ -3,9 +3,11 @@
 Column sums are kept exactly on target throughout; each iteration first runs
 chi-square Sinkhorn sweeps until the row mismatch is well conditioned, then
 takes one truncated Newton step with backtracking line search.  The search
-accepts a step by testing total plan mass against the linearized decrease,
-which is equivalent to the textbook Armijo condition on the dual objective
-when the column sums match their target.
+accepts a step by testing the increase of total plan mass over its value at
+step size 0 against the linearized decrease, which is equivalent to the
+textbook Armijo condition on the dual objective when the column sums match
+their target.  Both masses come from one evaluation path (see ``dual``), so
+the rounding noise they share cancels.
 """
 
 from __future__ import annotations
@@ -165,7 +167,11 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
                 f"projection still at gradient norm {grad_norm:.3g} > {eps_d:.3g} "
                 f"after {stats.newton_steps} Newton steps",
                 diagnostics={"gamma": state.gamma, "eps_d": eps_d,
-                             "grad_norm": grad_norm, "stats": stats},
+                             "grad_norm": grad_norm,
+                             "newton_steps": stats.newton_steps,
+                             "cg_iters": stats.cg_iters,
+                             "sinkhorn_steps": stats.sinkhorn_steps,
+                             "backtracks": stats.backtracks},
             )
 
         stats.sinkhorn_steps += chi_sinkhorn(state, r, c, eps_chi)
@@ -193,11 +199,14 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
             stats.sinkhorn_steps += 1
             continue
 
+        # The mass increment over alpha = 0 is measured on one evaluation
+        # path, so the rounding noise the two masses share cancels.
         alpha = 1.0
         with opcount.category("newton_solve"):
+            mass0 = _mass(state.base_log_col_sums(d_u, d_v))
             trial_cols = state.trial_log_col_sums(d_u, d_v, alpha)
         backtracks = 0
-        while not armijo_accept(alpha, _mass(trial_cols), slope):
+        while not armijo_accept(alpha, 1.0 + _mass(trial_cols) - mass0, slope):
             alpha *= 0.5
             if alpha < MIN_ALPHA:
                 raise LineSearchError(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from otnewton.driver import (
     round_plan,
     smooth_marginals,
 )
-from otnewton.errors import DegenerateInputError, DomainError
+from otnewton.errors import DegenerateInputError, DomainError, StagnationError
 from otnewton.oracles import exact_ot_small
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
@@ -280,3 +281,39 @@ class TestLpGap:
         sol = mdot(prob, 2.0 ** 5, 2.0 ** 14)
         gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
         assert -1e-10 <= gap <= sol.error_bound + 1e-10, (gap, sol.error_bound)
+
+
+def batch_instance(i, n=64):
+    """Instance i of the benchmark's mixed batch, from the public generators:
+    the L1 grid, the l2sq grid or a seeded uniform non-symmetric cost in
+    turn; smooth marginals for even i, spiky for odd i, seeds 2i and 2i + 1."""
+    if i % 3 < 2:
+        C = grid_points_cost(n, ("l1", "l2sq")[i % 3])
+    else:
+        C = np.random.default_rng(100000 + i).uniform(size=(n, n))
+        C /= C.max()
+    kind = "smooth-random" if i % 2 == 0 else "spiky-random"
+    return Problem(C=C, r=gen_marginal(n, kind, 2 * i), c=gen_marginal(n, kind, 2 * i + 1))
+
+
+class TestBatchInstances:
+    """Batch instances that used to fail, solved from 2^5 to 2^18."""
+
+    @pytest.mark.parametrize("i", [62, 186, 230])
+    def test_former_line_search_failures_solve(self, i, monkeypatch):
+        # With fixed-order sums these raised LineSearchError: the mass excess
+        # was measured against 1 rather than against the mass at alpha = 0
+        # from the same evaluation path, and its noise exceeded the slope.
+        monkeypatch.setenv("OTN_DETERMINISTIC", "1")
+        prob = batch_instance(i)
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 18)
+        gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
+        assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
+
+    def test_stagnation_diagnostics_serialize(self):
+        with pytest.raises(StagnationError) as err:
+            mdot(batch_instance(59), 2.0 ** 5, 2.0 ** 18)
+        diag = json.loads(json.dumps(err.value.diagnostics))
+        assert set(diag) == {"rho", "residual_l1", "target_l1", "outer_iteration", "gamma"}
+        assert diag["residual_l1"] > diag["target_l1"] > 0.0
+        assert 1.0 - diag["rho"] < 1e-11

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from otnewton.dual import DualState
+from otnewton import opcount
+from otnewton._kernels import log_plan_row_sums
+from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.oracles import finite_diff_grad
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
@@ -175,3 +177,57 @@ class TestTrialColSums:
                           u=state.u + 0.3 * d_u, v=state.v + 0.3 * d_v)
         np.testing.assert_allclose(got, probe.log_cP, rtol=0, atol=1e-13)
 
+
+
+def anchored(n=12, seed=6):
+    """A state whose plan buffer is filled, as at the start of a Newton step."""
+    state = random_state(n, seed=seed, gamma=8.0)
+    state.rebalance_columns()
+    state.materialize_plan(reuse_buffer=True)
+    return state
+
+
+class TestAnchoredPlan:
+    """Sums served from the plan of the last ``materialize_plan(reuse_buffer=True)``."""
+
+    def test_trial_sums_match_lse_and_stay_on_one_path(self):
+        state = anchored()
+        rng = np.random.default_rng(1)
+        d_u, d_v = rng.standard_normal(12), rng.standard_normal(12)
+        probe = DualState(state.problem, state.gamma,
+                          u=state.u + 0.3 * d_u, v=state.v + 0.3 * d_v)
+        with opcount.category("t"):
+            before = opcount.snapshot().get("t", 0)
+            got = state.trial_log_col_sums(d_u, d_v, 0.3)
+            base = state.base_log_col_sums(d_u, d_v)
+            assert opcount.snapshot()["t"] - before == 2  # two matvecs, no LSE
+        np.testing.assert_allclose(got, probe.log_cP, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(base, state.trial_log_col_sums(d_u, d_v, 0.0))
+
+    def test_step_beyond_guard_uses_lse_and_the_cache(self):
+        state = anchored()
+        d_u = np.full(12, 1.01 * PLAN_OFFSET_MAX)
+        d_v = np.zeros(12)
+        np.testing.assert_array_equal(state.base_log_col_sums(d_u, d_v), state.log_cP)
+        K_T = np.ascontiguousarray((-state.gamma * state.problem.C).T)
+        np.testing.assert_array_equal(state.trial_log_col_sums(d_u, d_v, 0.5),
+                                      log_plan_row_sums(K_T, state.v, state.u + 0.5 * d_u))
+
+    def test_scalings_match_lse(self):
+        state = anchored()
+        lse = DualState(state.problem, state.gamma, u=state.u, v=state.v)
+        for st in (state, lse):
+            st.set_potentials(st.u + 0.2, st.v)
+            st.rebalance_columns()
+            st.scale_rows_to_target()
+            st.scale_cols_to_target()
+        np.testing.assert_allclose(state.u, lse.u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(state.v, lse.v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(state.log_rP, lse.log_rP, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(state.log_cP, np.log(state.c))
+
+    def test_set_gamma_drops_the_anchor(self):
+        state = anchored()
+        state.set_gamma(9.0)
+        K = -9.0 * state.problem.C
+        np.testing.assert_array_equal(state.log_rP, log_plan_row_sums(K, state.u, state.v))

@@ -1,12 +1,15 @@
-"""The blocked dense kernels: reference agreement and the exp floor."""
+"""The dense kernels: reference agreement, the exp floor and anchored-plan sums."""
 
 import numpy as np
+import pytest
 
-from otnewton import _kernels
+from otnewton import _kernels, opcount
 from otnewton._kernels import (BLOCK, EXP_FLOOR, log_plan_row_sums,
-                               materialize_plan, square_matvec)
+                               materialize_plan, plan_matvec, square_matvec)
 from otnewton.core import lse_rows
 from otnewton.driver import round_plan
+from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.problems import Problem, gen_marginal
 
 
 class TestBlockedKernels:
@@ -106,3 +109,103 @@ class TestExpFloor:
         r = c = np.full(n, 0.25)
         rounded = round_plan(P, r, c)
         np.testing.assert_array_equal(rounded, np.diag(r))
+
+
+def anchored_state(cost, kind, gamma, monkeypatch, deterministic):
+    """A state anchored at potentials of size O(gamma), as in a late solve.
+
+    The potentials are the double c-transform of zero scaled by gamma, plus
+    the log marginals and a gauge shift of gamma / 2, so ``u + v - gamma C``
+    cancels terms of size gamma.  n is ``BLOCK + 17``.
+    """
+    n = BLOCK + 17
+    if cost == "l1-line":
+        x = np.arange(n) / (n - 1)
+        C = np.abs(x[:, None] - x[None, :])
+    else:  # a non-symmetric cost
+        C = np.random.default_rng(3).uniform(size=(n, n))
+    f = C.min(axis=1)
+    g = (C - f[:, None]).min(axis=0)
+    r, c = gen_marginal(n, kind, 1), gen_marginal(n, kind, 2)
+    monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
+    state = DualState(Problem(C=C, r=r, c=c), gamma,
+                      u=gamma * (f + 0.5) + np.log(r), v=gamma * (g - 0.5) + np.log(c))
+    state.materialize_plan(reuse_buffer=True)
+    return state
+
+
+def offsets(n, size, seed=5):
+    """Offsets (a, b) with |a|_inf + |b|_inf = size."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    return a * (0.5 * size / np.abs(a).max()), b * (0.5 * size / np.abs(b).max())
+
+
+def long_double_sums(state):
+    """Log row and column sums at the state's potentials, in np.longdouble."""
+    ld = np.longdouble
+    logs = (state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
+            - ld(state.gamma) * state.problem.C.astype(ld))
+    E = np.exp(logs)
+    return np.log(E.sum(axis=1)), np.log(E.sum(axis=0))
+
+
+def refresh_passes(state):
+    with opcount.category("refresh"):
+        before = opcount.snapshot().get("refresh", 0)
+        state.refresh()
+        return opcount.snapshot()["refresh"] - before
+
+
+class TestAnchoredPlanSums:
+    """Sums served by one product with the anchored plan, against long double.
+
+    Over all row and column sums of a case, the plan path's largest and median
+    errors must not exceed log-sum-exp's, up to two ulps and one ulp of the
+    log sums (the offsets are added to them separately).  Both paths carry
+    the noise of rounding ``u + v - gamma C``, whose terms are of size gamma.
+    The L1 cost at gamma = 2^14 flushes most plan entries below the floor.
+    """
+
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    def test_no_less_accurate_than_lse(self, cost, gamma, kind, deterministic, size,
+                                       monkeypatch):
+        state = anchored_state(cost, kind, gamma, monkeypatch, deterministic)
+        if cost == "l1-line":
+            assert (state.materialize_plan(reuse_buffer=True) == 0.0).mean() > 0.5
+        a, b = offsets(state.n, size)
+        state.set_potentials(state.u + a, state.v + b)
+        assert refresh_passes(state) == 2  # one matvec per side: the plan path
+        u, v = state.u, state.v
+        K = -gamma * state.problem.C
+        lse_rows = log_plan_row_sums(K, u, v)
+        lse_cols = log_plan_row_sums(np.ascontiguousarray(K.T), v, u)
+        ref_rows, ref_cols = long_double_sums(state)
+        got = np.concatenate([state.log_rP, state.log_cP])
+        err = np.abs(got - np.concatenate([ref_rows, ref_cols])).astype(float)
+        lse_err = np.abs(np.concatenate([lse_rows - ref_rows, lse_cols - ref_cols])).astype(float)
+        ulp = np.spacing(np.abs(got).max())
+        assert err.max() <= lse_err.max() + 2.0 * ulp
+        assert np.median(err) <= np.median(lse_err) + ulp
+
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    def test_beyond_guard_falls_back_to_lse(self, deterministic, monkeypatch):
+        state = anchored_state("l1-line", "spiky-random", 2.0 ** 14, monkeypatch, deterministic)
+        a, b = offsets(state.n, 1.01 * PLAN_OFFSET_MAX)
+        state.set_potentials(state.u + a, state.v + b)
+        assert refresh_passes(state) == 8  # two log-sum-exp passes
+        K = -state.gamma * state.problem.C
+        np.testing.assert_array_equal(state.log_rP, log_plan_row_sums(K, state.u, state.v))
+        np.testing.assert_array_equal(
+            state.log_cP, log_plan_row_sums(np.ascontiguousarray(K.T), state.v, state.u))
+
+    def test_fixed_order_matvec_ignores_blas(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        P, x = rng.random((BLOCK + 17, BLOCK + 17)), rng.random(BLOCK + 17)
+        np.testing.assert_array_equal(plan_matvec(P, x, True), (P * x).sum(axis=1))
+        np.testing.assert_array_equal(plan_matvec(P, x, True, transpose=True),
+                                      (P * x[:, None]).sum(axis=0))
+        np.testing.assert_allclose(plan_matvec(P, x, False), P @ x, rtol=1e-13)

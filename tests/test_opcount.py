@@ -32,11 +32,15 @@ def test_kernels():
     assert passes("kern", _kernels.log_plan_row_sums, K, u, v) == 4
     assert passes("kern", _kernels.materialize_plan, K, u, v) == 4
     assert passes("kern", _kernels.square_matvec, np.exp(K), u) == 2
+    for fixed in (False, True):
+        assert passes("kern", _kernels.plan_matvec, np.exp(K), u, fixed) == 1
+        assert passes("kern", _kernels.log_plan_matvec, np.exp(K), u, fixed, True) == 1
 
 
 def test_operators(system):
     d = np.linspace(-1.0, 1.0, 6)
     assert passes("ops", system.apply_prc, d) == 2
+    assert passes("ops", system.round_trip, d) == 2
     assert passes("ops", system.apply_F, 0.5, d) == 2
     assert passes("ops", system.apply_F, 0.0, d) == 0
     assert passes("ops", system.apply_pc, d) == 1

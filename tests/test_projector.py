@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,8 @@ class TestProject:
             project(state, state.problem.r, state.problem.c, 1e-12,
                     newton_step_budget=0)
         assert "grad_norm" in err.value.diagnostics
+        diag = json.loads(json.dumps(err.value.diagnostics))
+        assert diag["newton_steps"] == 0 and diag["gamma"] == 64.0
 
     def test_rejects_bad_tolerance_and_marginals(self):
         state = make_state(4, seed=16)
