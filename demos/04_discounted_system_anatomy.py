@@ -11,7 +11,7 @@ import numpy as np
 
 import otnewton as ot
 from otnewton.dual import DualState
-from otnewton.newton import DiscountedSystem, lambda2, newton_solve
+from otnewton.newton import DiscountedSystem, newton_solve
 
 n = 64
 rng = np.random.default_rng(8)
@@ -26,19 +26,23 @@ state = DualState(problem, gamma=16.0,
 state.rebalance_columns()
 sys = DiscountedSystem.from_state(state)
 
-dense = sys.dense_prc()
+# The round-trip matrix P_rc = D(rP)^-1 P D(cP)^-1 P^T, formed densely.
+dense = (sys.P / sys.rP[:, None]) @ (sys.P.T / sys.cP[:, None])
 print(f"row-stochasticity error:  {np.abs(dense @ np.ones(n) - 1).max():.2e}")
 print(f"stationarity error:       {np.abs(dense.T @ sys.rP - sys.rP).max():.2e}")
 bal = np.diag(sys.rP) @ dense
 print(f"reversibility error:      {np.abs(bal - bal.T).max():.2e}")
-print(f"second eigenvalue:        {lambda2(sys):.6f}")
+# Its spectrum, from the symmetric similar form D(rP)^1/2 P_rc D(rP)^-1/2 = G G^T.
+G = sys.P / (np.sqrt(sys.rP)[:, None] * np.sqrt(sys.cP)[None, :])
+print(f"second eigenvalue:        {np.linalg.eigvalsh(G @ G.T)[-2]:.6f}")
 
 rho = 0.9
-evals = np.linalg.eigvalsh(sys.dense_F(rho))
+F = np.diag(sys.rP) @ (np.eye(n) - rho * dense)
+evals = np.linalg.eigvalsh(F)
 print(f"\nF(rho={rho}) spectrum [{evals.min():.3e}, {evals.max():.3e}] inside "
       f"[{(1 - rho) * sys.rP.min():.3e}, {(1 + rho) * sys.rP.max():.3e}]")
 M = sys.rP * (1.0 - rho * sys.diag_prc())
-ev = np.linalg.eigvalsh(sys.dense_F(rho) / np.sqrt(M)[:, None] / np.sqrt(M)[None, :])
+ev = np.linalg.eigvalsh(F / np.sqrt(M)[:, None] / np.sqrt(M)[None, :])
 print(f"preconditioned spectrum   [{ev.min():.4f}, {ev.max():.4f}] around 1")
 
 grad_u = state.row_sums() - state.r

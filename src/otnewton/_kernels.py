@@ -115,12 +115,29 @@ def plan_matvec(P, x, fixed, transpose=False):
 
     With ``fixed`` the product is numpy's summation of the elementwise
     products (pairwise along each row, in row order down the columns), whose
-    order does not depend on BLAS threading.
+    order does not depend on BLAS threading.  It runs over row tiles in one
+    ``BLOCK``-row buffer; down the columns, the running total is added into
+    each tile's first row before the tile is reduced, so the order, and so
+    every bit, is that of the untiled sum.
     """
     opcount.add(1)
-    if fixed:
-        return (P * x[:, None]).sum(axis=0) if transpose else (P * x[None, :]).sum(axis=1)
-    return P.T @ x if transpose else P @ x
+    if not fixed:
+        return P.T @ x if transpose else P @ x
+    n = P.shape[0]
+    out = None if transpose else np.empty(n)
+    buf = np.empty((min(BLOCK, n), P.shape[1]))
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        b = buf[: hi - lo]
+        if transpose:
+            np.multiply(P[lo:hi], x[lo:hi, None], out=b)
+            if out is not None:
+                b[0] += out
+            out = b.sum(axis=0)
+        else:
+            np.multiply(P[lo:hi], x[None, :], out=b)
+            out[lo:hi] = b.sum(axis=1)
+    return out
 
 
 def log_plan_matvec(P, x, fixed, transpose=False):

@@ -122,7 +122,7 @@ def cmd_solve(args):
                    q_init=args.q_init, opts=opts)
     except OTNError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc),
-                "diagnostics": getattr(exc, "diagnostics", {})}
+                "diagnostics": exc.diagnostics}
         print(json.dumps(diag, default=str))
         return EXIT_SOLVER
     if args.report:

@@ -52,17 +52,6 @@ def chi_sq_div(y, x):
     return float(np.sum(y * y / x) - 1.0)
 
 
-def kl_div(x, y):
-    """Unnormalized KL divergence sum(x log(x/y)) + sum(y) - sum(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionError(f"length mismatch: {x.shape} vs {y.shape}")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("kl_div requires strictly positive inputs")
-    return float(np.sum(x * np.log(x / y)) + np.sum(y) - np.sum(x))
-
-
 def shannon_entropy(p):
     """Shannon entropy -sum(p log p) of a probability vector, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)

@@ -38,19 +38,6 @@ PLAN_FLOOR = math.exp(EXP_FLOOR)
 
 
 @dataclass
-class ScheduleState:
-    """Annealing bookkeeping carried between outer iterations."""
-
-    t: int
-    gamma_prev: float
-    gamma: float
-    q: float
-    p: float
-    z_prev: np.ndarray | None
-    z: np.ndarray | None
-
-
-@dataclass
 class MdotOptions:
     """Driver configuration; defaults reproduce the benchmarked setup."""
 
@@ -234,14 +221,13 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     ops_start = opcount.total()
     ops_cat_start = opcount.snapshot()
 
-    sched = ScheduleState(t=1, gamma_prev=0.0, gamma=min(gamma_i, gamma_f),
-                          q=float(q_init), p=float(p), z_prev=None, z=None)
+    t, gamma_prev, gamma, q = 1, 0.0, min(gamma_i, gamma_f), float(q_init)
+    z_prev = None
     state = None
     rho_next = 0.0
     iterations = []
 
     while True:
-        t, gamma = sched.t, sched.gamma
         done = gamma == gamma_f
         it_t0 = time.monotonic()
         it_ops0 = opcount.total()
@@ -252,7 +238,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         r_s, c_s = smooth_marginals(problem.r, problem.c, eps_d, opts.w_r, opts.w_c)
         if t == 1:
             state = DualState(problem, gamma, u=np.log(r_s), v=np.log(c_s), r=r_s, c=c_s)
-            sched.z_prev = state.z
+            z_prev = state.z
         else:
             state.set_gamma(gamma)
 
@@ -268,30 +254,28 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
                 stats = ProjStats(sinkhorn_steps=steps,
                                   grad_norm_final=state.grad_norm_l1())
         except OTNError as exc:
-            diag = getattr(exc, "diagnostics", None)
-            if diag is not None:
-                diag["outer_iteration"] = t
-                diag["gamma"] = gamma
+            exc.diagnostics["outer_iteration"] = t
+            exc.diagnostics["gamma"] = gamma
             raise
 
         if opts.adaptive_q:
-            sched.q = adjust_schedule(sched.q, stats.delta_min)
-        gamma_next = min(sched.q * gamma, gamma_f)
-        sched.z = state.z
-        z_new = extrapolate(sched.z, sched.z_prev, gamma_next, gamma, sched.gamma_prev)
+            q = adjust_schedule(q, stats.delta_min)
+        gamma_next = min(q * gamma, gamma_f)
+        z = state.z
+        z_new = extrapolate(z, z_prev, gamma_next, gamma, gamma_prev)
 
         iterations.append(OuterIteration(
-            t=t, gamma=gamma, eps_d=eps_d, q_next=sched.q, stats=stats,
+            t=t, gamma=gamma, eps_d=eps_d, q_next=q, stats=stats,
             ops_n2=opcount.total() - it_ops0,
             wall_ms=(time.monotonic() - it_t0) * 1e3,
         ))
         if done:
             break
-        sched.z_prev = sched.z
-        sched.gamma_prev = gamma
-        sched.gamma = gamma_next
+        z_prev = z
+        gamma_prev = gamma
+        gamma = gamma_next
         state.set_z(z_new)
-        sched.t += 1
+        t += 1
 
     with opcount.category("mirror_descent"):
         P = state.materialize_plan()

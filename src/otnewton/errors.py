@@ -9,7 +9,16 @@ from __future__ import annotations
 
 
 class OTNError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``diagnostics`` is a dict of plain numbers, so it round-trips through
+    ``json.dumps``, naming the quantity that broke; ``mdot`` adds the outer
+    iteration and gamma to every error a projection raises.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class DimensionError(OTNError, ValueError):
@@ -35,22 +44,17 @@ class ConditioningError(OTNError):
 class NonconvergenceError(OTNError):
     """An iteration budget was exhausted.
 
-    Carries the best iterate found so far (when one exists) plus diagnostics,
-    so callers can inspect or salvage a partial result.
+    Carries the best iterate found so far (when one exists), so callers can
+    inspect or salvage a partial result.
     """
 
     def __init__(self, message, best=None, diagnostics=None):
-        super().__init__(message)
+        super().__init__(message, diagnostics)
         self.best = best
-        self.diagnostics = dict(diagnostics or {})
 
 
 class LineSearchError(OTNError):
     """Backtracking shrank the step below the minimum admissible size."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class StagnationError(OTNError):
@@ -59,10 +63,6 @@ class StagnationError(OTNError):
     ``diagnostics`` names the discount reached and the residual against its
     target (L1 norms).
     """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
 
 
 class DegenerateInputError(OTNError, ValueError):

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import fixed_order, plan_matvec, square_matvec
-from .errors import (
-    ConditioningError,
-    NonconvergenceError,
-    RefusalError,
-    StagnationError,
-)
+from .errors import ConditioningError, NonconvergenceError, StagnationError
 
 # Annealing stops (with an error) once 1 - rho falls below this.
 RHO_CAP = 1e-12
@@ -36,8 +31,6 @@ RHO_DECAY = 4.0
 CG_TOL_FRACTION = 0.25
 # Recompute the true residual after this many CG recurrence updates.
 TRUE_RESIDUAL_REFRESH = 50
-
-LAMBDA2_MAX_N = 2048
 
 
 @dataclass
@@ -51,7 +44,7 @@ class NewtonResult:
 
 
 class DiscountedSystem:
-    """Immutable plan snapshot realizing P_rc, P_c and F(rho) as operators."""
+    """Immutable plan snapshot realizing D(rP) P_rc, P_c and F(rho) as operators."""
 
     def __init__(self, P, rP, cP):
         self.P = P
@@ -79,10 +72,6 @@ class DiscountedSystem:
         P, fixed = self.P, self._fixed_order
         return plan_matvec(P, plan_matvec(P, d, fixed, transpose=True) / self.cP, fixed)
 
-    def apply_prc(self, d):
-        """P_rc @ d via two matrix-vector products."""
-        return self.round_trip(d) / self.rP
-
     def apply_pc(self, d):
         """P_c @ d = D(cP)^-1 P^T d; gives d_v = -apply_pc(d_u) for free."""
         return plan_matvec(self.P, d, self._fixed_order, transpose=True) / self.cP
@@ -99,14 +88,6 @@ class DiscountedSystem:
         if self._mu is None:
             self._mu = square_matvec(self.P, 1.0 / self.cP) / self.rP
         return self._mu
-
-    # Dense realizations for small-n validation and diagnostics.
-
-    def dense_prc(self):
-        return (self.P / self.rP[:, None]) @ (self.P.T / self.cP[:, None])
-
-    def dense_F(self, rho):
-        return np.diag(self.rP) @ (np.eye(self.n) - rho * self.dense_prc())
 
 
 def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None, F_d0=None):
@@ -162,15 +143,14 @@ def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None, F_d0=None):
     )
 
 
-def newton_solve(grad_u, sys, eta, rho0=0.0, zero_init=False):
+def newton_solve(grad_u, sys, eta, rho0=0.0):
     """Annealed discounted solve for the truncated Newton direction.
 
     Starts from the pure scaling direction ``-grad_u / rP`` and, while the
     undiscounted residual ``F(1) d + grad_u`` exceeds ``eta * ||grad_u||_1``,
     solves the rho-discounted system to a quarter of that tolerance and
-    anneals ``1 - rho`` down by ``RHO_DECAY``.  With ``zero_init`` each CG
-    starts from zero (the theoretical setting); otherwise the previous
-    direction warm-starts the next solve.
+    anneals ``1 - rho`` down by ``RHO_DECAY``.  The previous direction
+    warm-starts each solve.
     """
     if eta <= 0.0:
         raise ConditioningError(f"eta must be positive, got {eta}")
@@ -197,11 +177,8 @@ def newton_solve(grad_u, sys, eta, rho0=0.0, zero_init=False):
                 f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})",
                 diagnostics={"rho": rho, "residual_l1": res_norm,
                              "target_l1": eta * grad_norm})
-        if zero_init:
-            d, iters = pcg_solve(sys, rho, -grad_u, cg_tol)
-        else:
-            d, iters = pcg_solve(sys, rho, -grad_u, cg_tol, d0=d,
-                                 F_d0=sys.rP * d - rho * Q)
+        d, iters = pcg_solve(sys, rho, -grad_u, cg_tol, d0=d,
+                             F_d0=sys.rP * d - rho * Q)
         total_cg += iters
         rho_used = rho
         rho = 1.0 - (1.0 - rho) / RHO_DECAY
@@ -212,22 +189,3 @@ def next_rho0(rho_old):
     if not 0.0 <= rho_old < 1.0:
         raise ConditioningError(f"rho_old must be in [0, 1), got {rho_old}")
     return max(0.0, 1.0 - (1.0 - rho_old) * RHO_DECAY)
-
-
-def lambda2(sys):
-    """Second-largest eigenvalue of P_rc via its symmetric similar form.
-
-    Dense eigensolve of ``D(rP)^1/2 P_rc D(rP)^-1/2``; guarded to small n.
-    The leading eigenvalue is checked against 1 (row-stochasticity).
-    """
-    if sys.n > LAMBDA2_MAX_N:
-        raise RefusalError(f"lambda2 needs a dense eigensolve; n={sys.n} exceeds {LAMBDA2_MAX_N}")
-    G = sys.P / (np.sqrt(sys.rP)[:, None] * np.sqrt(sys.cP)[None, :])
-    S = G @ G.T
-    evals = np.linalg.eigvalsh(S)
-    lead = float(evals[-1])
-    if abs(lead - 1.0) > 1e-8:
-        raise ConditioningError(f"leading eigenvalue of P_rc is {lead}, expected 1")
-    if sys.n == 1:
-        return 0.0
-    return float(min(evals[-2], 1.0 - 1e-16))

@@ -1,4 +1,9 @@
-"""Independent ground-truth engines for validating the solver stack."""
+"""Reference solvers: the exact LP optimum and plain Sinkhorn projection.
+
+``exact_ot_small`` is the ground truth the CLI ``bench`` command and the
+tests measure the solver's gap against; ``sinkhorn_project`` is the
+baseline projector ``mdot`` runs with ``projector="sinkhorn"``.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcount
-from .errors import (
-    ConditioningError,
-    DimensionError,
-    DomainError,
-    NonconvergenceError,
-    RefusalError,
-)
+from .errors import DimensionError, DomainError, NonconvergenceError, RefusalError
 
 EXACT_MAX_N = 256
 # HiGHS primal and dual feasibility tolerances for the exact LP.
@@ -66,37 +65,6 @@ def exact_ot_small(C, r, c):
     return ExactSolution(P_star=res.x.reshape(n, n), cost=float(res.fun))
 
 
-def dense_spd_solve(A, b):
-    """Direct symmetric positive-definite solve via Cholesky, with refinement.
-
-    Validates symmetry, factorizes (failure means not positive-definite), and
-    applies one step of iterative refinement so the residual meets the
-    1e-10 relative contract on well-posed systems.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape != (A.shape[0],):
-        raise DimensionError(f"need square A and matching b, got {A.shape}, {b.shape}")
-    scale = np.abs(A).max()
-    if not np.allclose(A, A.T, atol=1e-10 * max(scale, 1.0), rtol=0.0):
-        raise DomainError("matrix is not symmetric to 1e-10")
-    import scipy.linalg
-
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConditioningError(f"Cholesky factorization failed: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    resid = b - A @ x
-    x = x + scipy.linalg.cho_solve(factor, resid, check_finite=False)
-    resid = b - A @ x
-    bscale = np.abs(b).max()
-    if bscale > 0.0 and np.abs(resid).max() > 1e-10 * bscale:
-        raise ConditioningError(
-            f"refined residual {np.abs(resid).max():.3g} exceeds 1e-10 * ||b||_inf")
-    return x
-
-
 def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     """Log-domain Sinkhorn scaling until the full gradient norm is below eps_d.
 
@@ -120,29 +88,3 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
             state.scale_cols_to_target()
             steps += 1
     return state, steps
-
-
-def finite_diff_grad(state, h=1e-6):
-    """Central-difference gradient of the dual objective, one coordinate at a time."""
-    if not 1e-8 <= h <= 1e-4:
-        raise DomainError(f"step h must lie in [1e-8, 1e-4], got {h}")
-    from .dual import DualState
-
-    n = state.n
-
-    def value(u, v):
-        probe = DualState(state.problem, state.gamma, u=u, v=v, r=state.r, c=state.c)
-        return probe.dual_value()
-
-    gu = np.empty(n)
-    gv = np.empty(n)
-    for i in range(n):
-        up, um = state.u.copy(), state.u.copy()
-        up[i] += h
-        um[i] -= h
-        gu[i] = (value(up, state.v) - value(um, state.v)) / (2.0 * h)
-        vp, vm = state.v.copy(), state.v.copy()
-        vp[i] += h
-        vm[i] -= h
-        gv[i] = (value(state.u, vp) - value(state.u, vm)) / (2.0 * h)
-    return gu, gv

@@ -58,9 +58,8 @@ class ProjStats:
 
     ``delta_min`` drives the annealing schedule and excludes a terminal step
     whose forcing parameter came from the target-tolerance branch (such a
-    step deliberately over-solves, so its reduction ratio is off-model);
-    ``delta_min_all`` includes every step.  Both are ``+inf`` when no Newton
-    step ran.
+    step deliberately over-solves, so its reduction ratio is off-model).  It
+    is ``+inf`` when no Newton step ran.
     """
 
     newton_steps: int = 0
@@ -68,7 +67,6 @@ class ProjStats:
     sinkhorn_steps: int = 0
     backtracks: int = 0
     delta_min: float = math.inf
-    delta_min_all: float = math.inf
     grad_norm_final: float = math.nan
     rho_final: float = 0.0
     steps: list[StepRecord] = field(default_factory=list)
@@ -111,6 +109,13 @@ def _mass(log_cols):
         return float(np.exp(log_cols).sum())
 
 
+def _chi_sweep(state, log_r):
+    """One chi-square sweep: scale the rows onto target, then restore the
+    column sums exactly."""
+    state.set_potentials(state.u + log_r - state.log_rP, state.v)
+    state.rebalance_columns()
+
+
 def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
     """Row-scale / column-rebalance sweeps until chi^2(r | r(P)) <= eps_chi.
 
@@ -128,8 +133,7 @@ def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
                     f"chi-square balancing still above {eps_chi:.3g} after {budget} sweeps",
                     diagnostics={"chi_sq": chi_sq_div(r, state.row_sums())},
                 )
-            state.set_potentials(state.u + log_r - state.log_rP, state.v)
-            state.rebalance_columns()
+            _chi_sweep(state, log_r)
             steps += 1
     return steps
 
@@ -191,11 +195,10 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
 
         slope = float(-(grad_u @ d_u))
         if slope <= 0.0:
-            # Numerically non-descent direction: fall back to one full
-            # Sinkhorn sweep and re-enter the loop.  Never hit in practice.
+            # Numerically non-descent direction: fall back to one
+            # chi-square sweep and re-enter the loop.  Never hit in practice.
             with opcount.category("chi_sinkhorn"):
-                state.set_potentials(state.u + np.log(r) - state.log_rP, state.v)
-                state.rebalance_columns()
+                _chi_sweep(state, np.log(r))
             stats.sinkhorn_steps += 1
             continue
 
@@ -240,7 +243,6 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
     stats.grad_norm_final = state.grad_norm_l1()
     if stats.steps:
         stats.steps[-1].exited_after = True
-        stats.delta_min_all = min(s.delta for s in stats.steps)
         counted = [s.delta for s in stats.steps
                    if not (s.eta_terminal_branch and s.exited_after)]
         stats.delta_min = min(counted) if counted else math.inf

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otnewton.core import chi_sq_div, kl_div, lse_cols, lse_rows, shannon_entropy
+from otnewton.core import chi_sq_div, lse_cols, lse_rows, shannon_entropy
 from otnewton.errors import DimensionError, DomainError
 
 
@@ -82,28 +82,6 @@ class TestChiSqDiv:
         x = rng.dirichlet(np.ones(n))
         y = rng.dirichlet(np.ones(n))
         assert chi_sq_div(y, x) >= np.abs(y - x).sum() ** 2 - 1e-12
-
-
-class TestKlDiv:
-    def test_equal_vectors(self):
-        x = np.array([0.2, 0.8])
-        assert kl_div(x, x) == pytest.approx(0.0, abs=1e-15)
-
-    def test_hand_value(self):
-        got = kl_div(np.array([1.0, 1.0]), np.array([math.e, 1.0]))
-        assert got == pytest.approx(math.e - 2.0, rel=1e-14)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            kl_div(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
-    def test_nonnegative_on_positive_pairs(self, seed, n):
-        rng = np.random.default_rng(seed)
-        x = rng.dirichlet(np.ones(n)) + 1e-9
-        y = rng.dirichlet(np.ones(n)) + 1e-9
-        assert kl_div(x, y) >= -1e-12
 
 
 class TestShannonEntropy:

@@ -16,7 +16,9 @@ from otnewton.driver import (
     round_plan,
     smooth_marginals,
 )
-from otnewton.errors import DegenerateInputError, DomainError, StagnationError
+from otnewton import driver
+from otnewton.errors import (ConditioningError, DegenerateInputError, DomainError,
+                             PlanOverflowError, StagnationError)
 from otnewton.oracles import exact_ot_small
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
@@ -317,3 +319,15 @@ class TestBatchInstances:
         assert set(diag) == {"rho", "residual_l1", "target_l1", "outer_iteration", "gamma"}
         assert diag["residual_l1"] > diag["target_l1"] > 0.0
         assert 1.0 - diag["rho"] < 1e-11
+
+
+@pytest.mark.parametrize("error", [ConditioningError, PlanOverflowError, DomainError])
+def test_projection_errors_name_outer_iteration_and_gamma(error, monkeypatch):
+    def failing_project(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(driver, "project", failing_project)
+    with pytest.raises(error) as err:
+        mdot(grid_problem(9), 2.0 ** 5, 2.0 ** 10)
+    diag = json.loads(json.dumps(err.value.diagnostics))
+    assert diag == {"outer_iteration": 1, "gamma": 2.0 ** 5}

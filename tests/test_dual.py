@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import finite_diff_grad
+
 from otnewton import opcount
 from otnewton._kernels import log_plan_row_sums
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.errors import PlanOverflowError
-from otnewton.oracles import finite_diff_grad
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
 

@@ -1,5 +1,7 @@
 """The dense kernels: reference agreement, the exp floor and anchored-plan sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,21 @@ class TestAnchoredPlanSums:
         np.testing.assert_array_equal(plan_matvec(P, x, True, transpose=True),
                                       (P * x[:, None]).sum(axis=0))
         np.testing.assert_allclose(plan_matvec(P, x, False), P @ x, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [64, BLOCK + 17, 4 * BLOCK])
+    def test_fixed_order_matvec_is_row_blocked(self, n):
+        # Bit-equal to the untiled sums, and never holding more than one
+        # BLOCK-row tile: the rest is O(n) vectors plus numpy's fixed
+        # 8192-element ufunc buffer.
+        rng = np.random.default_rng(n)
+        P, x = rng.random((n, n)) ** 3, rng.standard_normal(n)
+        for transpose, ref in ((False, (P * x).sum(axis=1)),
+                               (True, (P * x[:, None]).sum(axis=0))):
+            tracemalloc.start()
+            try:
+                out = plan_matvec(P, x, True, transpose=transpose)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.tobytes() == ref.tobytes()
+            assert peak <= min(BLOCK, n) * n * 8 + 8 * 8192 + 8 * n * 8

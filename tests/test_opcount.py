@@ -39,7 +39,6 @@ def test_kernels():
 
 def test_operators(system):
     d = np.linspace(-1.0, 1.0, 6)
-    assert passes("ops", system.apply_prc, d) == 2
     assert passes("ops", system.round_trip, d) == 2
     assert passes("ops", system.apply_F, 0.5, d) == 2
     assert passes("ops", system.apply_F, 0.0, d) == 0

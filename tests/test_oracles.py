@@ -6,18 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_reference import finite_diff_grad
 
 import otnewton
 from otnewton.dual import DualState
-from otnewton.errors import (ConditioningError, DomainError,
-                             NonconvergenceError, RefusalError)
-from otnewton.oracles import (
-    EXACT_MAX_N,
-    dense_spd_solve,
-    exact_ot_small,
-    finite_diff_grad,
-    sinkhorn_project,
-)
+from otnewton.errors import DomainError, NonconvergenceError, RefusalError
+from otnewton.oracles import EXACT_MAX_N, exact_ot_small, sinkhorn_project
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
 
@@ -121,35 +115,6 @@ class TestExactOtSmall:
         assert sol.cost == pytest.approx(float(np.vdot(sol.P_star, C)), rel=1e-12)
 
 
-class TestDenseSpdSolve:
-    def test_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(dense_spd_solve(np.eye(3), b), b, atol=1e-14)
-
-    def test_diagonal(self):
-        d = np.array([0.5, 2.0, 4.0])
-        b = np.array([1.0, 1.0, 1.0])
-        np.testing.assert_allclose(dense_spd_solve(np.diag(d), b), b / d, rtol=1e-14)
-
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(8)
-        G = rng.standard_normal((32, 32))
-        A = G @ G.T + 32 * np.eye(32)
-        b = rng.standard_normal(32)
-        x = dense_spd_solve(A, b)
-        assert np.abs(A @ x - b).max() <= 1e-10 * np.abs(b).max()
-
-    def test_asymmetric_rejected(self):
-        A = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(DomainError):
-            dense_spd_solve(A, np.ones(2))
-
-    def test_indefinite_rejected(self):
-        A = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(ConditioningError):
-            dense_spd_solve(A, np.ones(2))
-
-
 def make_state(n, seed=0, gamma=4.0, zero_cost=False, spread=0.5):
     C = np.zeros((n, n)) if zero_cost else grid_points_cost(n, "l1")
     r = gen_marginal(n, "smooth-random", seed)
@@ -212,8 +177,3 @@ class TestFiniteDiffGrad:
             probe = DualState(state.problem, state.gamma,
                               u=state.u + s, v=state.v - s)
             assert abs(probe.dual_value() - base) <= 1e-12
-
-    def test_step_size_validation(self):
-        state = make_state(3, seed=7)
-        with pytest.raises(DomainError):
-            finite_diff_grad(state, h=1e-2)
