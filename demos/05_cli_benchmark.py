@@ -15,27 +15,30 @@ from pathlib import Path
 
 from otnewton.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="otnewton-demo-"))
-config = {
-    "problems": [
-        {"kind": "grid", "metric": "l2sq", "side": 8, "marginal": "smooth-random",
-         "seed": s} for s in (1, 2, 3)
-    ],
-    "settings": [
-        {"name": "adaptive", "gamma_i": 32, "gamma_f": 2 ** 12,
-         "q_init": 2.0, "adaptive_q": True},
-        {"name": "fixed-q2", "gamma_i": 32, "gamma_f": 2 ** 12,
-         "q_init": 2.0, "adaptive_q": False},
-    ],
-    "seeds": [0],
-    "output_dir": str(workdir / "results"),
-}
-config_path = workdir / "bench.json"
-config_path.write_text(json.dumps(config, indent=2))
+with tempfile.TemporaryDirectory(prefix="otnewton-demo-") as tmp:
+    workdir = Path(tmp)
+    config = {
+        "problems": [
+            {"kind": "grid", "metric": "l2sq", "side": 8, "marginal": "smooth-random",
+             "seed": s} for s in (1, 2, 3)
+        ],
+        "settings": [
+            {"name": "adaptive", "gamma_i": 32, "gamma_f": 2 ** 12,
+             "q_init": 2.0, "adaptive_q": True},
+            {"name": "fixed-q2", "gamma_i": 32, "gamma_f": 2 ** 12,
+             "q_init": 2.0, "adaptive_q": False},
+        ],
+        "seeds": [0],
+        "output_dir": str(workdir / "results"),
+    }
+    config_path = workdir / "bench.json"
+    config_path.write_text(json.dumps(config, indent=2))
 
-code = main(["bench", "--config", str(config_path)])
-assert code == 0
+    code = main(["bench", "--config", str(config_path)])
+    assert code == 0
 
-print("\nsummary.csv:")
-print((workdir / "results" / "summary.csv").read_text())
-print(f"per-run reports and traces live under {workdir / 'results'}")
+    print("\nsummary.csv:")
+    print((workdir / "results" / "summary.csv").read_text())
+    reports = len(list((workdir / "results").glob("*.json")))
+    print(f"{reports} per-run reports and traces were written beside summary.csv; "
+          "their temporary directory is removed on exit")

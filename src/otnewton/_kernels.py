@@ -1,10 +1,14 @@
 """Dense kernels: blocked log-domain reductions and plan matrix-vector products.
 
-Row tiles of ``BLOCK`` rows (8 MB at n=4096) stay cache-resident across the
-add/max/exp/sum chain, and every operation writes into a small reusable
-buffer, so no n-by-n temporaries are allocated.  Each row is still reduced
-whole by numpy's pairwise summation, so results are bit-identical to the
-unblocked expressions regardless of the tile size.
+The kernels work over row tiles, and every operation writes into a small
+reusable buffer or the output, so no n-by-n temporaries are allocated.  The
+two log-domain kernels form the log kernel ``-gamma C`` inside each tile from
+the cost (it is never stored) and take it through a chain of seven or eight
+passes, so their tiles hold ``BLOCK * BLOCK`` entries (512 KiB), which stay
+in a core's L2 cache whatever n is; the matrix-vector kernels make one or two
+passes per tile of ``BLOCK`` rows.  Each row is still reduced whole by
+numpy's pairwise summation, so results are bit-identical to the unblocked
+expressions over ``-gamma * C`` regardless of the tile size.
 
 The kernels never exponentiate below ``EXP_FLOOR`` = -700.  Two slow
 paths sit just below it: numpy's SIMD ``exp`` falls back to a scalar loop,
@@ -17,10 +21,12 @@ every entry whose log is below the floor (e^-700 ~ 9.9e-305 is a normal
 number, so a plan never holds a subnormal).
 
 ``plan_matvec`` is the one matrix-vector product with a materialized plan,
-used by the Newton system and by ``log_plan_matvec``, which serves row or
-column log sums of a diagonally rescaled plan from one product instead of a
-log-sum-exp pass.  With ``OTN_DETERMINISTIC=1`` (see ``fixed_order``) the
-product is a fixed-order summation, bit-identical whatever the BLAS threading.
+used by the Newton system (which applies a diagonally rescaled plan as the
+product with the plan between two length-n scalings) and by
+``log_plan_matvec``, which serves row or column log sums of a diagonally
+rescaled plan from one product instead of a log-sum-exp pass.  With
+``OTN_DETERMINISTIC=1`` (see ``fixed_order``) the product is a fixed-order
+summation, bit-identical whatever the BLAS threading.
 """
 
 from __future__ import annotations
@@ -40,19 +46,28 @@ LOG_OVERFLOW = 700.0
 EXP_FLOOR = -700.0
 
 
-def log_plan_row_sums(K, u, v):
-    """u + LSE over rows of (K + 1 v^T), where K is the log kernel.
+def _log_tile_rows(m):
+    """Rows per tile of the log-domain kernels: ``BLOCK * BLOCK`` entries of m columns."""
+    return max(1, BLOCK * BLOCK // m)
 
+
+def log_plan_row_sums(C, gamma, u, v):
+    """u + LSE over rows of (1 v^T - gamma C): the log row sums of the plan.
+
+    ``-gamma C`` is formed tile by tile (the log kernel is never built), so
+    ``log_plan_row_sums(C.T, gamma, v, u)`` gives the log column sums.
     Handles rows whose entries are all -inf (they reduce to -inf).
     """
     opcount.add(4)
-    n = K.shape[0]
+    n = C.shape[0]
+    rows = _log_tile_rows(C.shape[1])
     out = np.empty(n)
-    buf = np.empty((min(BLOCK, n), K.shape[1]))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    buf = np.empty((min(rows, n), C.shape[1]))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         b = buf[: hi - lo]
-        np.add(K[lo:hi], v[None, :], out=b)
+        np.multiply(C[lo:hi], -gamma, out=b)
+        np.add(b, v[None, :], out=b)
         m = b.max(axis=1)
         finite = np.isfinite(m)
         shift = np.where(finite, m, 0.0)
@@ -65,19 +80,22 @@ def log_plan_row_sums(K, u, v):
     return u + out
 
 
-def materialize_plan(K, u, v, out=None):
-    """exp(u 1^T + 1 v^T + K), with entries that would overflow rejected.
+def materialize_plan(C, gamma, u, v, out=None):
+    """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected.
 
+    ``-gamma C`` is formed tile by tile, as in ``log_plan_row_sums``.
     Entries whose log is below ``EXP_FLOOR`` come out as exactly 0.
     """
     opcount.add(4)
-    n, m = K.shape
+    n, m = C.shape
+    rows = _log_tile_rows(m)
     if out is None:
         out = np.empty((n, m))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         b = out[lo:hi]
-        np.add(K[lo:hi], v[None, :], out=b)
+        np.multiply(C[lo:hi], -gamma, out=b)
+        np.add(b, v[None, :], out=b)
         np.add(b, u[lo:hi, None], out=b)
         top = b.max()
         if top > LOG_OVERFLOW:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcount, oracles
-from ._kernels import EXP_FLOOR
+from ._kernels import BLOCK, EXP_FLOOR
 from .core import shannon_entropy
 from .dual import DualState
 from .errors import DegenerateInputError, DomainError, OTNError
@@ -160,7 +160,9 @@ def round_plan(P, r, c):
     remaining (nonnegative) deficit with a rank-one correction; the output
     has row sums r and column sums c exactly up to roundoff.  Entries below
     e^EXP_FLOOR, the kernels' plan floor, are set to 0, so the plan holds no
-    subnormals (the scalings can push entries near the floor below it).
+    subnormals (the scalings can push entries near the floor below it).  The
+    input is copied once and the copy updated in place; the repair and the
+    flush run over ``BLOCK``-row tiles, so no other n-by-n array is made.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.min() < 0.0:
@@ -168,16 +170,17 @@ def round_plan(P, r, c):
     total = P.sum()
     if not total > 0.0:
         raise DegenerateInputError("round_plan needs positive total mass")
+    P = P.copy()
     opcount.add(2)
     rP = P.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         row_scale = np.where(rP > 0.0, np.minimum(1.0, r / rP), 1.0)
-    P = P * row_scale[:, None]
+    P *= row_scale[:, None]
     opcount.add(2)
     cP = P.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         col_scale = np.where(cP > 0.0, np.minimum(1.0, c / cP), 1.0)
-    P = P * col_scale[None, :]
+    P *= col_scale[None, :]
     opcount.add(1)
     # The deficits are nonnegative in exact arithmetic; clamp the roundoff
     # below zero so the rank-one repair cannot make an entry negative.
@@ -186,8 +189,16 @@ def round_plan(P, r, c):
     deficit = err_r.sum()
     if deficit > 0.0:
         opcount.add(1)
-        P = P + np.outer(err_r, err_c) / deficit
-    P[P < PLAN_FLOOR] = 0.0
+    n = P.shape[0]
+    buf = np.empty((min(BLOCK, n), P.shape[1]))
+    for lo in range(0, n, BLOCK):
+        tile = P[lo:lo + BLOCK]
+        if deficit > 0.0:
+            b = buf[: tile.shape[0]]
+            np.multiply(err_r[lo:lo + BLOCK, None], err_c[None, :], out=b)
+            b /= deficit
+            tile += b
+        tile[tile < PLAN_FLOOR] = 0.0
     return P
 
 

@@ -5,26 +5,31 @@ is ``P_ij = exp(u_i + v_j - gamma * C_ij)``.  Its row and column sums are
 kept in log form and cached alongside the potentials.  They come from one of
 two paths:
 
-* log-sum-exp passes over ``-gamma C`` (``log_plan_row_sums``, four passes);
-* the *anchored plan*: ``materialize_plan(reuse_buffer=True)`` records the
-  potentials ``(u0, v0)`` it filled its buffer at, and until the next such
-  call or ``set_gamma``, a sum at ``(u0 + a, v0 + b)`` is one matrix-vector
-  product with that plan, ``b + log(P^T e^(a - max a)) + max a`` for the
-  columns (rows alike), one pass.
+* log-sum-exp passes over ``-gamma C`` (``log_plan_row_sums``, four passes;
+  the log kernel is formed tile by tile from the cost, never stored);
+* the *anchored plan* ``P0``, materialized at potentials ``(u0, v0)``: the
+  plan at ``(u0 + a, v0 + b)`` is ``D(e^a) P0 D(e^b)``, so its column sums
+  are ``b + log(P0^T e^(a - max a)) + max a`` (rows alike), one
+  matrix-vector product, and ``newton.DiscountedSystem`` applies it by the
+  same two diagonal scalings.
 
-The anchored plan is used while the offsets stay within
-``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0 could add;
-otherwise the sums fall back to log-sum-exp.  ``u``, ``v`` and ``gamma``
-are read-only: change them through ``set_potentials``, ``set_gamma`` or the
-exact scaling updates, which all install the potentials and their sums
-together in ``_set``.
+A plan is anchored once per temperature: ``rebalance_columns``, finding no
+anchor that covers the state, takes the column sums from log-sum-exp and
+anchors at the rebalanced potentials, where every entry is at most its
+column's target and none can overflow.  Every later sum and Newton system at
+that temperature is served from the anchor while the offsets stay within
+``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0 could add.
+Beyond it, sums fall back to log-sum-exp, and the next column rebalance or
+Newton system anchors again.  ``set_gamma`` drops the anchor.  ``u``, ``v``
+and ``gamma`` are read-only: change them through ``set_potentials``,
+``set_gamma`` or the exact scaling updates, which all install the
+potentials and their sums together in ``_set``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import opcount
 from ._kernels import (EXP_FLOOR, fixed_order, log_plan_matvec,
                        log_plan_row_sums, materialize_plan)
 from .errors import DomainError
@@ -36,7 +41,8 @@ from .errors import DomainError
 # the n <= 2^20 of one sum below 3e-255: far below half an ulp of any target
 # above 1e-230.  The smallest smoothed target, w_c * eps_d / n, is about
 # 1e-11 on an n = 64 batch instance at gamma = 2^18.  The weights
-# e^(a - max a) stay above e^(-2B) = e^-200, a normal number.
+# e^(a - max a) stay above e^(-2B) = e^-200, and the Newton system's
+# scalings e^a and e^2b within e^(+-2B), normal numbers.
 PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
 
 
@@ -53,7 +59,7 @@ class DualState:
     """
 
     def __init__(self, problem, gamma, u=None, v=None, r=None, c=None):
-        self._C_symmetric = None
+        self._C_T = None
         self._plan_buf = None
         self._anchor = None  # (u0, v0) that _plan_buf holds the plan of
         self._fixed_order = False
@@ -98,14 +104,10 @@ class DualState:
         self._set(np.array(u, dtype=np.float64), np.array(v, dtype=np.float64))
 
     def set_gamma(self, gamma):
-        """Move to a new temperature: drops the log kernels and the cached sums."""
+        """Move to a new temperature: drops the anchored plan and the cached sums."""
         if not np.isfinite(gamma) or gamma <= 0.0:
             raise DomainError(f"gamma must be positive and finite, got {gamma}")
         self._gamma = float(gamma)
-        # Drop the old -gamma C before the next read builds the new one, so
-        # two n-by-n kernels are never alive at once.
-        self._K = None
-        self._KT = None
         self._anchor = None
         self._set(self.u, self.v)
 
@@ -114,29 +116,24 @@ class DualState:
         self.r = np.asarray(r, dtype=np.float64)
         self.c = np.asarray(c, dtype=np.float64)
 
-    # -- log-domain kernels ------------------------------------------------
+    def _cost_T(self):
+        """The transposed cost, contiguous, built once; the cost itself when symmetric."""
+        if self._C_T is None:
+            C = self.problem.C
+            self._C_T = C if (C == C.T).all() else np.ascontiguousarray(C.T)
+        return self._C_T
 
-    def _neg_gamma_C(self):
-        if self._K is None:
-            opcount.add(1)
-            self._K = -self.gamma * self.problem.C
-        return self._K
+    # -- the anchored plan ---------------------------------------------------
 
-    def _neg_gamma_C_T(self):
-        """Transposed log kernel, contiguous; aliases K for symmetric costs."""
-        if self._KT is None:
-            if self._C_symmetric is None:
-                C = self.problem.C
-                self._C_symmetric = bool((C == C.T).all())
-            K = self._neg_gamma_C()
-            if self._C_symmetric:
-                self._KT = K
-            else:
-                opcount.add(1)
-                self._KT = np.ascontiguousarray(K.T)
-        return self._KT
-
-    # -- log row/column sums: anchored plan or log-sum-exp --------------------
+    def _anchor_plan(self):
+        """Materialize the plan at the current potentials into the state's
+        plan buffer and make it the anchor."""
+        if self._plan_buf is None:
+            self._plan_buf = np.empty_like(self.problem.C)
+        self._anchor = None  # not a valid plan if materialization raises
+        materialize_plan(self.problem.C, self.gamma, self.u, self.v, out=self._plan_buf)
+        self._anchor = (self.u, self.v)
+        self._fixed_order = fixed_order()
 
     def _plan_offsets(self, u, v):
         """(u - u0, v - v0) when the anchored plan serves sums at (u, v), else None."""
@@ -146,10 +143,27 @@ class DualState:
         a, b = u - u0, v - v0
         return (a, b) if _within_guard(a, b) else None
 
+    def anchored_plan(self):
+        """``(P0, a, b)``: the anchored plan and the offsets of the current
+        potentials from its anchor, so the current plan is ``D(e^a) P0 D(e^b)``.
+
+        Anchors at the current potentials first when no anchor covers them.
+        ``P0`` is the state's buffer: it stays valid until the state anchors
+        again, which in the projection loop happens at most once per
+        temperature while the offsets stay within ``PLAN_OFFSET_MAX``.
+        """
+        off = self._plan_offsets(self.u, self.v)
+        if off is None:
+            self._anchor_plan()
+            off = self._plan_offsets(self.u, self.v)
+        return self._plan_buf, off[0], off[1]
+
+    # -- log row/column sums: anchored plan or log-sum-exp --------------------
+
     def _log_row_sums(self, u, v):
         off = self._plan_offsets(u, v)
         if off is None:
-            return log_plan_row_sums(self._neg_gamma_C(), u, v)
+            return log_plan_row_sums(self.problem.C, self.gamma, u, v)
         a, b = off
         return a + log_plan_matvec(self._plan_buf, b, self._fixed_order)
 
@@ -159,7 +173,7 @@ class DualState:
         if on_plan is None:
             on_plan = self._plan_offsets(u, v) is not None
         if not on_plan:
-            return log_plan_row_sums(self._neg_gamma_C_T(), v, u)
+            return log_plan_row_sums(self._cost_T(), self.gamma, v, u)
         u0, v0 = self._anchor
         return (v - v0) + log_plan_matvec(self._plan_buf, u - u0, self._fixed_order,
                                           transpose=True)
@@ -202,24 +216,10 @@ class DualState:
         mass = float(np.exp(self.log_rP).sum())
         return mass - 1.0 - float(self.u @ self.r) - float(self.v @ self.c)
 
-    def materialize_plan(self, reuse_buffer=False):
-        """Linear-domain plan; entries below e^-700 (``EXP_FLOOR``) become 0.
-
-        With ``reuse_buffer`` the returned array is a state-owned scratch
-        matrix that the next ``reuse_buffer`` call overwrites; callers must
-        be done with it by then (the Newton loop snapshots one plan at a
-        time, so it qualifies).  The buffer becomes the anchored plan: later
-        sums are served from it until it is refilled or gamma changes.
-        """
-        if not reuse_buffer:
-            return materialize_plan(self._neg_gamma_C(), self.u, self.v)
-        if self._plan_buf is None:
-            self._plan_buf = np.empty_like(self.problem.C)
-        self._anchor = None  # not a valid plan if materialization raises
-        materialize_plan(self._neg_gamma_C(), self.u, self.v, out=self._plan_buf)
-        self._anchor = (self.u, self.v)
-        self._fixed_order = fixed_order()
-        return self._plan_buf
+    def materialize_plan(self):
+        """Linear-domain plan at the current potentials, in a fresh array;
+        entries below e^-700 (``EXP_FLOOR``) become 0."""
+        return materialize_plan(self.problem.C, self.gamma, self.u, self.v)
 
     def trial_log_col_sums(self, d_u, d_v, alpha):
         """Log column sums at (u + alpha d_u, v + alpha d_v) without mutating state.
@@ -246,13 +246,19 @@ class DualState:
     # -- exact scaling updates that keep the caches coherent -----------------
 
     def rebalance_columns(self):
-        """Set v so the column sums equal c exactly, then refresh the row cache."""
+        """Set v so the column sums equal c exactly, then refresh the row cache.
+
+        Without an anchored plan covering the state, the column sums come
+        from log-sum-exp and the plan is anchored at the rebalanced state.
+        """
         log_c = np.log(self.c)
         u, v = self.u, self.v
         if self._plan_offsets(u, v) is not None:
             v = v + log_c - self._log_col_sums(u, v, True)
         else:
-            v = log_c - log_plan_row_sums(self._neg_gamma_C_T(), 0.0, u)
+            v = log_c - log_plan_row_sums(self._cost_T(), self.gamma, 0.0, u)
+            self._set(u, v)
+            self._anchor_plan()
         self.refresh_rows_only(u, v, log_c)
 
     def scale_rows_to_target(self):

@@ -10,8 +10,12 @@ which is symmetric positive-definite.  Solving ``F(rho) d = -grad_u`` for a
 sequence of discounts rho approaching 1 yields a direction whose
 *undiscounted* residual satisfies the truncated-Newton forcing test.  All
 products are evaluated as two ``_kernels.plan_matvec`` passes; P_rc is never
-formed.  ``OTN_DETERMINISTIC=1``, read when a system is built, makes its
-products fixed-order summations, bit-identical regardless of BLAS threading.
+formed.  The system holds a materialized plan ``P0`` and offsets ``(a, b)``
+and applies the plan ``P = D(e^a) P0 D(e^b)`` by diagonal scaling, so a
+projection materializes one plan per temperature (the state's anchored plan,
+see ``dual``), not one per Newton step.  ``OTN_DETERMINISTIC=1``, read when
+a system is built, makes its products fixed-order summations, bit-identical
+regardless of BLAS threading.
 """
 
 from __future__ import annotations
@@ -44,37 +48,51 @@ class NewtonResult:
 
 
 class DiscountedSystem:
-    """Immutable plan snapshot realizing D(rP) P_rc, P_c and F(rho) as operators."""
+    """Immutable plan snapshot realizing D(rP) P_rc, P_c and F(rho) as operators.
 
-    def __init__(self, P, rP, cP):
+    The plan is ``D(e^a) P D(e^b)``; the offsets ``a`` and ``b`` default to
+    0, a system of the plan ``P`` itself.  Each product costs the passes of
+    the unscaled one plus length-n multiplies.
+    """
+
+    def __init__(self, P, rP, cP, a=0.0, b=0.0):
         self.P = P
         self.rP = np.asarray(rP, dtype=np.float64)
         self.cP = np.asarray(cP, dtype=np.float64)
         if np.any(self.rP <= 0.0) or np.any(self.cP <= 0.0):
             raise ConditioningError("plan row/column sums must be strictly positive")
         self.n = P.shape[0]
+        e_b = np.exp(b)
+        self._e_a = np.exp(a)
+        # P^T d / cP = _pc_scale * P^T (e^a d); the round trip weighs by e^2b / cP.
+        self._pc_scale = e_b / self.cP
+        self._w = e_b * self._pc_scale
         self._mu = None
         self._fixed_order = fixed_order()
 
     @classmethod
     def from_state(cls, state):
-        """Snapshot the current plan; sums come from the log-domain caches.
+        """The system at the state's potentials, served from its anchored plan
+        by scaling; sums come from the log-domain caches.
 
-        The plan shares the state's scratch buffer: the system is valid until
-        the same state materializes again, which in the projection loop means
-        one system per Newton step, never two alive at once.
+        The plan is the state's buffer: the system is valid until the state
+        anchors again, which the projection loop does only when a new
+        temperature starts or the offsets leave ``dual.PLAN_OFFSET_MAX``,
+        never while a system is in use.
         """
-        return cls(state.materialize_plan(reuse_buffer=True),
-                   state.row_sums(), state.col_sums())
+        P0, a, b = state.anchored_plan()
+        return cls(P0, state.row_sums(), state.col_sums(), a, b)
 
     def round_trip(self, d):
         """Q = P (P^T d / cP), the off-diagonal part of F(1) d; two passes."""
-        P, fixed = self.P, self._fixed_order
-        return plan_matvec(P, plan_matvec(P, d, fixed, transpose=True) / self.cP, fixed)
+        P0, fixed, e_a = self.P, self._fixed_order, self._e_a
+        inner = plan_matvec(P0, e_a * d, fixed, transpose=True)
+        return e_a * plan_matvec(P0, self._w * inner, fixed)
 
     def apply_pc(self, d):
         """P_c @ d = D(cP)^-1 P^T d; gives d_v = -apply_pc(d_u) for free."""
-        return plan_matvec(self.P, d, self._fixed_order, transpose=True) / self.cP
+        return self._pc_scale * plan_matvec(self.P, self._e_a * d, self._fixed_order,
+                                            transpose=True)
 
     def apply_F(self, rho, d):
         """F(rho) @ d = rP * d - rho * round_trip(d)."""
@@ -86,7 +104,7 @@ class DiscountedSystem:
     def diag_prc(self):
         """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1]."""
         if self._mu is None:
-            self._mu = square_matvec(self.P, 1.0 / self.cP) / self.rP
+            self._mu = self._e_a ** 2 * square_matvec(self.P, self._w) / self.rP
         return self._mu
 
 

@@ -9,8 +9,10 @@ a pass calls :func:`add` with its own count, and no caller adds passes on
 behalf of a callee.  The counting functions are the dense kernels in
 ``_kernels`` (a product with a materialized plan, ``plan_matvec``, is one
 pass, whether it serves ``newton.DiscountedSystem`` or a log sum from the
-anchored plan), the log kernel ``-gamma C`` built by ``DualState``, and
-``round_plan`` and the final cost evaluation in ``driver.mdot``.
+anchored plan; the length-n scalings around it are not passes, and the log
+kernel ``-gamma C`` is formed inside the kernels' tiles, not in a pass of
+its own), and ``round_plan`` and the final cost evaluation in
+``driver.mdot``.
 
 The convention is identical for every solver, so totals are comparable
 across configurations.  Counts are attributed to the subroutine category
@@ -23,8 +25,10 @@ active at call time:
 * ``"line_search"``      - column-sum re-evaluations after a backtrack only
                            (a perfect warm start incurs zero ops here).
 * ``"chi_sinkhorn"``     - the pre-Newton chi-square balancing sweeps.
-* ``"mirror_descent"``   - per-projection entry/exit rebalancing passes plus
-                           driver-level finalization (materialize + round).
+* ``"mirror_descent"``   - per-projection entry/exit rebalancing passes,
+                           including the materialization that anchors the
+                           projection's plan, plus driver-level
+                           finalization (materialize + round).
 * ``"sinkhorn"``         - sweeps of the log-domain Sinkhorn baseline.
 
 The tally is process-global; one solve runs per process in benchmarks, so

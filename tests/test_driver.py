@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from otnewton._kernels import BLOCK
 from otnewton.core import shannon_entropy
 from otnewton.driver import (
     MdotOptions,
@@ -16,7 +18,7 @@ from otnewton.driver import (
     round_plan,
     smooth_marginals,
 )
-from otnewton import driver
+from otnewton import driver, dual
 from otnewton.errors import (ConditioningError, DegenerateInputError, DomainError,
                              PlanOverflowError, StagnationError)
 from otnewton.oracles import exact_ot_small
@@ -134,6 +136,37 @@ class TestExtrapolate:
             extrapolate(np.zeros(2), np.zeros(2), 8.0, 4.0, 4.0)
 
 
+def round_plan_reference(P, r, c):
+    """``round_plan`` in whole-array expressions, each making a new array."""
+    P = np.asarray(P, dtype=np.float64)
+    rP = P.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_scale = np.where(rP > 0.0, np.minimum(1.0, r / rP), 1.0)
+    P = P * row_scale[:, None]
+    cP = P.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col_scale = np.where(cP > 0.0, np.minimum(1.0, c / cP), 1.0)
+    P = P * col_scale[None, :]
+    err_r = np.maximum(r - P.sum(axis=1), 0.0)
+    err_c = np.maximum(c - P.sum(axis=0), 0.0)
+    deficit = err_r.sum()
+    if deficit > 0.0:
+        P = P + np.outer(err_r, err_c) / deficit
+    P[P < driver.PLAN_FLOOR] = 0.0
+    return P
+
+
+def perturbed_plans(n, count, seed):
+    """Plans off their marginals by a few percent, as ``round_plan`` gets them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = rng.dirichlet(np.ones(n))
+        c = rng.dirichlet(np.ones(n))
+        P = np.outer(r, c)
+        P_pert = P * (1.0 + 0.01 * rng.standard_normal(P.shape))
+        yield np.maximum(P_pert, 0.0), r, c
+
+
 class TestRoundPlan:
     def test_feasible_plan_unchanged(self):
         P = np.array([[0.25, 0.25], [0.25, 0.25]])
@@ -147,13 +180,7 @@ class TestRoundPlan:
                                    np.full((2, 2), 0.25), atol=1e-15)
 
     def test_output_feasible_and_close(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            r = rng.dirichlet(np.ones(8))
-            c = rng.dirichlet(np.ones(8))
-            P = np.outer(r, c)
-            P_pert = P * (1.0 + 0.01 * rng.standard_normal(P.shape))
-            P_pert = np.maximum(P_pert, 0.0)
+        for P_pert, r, c in perturbed_plans(8, 25, seed=17):
             rounded = round_plan(P_pert, r, c)
             np.testing.assert_allclose(rounded.sum(axis=1), r, atol=1e-12)
             np.testing.assert_allclose(rounded.sum(axis=0), c, atol=1e-12)
@@ -166,6 +193,38 @@ class TestRoundPlan:
     def test_zero_mass_rejected(self):
         with pytest.raises(DegenerateInputError):
             round_plan(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    def test_bitwise_equal_to_whole_array_reference(self):
+        half = np.array([0.5, 0.5])
+        cases = [(np.full((2, 2), 0.25), half, half),
+                 (np.array([[0.3, 0.3], [0.2, 0.2]]), half, half),
+                 *perturbed_plans(8, 25, seed=17)]
+        cases += perturbed_plans(BLOCK + 17, 2, seed=18)  # past one tile
+        # Powers of two keep the scalings exact and leave no deficit, so the
+        # off-diagonal entries fall below the floor and are flushed.
+        n = BLOCK + 17
+        P = np.full((n, n), np.ldexp(1.0, -1000))
+        np.fill_diagonal(P, np.ldexp(1.0, 29))
+        r = np.full(n, 1.0 / n)
+        cases.append((P, r, r))
+        for P, r, c in cases:
+            before = P.copy()
+            assert round_plan(P, r, c).tobytes() == round_plan_reference(P, r, c).tobytes()
+            np.testing.assert_array_equal(P, before)  # the input is not written
+
+    def test_allocates_one_plan(self):
+        # The copy of the input, one BLOCK-row tile and its flush mask, and
+        # O(n) vectors plus numpy's fixed 8192-element ufunc buffer.
+        n = 1024
+        (P, r, c), = perturbed_plans(n, 1, seed=19)
+        tracemalloc.start()
+        try:
+            rounded = round_plan(P, r, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rounded.tobytes() == round_plan_reference(P, r, c).tobytes()
+        assert peak <= n * n * 8 + BLOCK * n * 9 + 8 * 8192 + 16 * n * 8
 
 
 class TestErrorBound:
@@ -244,6 +303,23 @@ class TestMdot:
         assert sol.report.solver == "mdot-sinkhorn"
         np.testing.assert_allclose(sol.P.sum(axis=1), prob.r, atol=1e-12)
         assert sol.report.ops.get("sinkhorn", 0) > 0
+
+    @pytest.mark.parametrize("projector", ["newton", "sinkhorn"])
+    def test_one_anchored_plan_per_temperature(self, projector, monkeypatch):
+        # True for a plan that anchors the state (one per projection, none
+        # with the Sinkhorn projector), False for the fresh plan rounded at the end.
+        calls = []
+        real = dual.materialize_plan
+
+        def spy(*args, out=None):
+            calls.append(out is not None)
+            return real(*args, out=out)
+
+        monkeypatch.setattr(dual, "materialize_plan", spy)
+        sol = mdot(grid_problem(16, seed=4), 2.0 ** 4, 2.0 ** 12,
+                   opts=MdotOptions(projector=projector))
+        anchors = sol.report.outer_iterations if projector == "newton" else 0
+        assert calls == [True] * anchors + [False]
 
     def test_fixed_schedule_mode(self):
         prob = grid_problem(16, seed=7)

@@ -181,15 +181,14 @@ class TestTrialColSums:
 
 
 def anchored(n=12, seed=6):
-    """A state whose plan buffer is filled, as at the start of a Newton step."""
+    """A state anchored by its entry column rebalance, as in a projection."""
     state = random_state(n, seed=seed, gamma=8.0)
     state.rebalance_columns()
-    state.materialize_plan(reuse_buffer=True)
     return state
 
 
 class TestAnchoredPlan:
-    """Sums served from the plan of the last ``materialize_plan(reuse_buffer=True)``."""
+    """Sums served from the plan anchored by the last column rebalance."""
 
     def test_trial_sums_match_lse_and_stay_on_one_path(self):
         state = anchored()
@@ -210,16 +209,20 @@ class TestAnchoredPlan:
         d_u = np.full(12, 1.01 * PLAN_OFFSET_MAX)
         d_v = np.zeros(12)
         np.testing.assert_array_equal(state.base_log_col_sums(d_u, d_v), state.log_cP)
-        K_T = np.ascontiguousarray((-state.gamma * state.problem.C).T)
-        np.testing.assert_array_equal(state.trial_log_col_sums(d_u, d_v, 0.5),
-                                      log_plan_row_sums(K_T, state.v, state.u + 0.5 * d_u))
+        C_T = np.ascontiguousarray(state.problem.C.T)
+        np.testing.assert_array_equal(
+            state.trial_log_col_sums(d_u, d_v, 0.5),
+            log_plan_row_sums(C_T, state.gamma, state.v, state.u + 0.5 * d_u))
 
     def test_scalings_match_lse(self):
         state = anchored()
+        # The reference never anchors: its exact column step is the Sinkhorn
+        # one, which rebalance_columns equals in exact arithmetic.
         lse = DualState(state.problem, state.gamma, u=state.u, v=state.v)
-        for st in (state, lse):
+        for st, rebalance in ((state, state.rebalance_columns),
+                              (lse, lse.scale_cols_to_target)):
             st.set_potentials(st.u + 0.2, st.v)
-            st.rebalance_columns()
+            rebalance()
             st.scale_rows_to_target()
             st.scale_cols_to_target()
         np.testing.assert_allclose(state.u, lse.u, rtol=0, atol=1e-13)
@@ -230,5 +233,5 @@ class TestAnchoredPlan:
     def test_set_gamma_drops_the_anchor(self):
         state = anchored()
         state.set_gamma(9.0)
-        K = -9.0 * state.problem.C
-        np.testing.assert_array_equal(state.log_rP, log_plan_row_sums(K, state.u, state.v))
+        np.testing.assert_array_equal(state.log_rP,
+                                      log_plan_row_sums(state.problem.C, 9.0, state.u, state.v))

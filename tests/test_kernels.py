@@ -1,4 +1,5 @@
-"""The dense kernels: reference agreement, the exp floor and anchored-plan sums."""
+"""The dense kernels: reference agreement, the exp floor, and the sums and
+Newton systems served from the anchored plan."""
 
 import tracemalloc
 
@@ -11,6 +12,7 @@ from otnewton._kernels import (BLOCK, EXP_FLOOR, log_plan_row_sums,
 from otnewton.core import lse_rows
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.newton import DiscountedSystem
 from otnewton.problems import Problem, gen_marginal
 
 
@@ -23,8 +25,28 @@ class TestBlockedKernels:
         K = rng.normal(size=(n, n)) * 10
         u = rng.normal(size=n)
         v = rng.normal(size=n)
-        np.testing.assert_array_equal(log_plan_row_sums(K, u, v),
+        np.testing.assert_array_equal(log_plan_row_sums(-K, 1.0, u, v),
                                       u + lse_rows(K + v[None, :]))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_fused_log_kernel_bitwise_equal_to_built_one(self, symmetric):
+        # The kernels form -gamma C inside each tile; their output must be
+        # that of the same chain over a stored log kernel K = -gamma * C.
+        rng = np.random.default_rng(13)
+        n = BLOCK + 17
+        C = rng.uniform(size=(n, n))
+        if symmetric:
+            C = C + C.T
+        gamma = 37.3
+        u, v = 5.0 * rng.normal(size=n), 5.0 * rng.normal(size=n)
+        K = -gamma * C
+        C_T = C if symmetric else np.ascontiguousarray(C.T)
+        np.testing.assert_array_equal(log_plan_row_sums(C, gamma, u, v),
+                                      u + lse_rows(K + v[None, :]))
+        np.testing.assert_array_equal(log_plan_row_sums(C_T, gamma, v, u),
+                                      v + lse_rows(np.ascontiguousarray(K.T) + u[None, :]))
+        np.testing.assert_array_equal(materialize_plan(C, gamma, u, v),
+                                      np.exp((K + v[None, :]) + u[:, None]))
 
     def test_square_matvec_matches_reference(self):
         rng = np.random.default_rng(10)
@@ -39,7 +61,7 @@ class TestBlockedKernels:
         u = rng.normal(size=7)
         v = rng.normal(size=7)
         ref = np.exp(u[:, None] + v[None, :] + K)
-        np.testing.assert_allclose(materialize_plan(K, u, v), ref, rtol=1e-15)
+        np.testing.assert_allclose(materialize_plan(-K, 1.0, u, v), ref, rtol=1e-15)
 
 
 def deep_log_kernel(seed=12):
@@ -65,7 +87,7 @@ class TestExpFloor:
         K, u, v = deep_log_kernel()
         with np.errstate(under="ignore"):
             ref = u + lse_rows(K + v[None, :])
-        got = log_plan_row_sums(K, u, v)
+        got = log_plan_row_sums(-K, 1.0, u, v)
         assert got[3] == -np.inf
         np.testing.assert_array_equal(got, ref)
 
@@ -74,13 +96,13 @@ class TestExpFloor:
         logs = K + v[None, :] + u[:, None]
         low = logs < EXP_FLOOR
         assert low.any() and not low.all()
-        P = materialize_plan(K, u, v)
+        P = materialize_plan(-K, 1.0, u, v)
         assert np.all(P[low] == 0.0)
         np.testing.assert_array_equal(P[~low], np.exp(logs[~low]))
 
     def test_plan_holds_no_subnormals(self):
         K, u, v = deep_log_kernel()
-        P = materialize_plan(K, u, v)
+        P = materialize_plan(-K, 1.0, u, v)
         assert P[P > 0].min() >= np.finfo(float).tiny
 
     def test_no_exp_argument_below_floor(self, monkeypatch):
@@ -93,9 +115,9 @@ class TestExpFloor:
 
         monkeypatch.setattr(_kernels.np, "exp", spy)
         K, u, v = deep_log_kernel()
-        log_plan_row_sums(K, u, v)
-        log_plan_row_sums(K.T, v, u)
-        materialize_plan(K, u, v)
+        log_plan_row_sums(-K, 1.0, u, v)
+        log_plan_row_sums(-K.T, 1.0, v, u)
+        materialize_plan(-K, 1.0, u, v)
         monkeypatch.undo()
         assert len(lowest) == 6  # one exp per tile, two tiles per call
         assert min(lowest) >= EXP_FLOOR
@@ -132,7 +154,7 @@ def anchored_state(cost, kind, gamma, monkeypatch, deterministic):
     monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
     state = DualState(Problem(C=C, r=r, c=c), gamma,
                       u=gamma * (f + 0.5) + np.log(r), v=gamma * (g - 0.5) + np.log(c))
-    state.materialize_plan(reuse_buffer=True)
+    state.anchored_plan()
     return state
 
 
@@ -177,14 +199,14 @@ class TestAnchoredPlanSums:
                                        monkeypatch):
         state = anchored_state(cost, kind, gamma, monkeypatch, deterministic)
         if cost == "l1-line":
-            assert (state.materialize_plan(reuse_buffer=True) == 0.0).mean() > 0.5
+            assert (state.anchored_plan()[0] == 0.0).mean() > 0.5
         a, b = offsets(state.n, size)
         state.set_potentials(state.u + a, state.v + b)
         assert refresh_passes(state) == 2  # one matvec per side: the plan path
         u, v = state.u, state.v
-        K = -gamma * state.problem.C
-        lse_rows = log_plan_row_sums(K, u, v)
-        lse_cols = log_plan_row_sums(np.ascontiguousarray(K.T), v, u)
+        C = state.problem.C
+        lse_rows = log_plan_row_sums(C, gamma, u, v)
+        lse_cols = log_plan_row_sums(np.ascontiguousarray(C.T), gamma, v, u)
         ref_rows, ref_cols = long_double_sums(state)
         got = np.concatenate([state.log_rP, state.log_cP])
         err = np.abs(got - np.concatenate([ref_rows, ref_cols])).astype(float)
@@ -199,10 +221,10 @@ class TestAnchoredPlanSums:
         a, b = offsets(state.n, 1.01 * PLAN_OFFSET_MAX)
         state.set_potentials(state.u + a, state.v + b)
         assert refresh_passes(state) == 8  # two log-sum-exp passes
-        K = -state.gamma * state.problem.C
-        np.testing.assert_array_equal(state.log_rP, log_plan_row_sums(K, state.u, state.v))
+        C, gamma = state.problem.C, state.gamma
+        np.testing.assert_array_equal(state.log_rP, log_plan_row_sums(C, gamma, state.u, state.v))
         np.testing.assert_array_equal(
-            state.log_cP, log_plan_row_sums(np.ascontiguousarray(K.T), state.v, state.u))
+            state.log_cP, log_plan_row_sums(np.ascontiguousarray(C.T), gamma, state.v, state.u))
 
     def test_fixed_order_matvec_ignores_blas(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -229,3 +251,49 @@ class TestAnchoredPlanSums:
                 tracemalloc.stop()
             assert out.tobytes() == ref.tobytes()
             assert peak <= min(BLOCK, n) * n * 8 + 8 * 8192 + 8 * n * 8
+
+
+class TestScaledNewtonSystem:
+    """The Newton system served from the anchored plan by diagonal scaling,
+    ``D(e^a) P0 D(e^b)``, against the one built from the plan materialized at
+    the current potentials, both measured against long double.
+
+    Each output's error is taken relative to the same product with ``|d|``
+    (the scale every rounding in a matrix-vector product is bounded by).  The
+    scaled system's largest and median errors must not exceed the
+    materialized one's, up to the few roundings the scalings add: 4 u in the
+    largest and u in the median, u = 2^-53.  Both systems take the same row
+    and column sums, so only the plan differs.
+    """
+
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    def test_no_less_accurate_than_materialized(self, deterministic, size, monkeypatch):
+        state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 8, monkeypatch,
+                               deterministic)
+        a, b = offsets(state.n, size)
+        state.set_potentials(state.u + a, state.v + b)
+        rP, cP = state.row_sums(), state.col_sums()
+        scaled = DiscountedSystem.from_state(state)
+        assert scaled.P is state.anchored_plan()[0]  # served from the anchor
+        plain = DiscountedSystem(state.materialize_plan(), rP, cP)
+
+        ld = np.longdouble
+        P = np.exp(state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
+                   - ld(state.gamma) * state.problem.C.astype(ld))
+        rP_ld, cP_ld = rP.astype(ld), cP.astype(ld)
+        d = np.random.default_rng(8).standard_normal(state.n)
+        d_ld, abs_d = d.astype(ld), np.abs(d).astype(ld)
+        mu = ((P * P) @ (1 / cP_ld)) / rP_ld
+        cases = (  # (operator, long double value, its scale)
+            (lambda s: s.round_trip(d), P @ ((P.T @ d_ld) / cP_ld),
+             P @ ((P.T @ abs_d) / cP_ld)),
+            (lambda s: s.apply_pc(d), (P.T @ d_ld) / cP_ld, (P.T @ abs_d) / cP_ld),
+            (lambda s: s.diag_prc(), mu, mu),
+        )
+        u = np.finfo(float).eps / 2
+        for op, ref, scale in cases:
+            err = (np.abs(op(scaled) - ref) / scale).astype(float)
+            base_err = (np.abs(op(plain) - ref) / scale).astype(float)
+            assert err.max() <= base_err.max() + 4.0 * u
+            assert np.median(err) <= np.median(base_err) + u

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from otnewton.core import chi_sq_div
-from otnewton.dual import DualState
+from otnewton import dual
+from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.errors import DomainError, NonconvergenceError
 from otnewton import projector
 from otnewton.newton import DiscountedSystem, NewtonResult
@@ -270,3 +271,57 @@ class TestArmijoEquivalence:
             assert accept_mass == accept_obj
             checked += 1
         assert checked >= 40
+
+
+def spy_materializations(monkeypatch):
+    """Record each plan materialization: True when it anchors (fills the
+    state's plan buffer), False for a fresh plan."""
+    calls = []
+    real = dual.materialize_plan
+
+    def spy(*args, out=None):
+        calls.append(out is not None)
+        return real(*args, out=out)
+
+    monkeypatch.setattr(dual, "materialize_plan", spy)
+    return calls
+
+
+class TestAnchoring:
+    """One anchored plan per temperature serves every sum and Newton system."""
+
+    def test_one_anchor_per_projection(self, monkeypatch):
+        # The entry column rebalance is the one log-sum-exp pass; it anchors,
+        # and every later sum and system comes from that plan.
+        calls = spy_materializations(monkeypatch)
+        lse_calls = []
+        real_lse = dual.log_plan_row_sums
+        monkeypatch.setattr(dual, "log_plan_row_sums",
+                            lambda *args: lse_calls.append(1) or real_lse(*args))
+        state = make_state(16, seed=3, gamma=64.0, spread=1.0)
+        stats = project(state, state.r, state.c, 1e-10)
+        assert stats.newton_steps >= 3 and stats.sinkhorn_steps >= 1
+        assert calls == [True] and len(lse_calls) == 1
+        state.set_gamma(128.0)
+        project(state, state.r, state.c, 1e-10)
+        assert calls == [True, True] and len(lse_calls) == 2
+
+    def test_reanchors_when_offsets_leave_the_guard(self, monkeypatch):
+        calls = spy_materializations(monkeypatch)
+        state = make_state(16, seed=3, gamma=64.0)
+        state.rebalance_columns()
+        u0, v0 = state.u, state.v
+        d = np.linspace(-1.0, 1.0, 16)
+        ref = DiscountedSystem(state.materialize_plan(), state.row_sums(),
+                               state.col_sums()).round_trip(d)
+        del calls[1:]
+        # A gauge shift leaves the plan as it is and moves only the offsets.
+        for shift, anchors in ((0.49, [True]), (0.51, [True, True])):
+            s = shift * PLAN_OFFSET_MAX
+            state.set_potentials(u0 + s, v0 - s)
+            sys = DiscountedSystem.from_state(state)
+            assert calls == anchors
+            np.testing.assert_allclose(sys.round_trip(d), ref, rtol=1e-12)
+        state.set_potentials(u0, v0)
+        state.rebalance_columns()
+        assert calls == [True, True, True]

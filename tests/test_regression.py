@@ -31,24 +31,24 @@ def uniform_nonsymmetric():
 PINNED = {
     "l1-grid": (
         l1_grid, 2.0 ** 14, "newton",
-        {"mirror_descent": 141, "chi_sinkhorn": 40, "newton_solve": 1400, "total": 1581},
-        0.16362403999541808,
+        {"mirror_descent": 141, "chi_sinkhorn": 10, "newton_solve": 1312, "total": 1463},
+        0.16362403999543265,
         [(3, 15, 5, 0), (4, 74, 0, 0), (2, 29, 0, 0), (1, 11, 0, 0), (1, 48, 0, 0),
          (2, 64, 0, 0), (1, 13, 0, 0), (2, 83, 0, 0), (1, 17, 0, 0), (2, 82, 0, 0),
          (1, 27, 0, 0), (1, 14, 0, 0), (1, 44, 0, 0)],
     ),
     "uniform-nonsymmetric": (
         uniform_nonsymmetric, 2.0 ** 14, "newton",
-        {"mirror_descent": 165, "chi_sinkhorn": 8, "newton_solve": 3868, "line_search": 1,
-         "total": 4042},
-        0.03663784913566032,
+        {"mirror_descent": 151, "chi_sinkhorn": 2, "newton_solve": 3732, "line_search": 1,
+         "total": 3886},
+        0.03663784913565943,
         [(2, 3, 1, 0), (2, 8, 0, 0), (2, 15, 0, 0), (3, 31, 0, 0), (3, 64, 0, 0),
          (3, 83, 0, 0), (4, 222, 0, 1), (2, 160, 0, 0), (3, 274, 0, 0), (4, 383, 0, 0),
          (2, 198, 0, 0), (1, 32, 0, 0), (1, 39, 0, 0), (2, 141, 0, 0)],
     ),
     "l1-grid-sinkhorn": (
         l1_grid, 2.0 ** 8, "sinkhorn",
-        {"mirror_descent": 11, "sinkhorn": 6028, "total": 6039},
+        {"mirror_descent": 11, "sinkhorn": 6024, "total": 6035},
         0.16378771263214129,
         [(0, 0, 33, 0), (0, 0, 219, 0), (0, 0, 291, 0), (0, 0, 206, 0)],
     ),
