@@ -1,14 +1,13 @@
 """Dense kernels: blocked log-domain reductions and plan matrix-vector products.
 
-The kernels work over row tiles, and every operation writes into a small
-reusable buffer or the output, so no n-by-n temporaries are allocated.  The
-two log-domain kernels form the log kernel ``-gamma C`` inside each tile from
-the cost (it is never stored) and take it through a chain of seven or eight
-passes, so their tiles hold ``BLOCK * BLOCK`` entries (512 KiB), which stay
-in a core's L2 cache whatever n is; the matrix-vector kernels make one or two
-passes per tile of ``BLOCK`` rows.  Each row is still reduced whole by
-numpy's pairwise summation, so results are bit-identical to the unblocked
-expressions over ``-gamma * C`` regardless of the tile size.
+The kernels work over row tiles of ``BLOCK * BLOCK`` entries (512 KiB, see
+``tile_rows``), which stay in a core's L2 cache whatever n is, and every
+operation writes into one such reusable tile or the output, so no n-by-n
+temporaries are allocated.  The log-domain kernels form the log kernel
+``-gamma C`` inside each tile from the cost (it is never stored).  Each row
+is still reduced whole by numpy's pairwise summation, and each column in row
+order, so results are bit-identical to the unblocked expressions over
+``-gamma * C`` regardless of the tile size.
 
 The kernels never exponentiate below ``EXP_FLOOR`` = -700.  Two slow
 paths sit just below it: numpy's SIMD ``exp`` falls back to a scalar loop,
@@ -16,8 +15,8 @@ about 20x slower, for any vector holding an argument below about -707.7, and
 BLAS products on subnormal operands run several times slower than on normal
 ones.  So ``log_plan_row_sums`` clamps its shifted exponents at the floor
 (each row sum is at least 1 after the shift, and the n * e^-700 the clamp can
-add is far below half an ulp), and ``materialize_plan`` writes exactly 0 for
-every entry whose log is below the floor (e^-700 ~ 9.9e-305 is a normal
+add is far below half an ulp), and ``materialize_plan`` and ``scale_plan``
+write exactly 0 for every entry below ``PLAN_FLOOR`` = e^-700 (a normal
 number, so a plan never holds a subnormal).
 
 ``plan_matvec`` is the one matrix-vector product with a materialized plan,
@@ -31,6 +30,7 @@ summation, bit-identical whatever the BLAS threading.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -44,10 +44,12 @@ BLOCK = 256
 LOG_OVERFLOW = 700.0
 # No kernel calls exp() below this; plan entries whose log is lower are 0.
 EXP_FLOOR = -700.0
+# Smallest nonzero plan entry, e^EXP_FLOOR ~ 9.9e-305.
+PLAN_FLOOR = math.exp(EXP_FLOOR)
 
 
-def _log_tile_rows(m):
-    """Rows per tile of the log-domain kernels: ``BLOCK * BLOCK`` entries of m columns."""
+def tile_rows(m):
+    """Rows per tile of every n-by-n kernel: ``BLOCK * BLOCK`` entries of m columns."""
     return max(1, BLOCK * BLOCK // m)
 
 
@@ -60,7 +62,7 @@ def log_plan_row_sums(C, gamma, u, v):
     """
     opcount.add(4)
     n = C.shape[0]
-    rows = _log_tile_rows(C.shape[1])
+    rows = tile_rows(C.shape[1])
     out = np.empty(n)
     buf = np.empty((min(rows, n), C.shape[1]))
     for lo in range(0, n, rows):
@@ -80,6 +82,26 @@ def log_plan_row_sums(C, gamma, u, v):
     return u + out
 
 
+def log_plan_col_max(C, gamma, u):
+    """max over i of (u_i - gamma C_ij) for each column j: the largest log
+    entry of each column of the plan at (u, 0).
+
+    One pass over row tiles of ``C``, with no exp and no transposed cost.
+    """
+    opcount.add(1)
+    n, m = C.shape
+    rows = tile_rows(m)
+    out = np.full(m, -np.inf)
+    buf = np.empty((min(rows, n), m))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        b = buf[: hi - lo]
+        np.multiply(C[lo:hi], -gamma, out=b)
+        np.add(b, u[lo:hi, None], out=b)
+        np.maximum(out, b.max(axis=0), out=out)
+    return out
+
+
 def materialize_plan(C, gamma, u, v, out=None):
     """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected.
 
@@ -88,7 +110,7 @@ def materialize_plan(C, gamma, u, v, out=None):
     """
     opcount.add(4)
     n, m = C.shape
-    rows = _log_tile_rows(m)
+    rows = tile_rows(m)
     if out is None:
         out = np.empty((n, m))
     for lo in range(0, n, rows):
@@ -108,14 +130,33 @@ def materialize_plan(C, gamma, u, v, out=None):
     return out
 
 
+def scale_plan(P, x, y):
+    """P <- D(x) P D(y) in place, with entries below ``PLAN_FLOOR`` set to 0.
+
+    One pass over row tiles; a scaling factor below 1 can take an entry near
+    the floor below it (or to a subnormal), and the flush in the same pass
+    keeps the plan free of both.
+    """
+    opcount.add(1)
+    n = P.shape[0]
+    rows = tile_rows(P.shape[1])
+    for lo in range(0, n, rows):
+        b = P[lo:lo + rows]
+        np.multiply(b, x[lo:lo + rows, None], out=b)
+        np.multiply(b, y[None, :], out=b)
+        np.copyto(b, 0.0, where=b < PLAN_FLOOR)
+    return P
+
+
 def square_matvec(P, w):
     """(P * P) @ w without materializing the squared matrix."""
     opcount.add(2)
     n = P.shape[0]
+    rows = tile_rows(P.shape[1])
     out = np.empty(n)
-    buf = np.empty((min(BLOCK, n), P.shape[1]))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    buf = np.empty((min(rows, n), P.shape[1]))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         b = buf[: hi - lo]
         np.multiply(P[lo:hi], P[lo:hi], out=b)
         out[lo:hi] = b @ w
@@ -134,18 +175,19 @@ def plan_matvec(P, x, fixed, transpose=False):
     With ``fixed`` the product is numpy's summation of the elementwise
     products (pairwise along each row, in row order down the columns), whose
     order does not depend on BLAS threading.  It runs over row tiles in one
-    ``BLOCK``-row buffer; down the columns, the running total is added into
-    each tile's first row before the tile is reduced, so the order, and so
-    every bit, is that of the untiled sum.
+    reusable tile; down the columns, the running total is added into each
+    tile's first row before the tile is reduced, so the order, and so every
+    bit, is that of the untiled sum.
     """
     opcount.add(1)
     if not fixed:
         return P.T @ x if transpose else P @ x
     n = P.shape[0]
+    rows = tile_rows(P.shape[1])
     out = None if transpose else np.empty(n)
-    buf = np.empty((min(BLOCK, n), P.shape[1]))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    buf = np.empty((min(rows, n), P.shape[1]))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         b = buf[: hi - lo]
         if transpose:
             np.multiply(P[lo:hi], x[lo:hi, None], out=b)

@@ -4,7 +4,9 @@ The driver solves a sequence of Bregman projections at geometrically
 increasing ``gamma``, warm-starting each from a first-order extrapolation of
 the previous two dual iterates.  The final plan is rounded onto the exact
 polytope of the *original* marginals, which yields the standard guarantee
-``<P - P*, C> <= 2 min(H(r), H(c)) / gamma_f`` for the rounded cost.
+``<P - P*, C> <= 2 min(H(r), H(c)) / gamma_f`` for the rounded cost.  The
+final plan is the state's anchored plan, scaled in place to the final
+potentials and rounded in place, so a solve allocates one n-by-n plan.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcount, oracles
-from ._kernels import BLOCK, EXP_FLOOR
+from ._kernels import PLAN_FLOOR, tile_rows
 from .core import shannon_entropy
 from .dual import DualState
 from .errors import DegenerateInputError, DomainError, OTNError
@@ -33,8 +35,6 @@ Q_MAX = 2.0
 # Floor for the decay rate: repeated square roots would otherwise collapse q
 # to 1.0 in floating point and freeze the temperature schedule.
 Q_MIN = 2.0 ** (1.0 / 16.0)
-# Smallest nonzero entry of a rounded plan: the kernels' plan floor.
-PLAN_FLOOR = math.exp(EXP_FLOOR)
 
 
 @dataclass
@@ -153,16 +153,18 @@ def extrapolate(z_t, z_tm1, gamma_next, gamma_t, gamma_tm1):
     return z_t + step * (z_t - z_tm1)
 
 
-def round_plan(P, r, c):
+def round_plan(P, r, c, out=None):
     """Round a near-feasible nonnegative plan onto the exact polytope.
 
     Scales rows then columns down toward their targets and repairs the
     remaining (nonnegative) deficit with a rank-one correction; the output
     has row sums r and column sums c exactly up to roundoff.  Entries below
-    e^EXP_FLOOR, the kernels' plan floor, are set to 0, so the plan holds no
-    subnormals (the scalings can push entries near the floor below it).  The
-    input is copied once and the copy updated in place; the repair and the
-    flush run over ``BLOCK``-row tiles, so no other n-by-n array is made.
+    ``PLAN_FLOOR`` = e^EXP_FLOOR, the kernels' plan floor, are set to 0, so
+    the plan holds no subnormals (the scalings can push entries near the
+    floor below it).  The result is written into ``out`` (which may be ``P``
+    itself, to round in place) or, without it, into a copy of ``P``; the
+    repair and the flush run over the kernels' tiles, so no other n-by-n
+    array is made.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.min() < 0.0:
@@ -170,7 +172,11 @@ def round_plan(P, r, c):
     total = P.sum()
     if not total > 0.0:
         raise DegenerateInputError("round_plan needs positive total mass")
-    P = P.copy()
+    if out is None:
+        out = P.copy()
+    elif out is not P:
+        np.copyto(out, P)
+    P = out
     opcount.add(2)
     rP = P.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,12 +196,13 @@ def round_plan(P, r, c):
     if deficit > 0.0:
         opcount.add(1)
     n = P.shape[0]
-    buf = np.empty((min(BLOCK, n), P.shape[1]))
-    for lo in range(0, n, BLOCK):
-        tile = P[lo:lo + BLOCK]
+    rows = tile_rows(P.shape[1])
+    buf = np.empty((min(rows, n), P.shape[1]))
+    for lo in range(0, n, rows):
+        tile = P[lo:lo + rows]
         if deficit > 0.0:
             b = buf[: tile.shape[0]]
-            np.multiply(err_r[lo:lo + BLOCK, None], err_c[None, :], out=b)
+            np.multiply(err_r[lo:lo + rows, None], err_c[None, :], out=b)
             b /= deficit
             tile += b
         tile[tile < PLAN_FLOOR] = 0.0
@@ -288,9 +295,10 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         state.set_z(z_new)
         t += 1
 
+    dual_final = state.dual_value()
     with opcount.category("mirror_descent"):
-        P = state.materialize_plan()
-        P = round_plan(P, problem.r, problem.c)
+        P = state.release_plan()
+        round_plan(P, problem.r, problem.c, out=P)
         opcount.add(1)
         primal = float(np.vdot(P, problem.C))
     wall_ms = (time.monotonic() - t0) * 1e3
@@ -307,7 +315,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         p=p, q_init=q_init, adaptive_q=opts.adaptive_q, w_r=opts.w_r,
         solver="mdot-tn" if opts.projector == "newton" else "mdot-sinkhorn",
         primal_cost_rounded=primal,
-        dual_value_final=state.dual_value(),
+        dual_value_final=dual_final,
         grad_norm_final=iterations[-1].stats.grad_norm_final,
         error_bound=bound,
         ops=ops, wall_ms=wall_ms, outer_iterations=len(iterations),

@@ -13,25 +13,30 @@ two paths:
   matrix-vector product, and ``newton.DiscountedSystem`` applies it by the
   same two diagonal scalings.
 
-A plan is anchored once per temperature: ``rebalance_columns``, finding no
-anchor that covers the state, takes the column sums from log-sum-exp and
-anchors at the rebalanced potentials, where every entry is at most its
-column's target and none can overflow.  Every later sum and Newton system at
-that temperature is served from the anchor while the offsets stay within
-``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0 could add.
-Beyond it, sums fall back to log-sum-exp, and the next column rebalance or
-Newton system anchors again.  ``set_gamma`` drops the anchor.  ``u``, ``v``
-and ``gamma`` are read-only: change them through ``set_potentials``,
-``set_gamma`` or the exact scaling updates, which all install the
-potentials and their sums together in ``_set``.
+A plan is anchored once per temperature, without log-sum-exp:
+``rebalance_columns``, finding no anchor that covers the state, takes each
+column's largest log entry ``m`` at ``(u, 0)`` in one pass without exp,
+anchors at ``(u, -m)``, where each column's largest entry is 1 (up to
+rounding) and none can overflow, and rebalances with one transposed
+product, ``v = -m + log c - log(P0^T 1)``.  Every later sum and Newton
+system at that temperature is served from the anchor while the offsets stay
+within ``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0 could
+add.  Beyond it, sums fall back to log-sum-exp, and the next column rebalance or
+Newton system anchors again.  ``set_gamma`` drops the anchor (the buffer is
+kept for the next one).  At the end of a solve, ``release_plan`` scales the
+anchored plan in place to the plan at the current potentials and hands the
+buffer over, so a solve holds one n-by-n plan.  ``u``, ``v`` and ``gamma``
+are read-only: change them through ``set_potentials``, ``set_gamma`` or the
+exact scaling updates, which all install the potentials and their sums
+together in ``_set``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import (EXP_FLOOR, fixed_order, log_plan_matvec,
-                       log_plan_row_sums, materialize_plan)
+from ._kernels import (EXP_FLOOR, fixed_order, log_plan_col_max, log_plan_matvec,
+                       log_plan_row_sums, materialize_plan, scale_plan)
 from .errors import DomainError
 
 # Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
@@ -42,7 +47,11 @@ from .errors import DomainError
 # above 1e-230.  The smallest smoothed target, w_c * eps_d / n, is about
 # 1e-11 on an n = 64 batch instance at gamma = 2^18.  The weights
 # e^(a - max a) stay above e^(-2B) = e^-200, and the Newton system's
-# scalings e^a and e^2b within e^(+-2B), normal numbers.
+# scalings e^a and e^2b within e^(+-2B), normal numbers.  The entry anchor at
+# (u, -m) puts its column offset b = log c - log(P0^T 1) in
+# [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
+# unless a target is below e^-100 / n; then the entry falls back to
+# log-sum-exp.
 PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
 
 
@@ -125,14 +134,17 @@ class DualState:
 
     # -- the anchored plan ---------------------------------------------------
 
-    def _anchor_plan(self):
-        """Materialize the plan at the current potentials into the state's
-        plan buffer and make it the anchor."""
+    def _materialize_into_buffer(self, u, v):
         if self._plan_buf is None:
             self._plan_buf = np.empty_like(self.problem.C)
         self._anchor = None  # not a valid plan if materialization raises
-        materialize_plan(self.problem.C, self.gamma, self.u, self.v, out=self._plan_buf)
-        self._anchor = (self.u, self.v)
+        return materialize_plan(self.problem.C, self.gamma, u, v, out=self._plan_buf)
+
+    def _anchor_plan(self, u, v):
+        """Materialize the plan at potentials (u, v) into the state's plan
+        buffer and make it the anchor."""
+        self._materialize_into_buffer(u, v)
+        self._anchor = (u, v)
         self._fixed_order = fixed_order()
 
     def _plan_offsets(self, u, v):
@@ -154,9 +166,29 @@ class DualState:
         """
         off = self._plan_offsets(self.u, self.v)
         if off is None:
-            self._anchor_plan()
+            self._anchor_plan(self.u, self.v)
             off = self._plan_offsets(self.u, self.v)
         return self._plan_buf, off[0], off[1]
+
+    def release_plan(self):
+        """The plan at the current potentials, in the state's own plan buffer,
+        which the state then gives up with the transposed cost, so it keeps
+        no n-by-n array but the problem's cost.
+
+        When the anchor covers the state, the anchored plan is scaled in
+        place to ``D(e^a) P0 D(e^b)`` (one pass, entries below e^-700 set to
+        0); otherwise the plan is materialized into the buffer.  The cached
+        log sums stay valid; the next anchor allocates a new buffer.
+        """
+        self._C_T = None
+        off = self._plan_offsets(self.u, self.v)
+        if off is None:
+            P = self._materialize_into_buffer(self.u, self.v)
+        else:
+            P = scale_plan(self._plan_buf, np.exp(off[0]), np.exp(off[1]))
+        self._plan_buf = None
+        self._anchor = None
+        return P
 
     # -- log row/column sums: anchored plan or log-sum-exp --------------------
 
@@ -248,17 +280,24 @@ class DualState:
     def rebalance_columns(self):
         """Set v so the column sums equal c exactly, then refresh the row cache.
 
-        Without an anchored plan covering the state, the column sums come
-        from log-sum-exp and the plan is anchored at the rebalanced state.
+        Without an anchored plan covering the state, the plan is anchored at
+        ``(u, -m)``, ``m`` the column maxima of ``u 1^T - gamma C``, so each
+        column's largest entry is 1; v is then ``-m`` plus the offset
+        ``log c - log(P0^T 1)``.  The column maxima take no exp, and the
+        offset stays out of the sums, as in log-sum-exp.  Should the offset
+        leave ``PLAN_OFFSET_MAX``, the column sums come from log-sum-exp and
+        the plan is anchored at the rebalanced state instead.
         """
         log_c = np.log(self.c)
         u, v = self.u, self.v
-        if self._plan_offsets(u, v) is not None:
-            v = v + log_c - self._log_col_sums(u, v, True)
-        else:
+        entry = self._plan_offsets(u, v) is None
+        if entry:
+            v = -log_plan_col_max(self.problem.C, self.gamma, u)
+            self._anchor_plan(u, v)
+        v = v + (log_c - self._log_col_sums(u, v, True))
+        if entry and self._plan_offsets(u, v) is None:
             v = log_c - log_plan_row_sums(self._cost_T(), self.gamma, 0.0, u)
-            self._set(u, v)
-            self._anchor_plan()
+            self._anchor_plan(u, v)
         self.refresh_rows_only(u, v, log_c)
 
     def scale_rows_to_target(self):

@@ -26,9 +26,10 @@ active at call time:
                            (a perfect warm start incurs zero ops here).
 * ``"chi_sinkhorn"``     - the pre-Newton chi-square balancing sweeps.
 * ``"mirror_descent"``   - per-projection entry/exit rebalancing passes,
-                           including the materialization that anchors the
-                           projection's plan, plus driver-level
-                           finalization (materialize + round).
+                           including the column maxima and the
+                           materialization that anchor the projection's
+                           plan, plus driver-level finalization (scale the
+                           anchored plan in place + round).
 * ``"sinkhorn"``         - sweeps of the log-domain Sinkhorn baseline.
 
 The tally is process-global; one solve runs per process in benchmarks, so

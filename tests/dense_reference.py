@@ -5,9 +5,17 @@ import numpy as np
 from otnewton.dual import DualState
 
 
+def dense_plan(sys):
+    """The plan a system applies, D(e^a) P0 D(e^b), from its anchored plan
+    ``sys.P`` and the scalings it keeps (``_pc_scale`` is e^b / cP)."""
+    e_a = np.broadcast_to(sys._e_a, (sys.n,))
+    return e_a[:, None] * sys.P * (sys._pc_scale * sys.cP)[None, :]
+
+
 def dense_prc(sys):
     """The round-trip matrix P_rc = D(rP)^-1 P D(cP)^-1 P^T of a system."""
-    return (sys.P / sys.rP[:, None]) @ (sys.P.T / sys.cP[:, None])
+    P = dense_plan(sys)
+    return (P / sys.rP[:, None]) @ (P.T / sys.cP[:, None])
 
 
 def dense_F(sys, rho):

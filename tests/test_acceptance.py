@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from dense_reference import dense_F, dense_prc, finite_diff_grad
+from dense_reference import dense_F, dense_plan, dense_prc, finite_diff_grad
 
 import otnewton as ot
 from otnewton import opcount
@@ -134,7 +134,8 @@ def test_04_operator_property_suite():
         grad_u = state.row_sums() - state.r
         d_u = rng.standard_normal(n)
         d_v = -sys.apply_pc(d_u)
-        hessian = np.block([[np.diag(sys.rP), sys.P], [sys.P.T, np.diag(sys.cP)]])
+        P = dense_plan(sys)
+        hessian = np.block([[np.diag(sys.rP), P], [P.T, np.diag(sys.cP)]])
         e = hessian @ np.concatenate([d_u, d_v]) + np.concatenate([grad_u, np.zeros(n)])
         np.testing.assert_allclose(e[n:], 0.0, atol=1e-12)
         np.testing.assert_allclose(e[:n], sys.apply_F(1.0, d_u) + grad_u, atol=1e-12)

@@ -213,8 +213,8 @@ class TestRoundPlan:
             np.testing.assert_array_equal(P, before)  # the input is not written
 
     def test_allocates_one_plan(self):
-        # The copy of the input, one BLOCK-row tile and its flush mask, and
-        # O(n) vectors plus numpy's fixed 8192-element ufunc buffer.
+        # The copy of the input, one BLOCK * BLOCK tile and its flush mask,
+        # and O(n) vectors plus numpy's fixed 8192-element ufunc buffer.
         n = 1024
         (P, r, c), = perturbed_plans(n, 1, seed=19)
         tracemalloc.start()
@@ -224,7 +224,28 @@ class TestRoundPlan:
         finally:
             tracemalloc.stop()
         assert rounded.tobytes() == round_plan_reference(P, r, c).tobytes()
-        assert peak <= n * n * 8 + BLOCK * n * 9 + 8 * 8192 + 16 * n * 8
+        assert peak <= n * n * 8 + BLOCK * BLOCK * 9 + 8 * 8192 + 16 * n * 8
+
+    def test_in_place_bitwise_equal_to_copy(self):
+        n = BLOCK + 17
+        for P, r, c in [*perturbed_plans(8, 5, seed=20), *perturbed_plans(n, 1, seed=21)]:
+            ref = round_plan(P, r, c)
+            out = round_plan(P, r, c, out=P)
+            assert out is P
+            assert P.tobytes() == ref.tobytes()
+
+    def test_in_place_allocates_no_plan(self):
+        n = 1024
+        (P, r, c), = perturbed_plans(n, 1, seed=19)
+        ref = round_plan(P, r, c)
+        tracemalloc.start()
+        try:
+            round_plan(P, r, c, out=P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.tobytes() == ref.tobytes()
+        assert peak <= BLOCK * BLOCK * 9 + 8 * 8192 + 16 * n * 8
 
 
 class TestErrorBound:
@@ -306,8 +327,10 @@ class TestMdot:
 
     @pytest.mark.parametrize("projector", ["newton", "sinkhorn"])
     def test_one_anchored_plan_per_temperature(self, projector, monkeypatch):
-        # True for a plan that anchors the state (one per projection, none
-        # with the Sinkhorn projector), False for the fresh plan rounded at the end.
+        # True for a plan materialized into the state's buffer, False for a
+        # fresh array.  The Newton projector anchors once per projection and
+        # rounds the anchored plan, scaled in place; the Sinkhorn projector
+        # never anchors and materializes the final plan into the buffer.
         calls = []
         real = dual.materialize_plan
 
@@ -318,8 +341,35 @@ class TestMdot:
         monkeypatch.setattr(dual, "materialize_plan", spy)
         sol = mdot(grid_problem(16, seed=4), 2.0 ** 4, 2.0 ** 12,
                    opts=MdotOptions(projector=projector))
-        anchors = sol.report.outer_iterations if projector == "newton" else 0
-        assert calls == [True] * anchors + [False]
+        plans = sol.report.outer_iterations if projector == "newton" else 1
+        assert calls == [True] * plans
+
+    @pytest.mark.parametrize("projector", ["newton", "sinkhorn"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_one_plan_per_solve(self, projector, symmetric):
+        # The traced peak of a solve is its one n-by-n plan, one BLOCK * BLOCK
+        # tile with its mask, numpy's 8192-element ufunc buffer and O(n)
+        # vectors; the Sinkhorn projector's transposed non-symmetric cost is
+        # let go before the plan is made.  The state kept in the solution
+        # holds no n-by-n array but the problem's cost.
+        n = 4 * BLOCK
+        if symmetric:
+            C = grid_points_cost(n, "l2sq")
+        else:
+            C = np.random.default_rng(5).uniform(size=(n, n))
+        prob = Problem(C=C, r=gen_marginal(n, "smooth-random", 1),
+                       c=gen_marginal(n, "smooth-random", 2))
+        tracemalloc.start()
+        try:
+            sol = mdot(prob, 2.0 ** 3, 2.0 ** 6, opts=MdotOptions(projector=projector))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 + BLOCK * BLOCK * 9 + 8 * 8192 + 32 * n * 8
+        held = [x for x in vars(sol.final_state).values()
+                for x in (x if isinstance(x, tuple) else (x,))
+                if isinstance(x, np.ndarray) and x.ndim == 2]
+        assert held == []
 
     def test_fixed_schedule_mode(self):
         prob = grid_problem(16, seed=7)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from otnewton import _kernels, opcount
-from otnewton._kernels import (BLOCK, EXP_FLOOR, log_plan_row_sums,
-                               materialize_plan, plan_matvec, square_matvec)
+from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, log_plan_col_max,
+                               log_plan_row_sums, materialize_plan, plan_matvec,
+                               scale_plan, square_matvec)
 from otnewton.core import lse_rows
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
@@ -54,6 +55,30 @@ class TestBlockedKernels:
         P = rng.random((n, n))
         w = rng.random(n)
         np.testing.assert_allclose(square_matvec(P, w), (P * P) @ w, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [64, BLOCK + 17, 4 * BLOCK])
+    def test_square_matvec_bitwise_equal_and_tiled(self, n):
+        # Each row's product is the untiled one bit for bit, and the kernel
+        # holds one BLOCK * BLOCK tile besides O(n) vectors and numpy's fixed
+        # 8192-element ufunc buffer.
+        rng = np.random.default_rng(n)
+        P, w = rng.random((n, n)) ** 3, rng.random(n)
+        tracemalloc.start()
+        try:
+            out = square_matvec(P, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == ((P * P) @ w).tobytes()
+        assert peak <= BLOCK * BLOCK * 8 + 8 * 8192 + 8 * n * 8
+
+    def test_column_max_matches_reference(self):
+        rng = np.random.default_rng(14)
+        n = BLOCK + 17
+        C = rng.uniform(size=(n, n))
+        u = 5.0 * rng.normal(size=n)
+        np.testing.assert_array_equal(log_plan_col_max(C, 37.3, u),
+                                      (-37.3 * C + u[:, None]).max(axis=0))
 
     def test_materialize_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -237,7 +262,7 @@ class TestAnchoredPlanSums:
     @pytest.mark.parametrize("n", [64, BLOCK + 17, 4 * BLOCK])
     def test_fixed_order_matvec_is_row_blocked(self, n):
         # Bit-equal to the untiled sums, and never holding more than one
-        # BLOCK-row tile: the rest is O(n) vectors plus numpy's fixed
+        # BLOCK * BLOCK tile: the rest is O(n) vectors plus numpy's fixed
         # 8192-element ufunc buffer.
         rng = np.random.default_rng(n)
         P, x = rng.random((n, n)) ** 3, rng.standard_normal(n)
@@ -250,7 +275,7 @@ class TestAnchoredPlanSums:
             finally:
                 tracemalloc.stop()
             assert out.tobytes() == ref.tobytes()
-            assert peak <= min(BLOCK, n) * n * 8 + 8 * 8192 + 8 * n * 8
+            assert peak <= BLOCK * BLOCK * 8 + 8 * 8192 + 8 * n * 8
 
 
 class TestScaledNewtonSystem:
@@ -297,3 +322,131 @@ class TestScaledNewtonSystem:
             base_err = (np.abs(op(plain) - ref) / scale).astype(float)
             assert err.max() <= base_err.max() + 4.0 * u
             assert np.median(err) <= np.median(base_err) + u
+
+
+def entry_state(cost, kind, gamma, monkeypatch, deterministic):
+    """An unanchored state at the potentials of ``anchored_state``, moved off
+    balance by offsets of size 1, as a warm start reaches a projection."""
+    state = anchored_state(cost, kind, gamma, monkeypatch, deterministic)
+    a, b = offsets(state.n, 1.0, seed=7)
+    return DualState(state.problem, gamma, u=state.u + a, v=state.v + b)
+
+
+class TestEntryRebalance:
+    """The entry column rebalance anchors at the column maxima, without
+    log-sum-exp, and meets ``TestAnchoredPlanSums``' criterion against the
+    log-sum-exp rebalance it replaces: each rebalanced state's cached log
+    sums (the column sums are log c by construction), measured against long
+    double at its own potentials.  Both carry the rounding of the new v."""
+
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
+    def test_no_less_accurate_than_lse(self, cost, gamma, kind, deterministic, monkeypatch):
+        state = entry_state(cost, kind, gamma, monkeypatch, deterministic)
+        u, C, log_c = state.u, state.problem.C, np.log(state.c)
+        with opcount.category("entry"):
+            before = opcount.snapshot().get("entry", 0)
+            state.rebalance_columns()
+            # column maxima, one plan, one product per side: no log-sum-exp
+            assert opcount.snapshot()["entry"] - before == 1 + 4 + 1 + 1
+        P0, a, _ = state.anchored_plan()
+        assert not a.any()
+        assert P0.max(axis=0).max() <= 1.0 + 1e-12
+        np.testing.assert_array_equal(state.log_cP, log_c)
+        # The log-sum-exp rebalance: v from the column log-sum-exp, row sums
+        # from the plan anchored there.
+        v_lse = log_c - log_plan_row_sums(np.ascontiguousarray(C.T), gamma, 0.0, u)
+        lse = DualState(state.problem, gamma, u=u, v=v_lse)
+        lse.anchored_plan()
+        errs = []
+        for st in (state, lse):
+            ref_rows, ref_cols = long_double_sums(st)
+            errs.append(np.abs(np.concatenate([st.log_rP - ref_rows, log_c - ref_cols]))
+                        .astype(float))
+        err, lse_err = errs
+        ulp = np.spacing(np.abs(np.concatenate([state.log_rP, log_c])).max())
+        assert err.max() <= lse_err.max() + 2.0 * ulp
+        assert np.median(err) <= np.median(lse_err) + ulp
+
+    def test_falls_back_to_lse_below_the_guard(self):
+        # A column target below e^-PLAN_OFFSET_MAX puts the entry offset
+        # beyond the guard: the column sums come from log-sum-exp, and the
+        # plan is anchored at the rebalanced state.
+        n = 8
+        c = np.full(n, 1.0)
+        c[0] = np.exp(-1.2 * PLAN_OFFSET_MAX)
+        c /= c.sum()
+        prob = Problem(C=np.random.default_rng(2).uniform(size=(n, n)),
+                       r=np.full(n, 1.0 / n), c=c)
+        state = DualState(prob, 4.0)
+        state.rebalance_columns()
+        C_T = np.ascontiguousarray(prob.C.T)
+        np.testing.assert_array_equal(
+            state.v, np.log(c) - log_plan_row_sums(C_T, 4.0, 0.0, state.u))
+        _, a, b = state.anchored_plan()
+        assert not a.any() and not b.any()
+        np.testing.assert_allclose(state.col_sums(), c, rtol=1e-13)
+
+
+class TestReleasedPlan:
+    """The plan a state hands over at the end of a solve: its anchored plan,
+    scaled in place to the current potentials."""
+
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    def test_no_less_accurate_than_materialized(self, cost, gamma, size, deterministic,
+                                                monkeypatch):
+        # Per entry, relative to long double, over the entries above
+        # e^(EXP_FLOOR + PLAN_OFFSET_MAX): below it, an entry the anchor
+        # flushed to 0 may have been scaled up to a nonzero value.
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, deterministic)
+        a, b = offsets(state.n, size)
+        state.set_potentials(state.u + a, state.v + b)
+        fresh = state.materialize_plan()
+        P0 = state.anchored_plan()[0]
+        P = state.release_plan()
+        assert P is P0  # scaled in place
+        ld = np.longdouble
+        ref = np.exp(state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
+                     - ld(state.gamma) * state.problem.C.astype(ld))
+        big = ref >= np.exp(ld(EXP_FLOOR + PLAN_OFFSET_MAX))
+        assert big.any()
+        err = (np.abs(P - ref)[big] / ref[big]).astype(float)
+        base_err = (np.abs(fresh - ref)[big] / ref[big]).astype(float)
+        u = np.finfo(float).eps / 2
+        assert err.max() <= base_err.max() + 4.0 * u
+        assert np.median(err) <= np.median(base_err) + u
+        assert np.all(P[~big] <= np.exp(EXP_FLOOR + PLAN_OFFSET_MAX))
+        assert P[P > 0].min() >= PLAN_FLOOR  # no subnormals
+
+    def test_scaling_flushes_below_the_floor(self):
+        # Factors below 1 take the entries at the floor below it, and those
+        # of 2^-1000 to subnormals: all come out as 0.
+        n = BLOCK + 17
+        P = np.full((n, n), PLAN_FLOOR)
+        P[:, 0] = 1.0
+        P[0, 1] = 2.0 * PLAN_FLOOR  # scaled to 1.5 times the floor: kept
+        x, y = np.full(n, 0.75), np.ones(n)
+        y[2] = np.ldexp(1.0, -40)
+        P[:, 2] = np.ldexp(1.0, -1000)
+        ref = P * x[:, None] * y[None, :]
+        ref[ref < PLAN_FLOOR] = 0.0
+        out = scale_plan(P, x, y)
+        assert out is P
+        assert P.tobytes() == ref.tobytes()
+        assert np.count_nonzero(P) == n + 1
+
+    def test_without_an_anchor_materializes_into_the_buffer(self):
+        state = DualState(Problem(C=np.random.default_rng(1).uniform(size=(9, 9)),
+                                  r=gen_marginal(9, "smooth-random", 1),
+                                  c=gen_marginal(9, "smooth-random", 2)), 8.0)
+        state.anchored_plan()
+        state.set_gamma(16.0)  # drops the anchor, keeps the buffer
+        buf = state.anchored_plan()[0]
+        state.set_gamma(32.0)
+        P = state.release_plan()
+        assert P is buf
+        np.testing.assert_array_equal(P, state.materialize_plan())
+        assert state._plan_buf is None and state._C_T is None

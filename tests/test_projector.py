@@ -291,8 +291,9 @@ class TestAnchoring:
     """One anchored plan per temperature serves every sum and Newton system."""
 
     def test_one_anchor_per_projection(self, monkeypatch):
-        # The entry column rebalance is the one log-sum-exp pass; it anchors,
-        # and every later sum and system comes from that plan.
+        # The entry column rebalance anchors at the column maxima without
+        # log-sum-exp, and every later sum and system comes from that plan
+        # while the offsets stay within the guard.
         calls = spy_materializations(monkeypatch)
         lse_calls = []
         real_lse = dual.log_plan_row_sums
@@ -301,27 +302,33 @@ class TestAnchoring:
         state = make_state(16, seed=3, gamma=64.0, spread=1.0)
         stats = project(state, state.r, state.c, 1e-10)
         assert stats.newton_steps >= 3 and stats.sinkhorn_steps >= 1
-        assert calls == [True] and len(lse_calls) == 1
+        assert calls == [True] and lse_calls == []
         state.set_gamma(128.0)
         project(state, state.r, state.c, 1e-10)
-        assert calls == [True, True] and len(lse_calls) == 2
+        assert calls == [True, True] and lse_calls == []
 
     def test_reanchors_when_offsets_leave_the_guard(self, monkeypatch):
         calls = spy_materializations(monkeypatch)
         state = make_state(16, seed=3, gamma=64.0)
         state.rebalance_columns()
         u0, v0 = state.u, state.v
+        # The entry anchors at the column maxima: offsets (0, b0) with
+        # b0 <= 0, which a gauge shift by s moves to (s, b0 - s), of size
+        # 2 s + |b0|_inf.
+        _, a0, b0 = state.anchored_plan()
+        assert not a0.any() and b0.max() <= 0.0
+        room = (PLAN_OFFSET_MAX - np.abs(b0).max()) / 2.0
         d = np.linspace(-1.0, 1.0, 16)
         ref = DiscountedSystem(state.materialize_plan(), state.row_sums(),
                                state.col_sums()).round_trip(d)
         del calls[1:]
         # A gauge shift leaves the plan as it is and moves only the offsets.
-        for shift, anchors in ((0.49, [True]), (0.51, [True, True])):
-            s = shift * PLAN_OFFSET_MAX
+        for shift, anchors in ((0.98, [True]), (1.02, [True, True])):
+            s = shift * room
             state.set_potentials(u0 + s, v0 - s)
             sys = DiscountedSystem.from_state(state)
             assert calls == anchors
             np.testing.assert_allclose(sys.round_trip(d), ref, rtol=1e-12)
-        state.set_potentials(u0, v0)
+        state.set_potentials(u0 - s, v0 + s)  # offsets 4 s from the last anchor
         state.rebalance_columns()
         assert calls == [True, True, True]
