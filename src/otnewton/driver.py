@@ -161,22 +161,21 @@ def round_plan(P, r, c, out=None):
     has row sums r and column sums c exactly up to roundoff.  Entries below
     ``PLAN_FLOOR`` = e^EXP_FLOOR, the kernels' plan floor, are set to 0, so
     the plan holds no subnormals (the scalings can push entries near the
-    floor below it).  The result is written into ``out`` (which may be ``P``
-    itself, to round in place) or, without it, into a copy of ``P``; the
-    repair and the flush run over the kernels' tiles, so no other n-by-n
-    array is made.
+    floor below it).  By default the result is a copy of ``P``; with
+    ``out=P`` (a float64 array) ``P`` is rounded in place, and no other
+    ``out`` is accepted.  The repair and the flush run over the kernels'
+    tiles, so no other n-by-n array is made.
     """
     P = np.asarray(P, dtype=np.float64)
+    if out is not None and out is not P:
+        raise DomainError("round_plan rounds into a copy or in place (out=P)")
     if P.min() < 0.0:
         raise DomainError("round_plan needs a nonnegative plan")
     total = P.sum()
     if not total > 0.0:
         raise DegenerateInputError("round_plan needs positive total mass")
     if out is None:
-        out = P.copy()
-    elif out is not P:
-        np.copyto(out, P)
-    P = out
+        P = P.copy()
     opcount.add(2)
     rP = P.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

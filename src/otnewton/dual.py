@@ -50,8 +50,8 @@ from .errors import DomainError
 # scalings e^a and e^2b within e^(+-2B), normal numbers.  The entry anchor at
 # (u, -m) puts its column offset b = log c - log(P0^T 1) in
 # [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
-# unless a target is below e^-100 / n; then the entry falls back to
-# log-sum-exp.
+# unless a target is below e^-100 / n; then the sums at the rebalanced state
+# come from log-sum-exp until the next anchor.
 PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
 
 
@@ -285,19 +285,16 @@ class DualState:
         column's largest entry is 1; v is then ``-m`` plus the offset
         ``log c - log(P0^T 1)``.  The column maxima take no exp, and the
         offset stays out of the sums, as in log-sum-exp.  Should the offset
-        leave ``PLAN_OFFSET_MAX``, the column sums come from log-sum-exp and
-        the plan is anchored at the rebalanced state instead.
+        leave ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters it);
+        the row sums then come from log-sum-exp, and the next anchor is taken
+        at the rebalanced state.
         """
         log_c = np.log(self.c)
         u, v = self.u, self.v
-        entry = self._plan_offsets(u, v) is None
-        if entry:
+        if self._plan_offsets(u, v) is None:
             v = -log_plan_col_max(self.problem.C, self.gamma, u)
             self._anchor_plan(u, v)
         v = v + (log_c - self._log_col_sums(u, v, True))
-        if entry and self._plan_offsets(u, v) is None:
-            v = log_c - log_plan_row_sums(self._cost_T(), self.gamma, 0.0, u)
-            self._anchor_plan(u, v)
         self.refresh_rows_only(u, v, log_c)
 
     def scale_rows_to_target(self):

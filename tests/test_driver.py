@@ -234,6 +234,13 @@ class TestRoundPlan:
             assert out is P
             assert P.tobytes() == ref.tobytes()
 
+    def test_out_must_be_the_plan(self):
+        (P, r, c), = perturbed_plans(8, 1, seed=22)
+        with pytest.raises(DomainError):
+            round_plan(P, r, c, out=np.empty_like(P))
+        with pytest.raises(DomainError):  # a converted copy is not P
+            round_plan(P.astype(np.float32), r, c, out=P)
+
     def test_in_place_allocates_no_plan(self):
         n = 1024
         (P, r, c), = perturbed_plans(n, 1, seed=19)

@@ -9,7 +9,7 @@ import pytest
 from otnewton import _kernels, opcount
 from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, log_plan_col_max,
                                log_plan_row_sums, materialize_plan, plan_matvec,
-                               scale_plan, square_matvec)
+                               scale_plan, square_matvec, tile_rows)
 from otnewton.core import lse_rows
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
@@ -70,7 +70,7 @@ class TestBlockedKernels:
         finally:
             tracemalloc.stop()
         assert out.tobytes() == ((P * P) @ w).tobytes()
-        assert peak <= BLOCK * BLOCK * 8 + 8 * 8192 + 8 * n * 8
+        assert peak <= min(tile_rows(n), n) * n * 8 + 8 * 8192 + 8 * n * 8
 
     def test_column_max_matches_reference(self):
         rng = np.random.default_rng(14)
@@ -275,7 +275,7 @@ class TestAnchoredPlanSums:
             finally:
                 tracemalloc.stop()
             assert out.tobytes() == ref.tobytes()
-            assert peak <= BLOCK * BLOCK * 8 + 8 * 8192 + 8 * n * 8
+            assert peak <= min(tile_rows(n), n) * n * 8 + 8 * 8192 + 8 * n * 8
 
 
 class TestScaledNewtonSystem:
@@ -369,24 +369,30 @@ class TestEntryRebalance:
         assert err.max() <= lse_err.max() + 2.0 * ulp
         assert np.median(err) <= np.median(lse_err) + ulp
 
-    def test_falls_back_to_lse_below_the_guard(self):
+    def test_entry_offset_beyond_the_guard(self):
         # A column target below e^-PLAN_OFFSET_MAX puts the entry offset
-        # beyond the guard: the column sums come from log-sum-exp, and the
-        # plan is anchored at the rebalanced state.
-        n = 8
+        # beyond the guard: v still sets the column sums to c, the row sums
+        # come from log-sum-exp, and the next anchor is taken at the
+        # rebalanced state.
+        n, gamma = 8, 4.0
         c = np.full(n, 1.0)
         c[0] = np.exp(-1.2 * PLAN_OFFSET_MAX)
         c /= c.sum()
         prob = Problem(C=np.random.default_rng(2).uniform(size=(n, n)),
                        r=np.full(n, 1.0 / n), c=c)
-        state = DualState(prob, 4.0)
+        state = DualState(prob, gamma)
         state.rebalance_columns()
+        u, v = state.u, state.v
         C_T = np.ascontiguousarray(prob.C.T)
-        np.testing.assert_array_equal(
-            state.v, np.log(c) - log_plan_row_sums(C_T, 4.0, 0.0, state.u))
-        _, a, b = state.anchored_plan()
+        np.testing.assert_allclose(np.exp(log_plan_row_sums(C_T, gamma, v, u)), c,
+                                   rtol=1e-13)
+        np.testing.assert_array_equal(state.log_rP,
+                                      log_plan_row_sums(prob.C, gamma, u, v))
+        before = opcount.snapshot().get("anchor", 0)
+        with opcount.category("anchor"):
+            _, a, b = state.anchored_plan()
+            assert opcount.snapshot()["anchor"] - before == 4  # one materialization
         assert not a.any() and not b.any()
-        np.testing.assert_allclose(state.col_sums(), c, rtol=1e-13)
 
 
 class TestReleasedPlan:
