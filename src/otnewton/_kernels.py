@@ -26,6 +26,18 @@ product with the plan between two length-n scalings) and by
 rescaled plan from one product instead of a log-sum-exp pass.  With
 ``OTN_DETERMINISTIC=1`` (see ``fixed_order``) the product is a fixed-order
 summation, bit-identical whatever the BLAS threading.
+
+A plan whose entries are mostly exact zeros can be materialized as a
+``SparsePlan`` instead (``materialize_plan`` with ``max_nnz``): compressed
+sparse rows, built tile by tile with no n-by-n array, plus the rows of its
+transpose, so each product is one pass over its nonzeros (sparse scaling,
+Schmitzer, SIAM J. Sci. Comput. 2019).  Only exact zeros are dropped, so
+nothing is lost.  ``plan_matvec``, ``log_plan_matvec`` and
+``square_matvec`` serve it in place of the dense plan; its products are
+sequential sums in scipy's compiled CSR loop, in a fixed order whatever
+``OTN_DETERMINISTIC`` says, with the input scaled by a power of two so
+that no term is subnormal (``_csr_matvec``).  scipy is imported only when
+a sparse plan is first built.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import os
 import numpy as np
 
 from . import opcount
-from .errors import PlanOverflowError
+from .errors import DimensionError, PlanOverflowError
 
 BLOCK = 256
 
@@ -102,32 +114,114 @@ def log_plan_col_max(C, gamma, u):
     return out
 
 
-def materialize_plan(C, gamma, u, v, out=None):
-    """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected.
+def _plan_tile(C, gamma, u, v, b):
+    """Write exp(u 1^T + 1 v^T - gamma C) into the tile ``b`` (rows of ``C``
+    and ``u`` alike); return the mask of its entries set to 0."""
+    np.multiply(C, -gamma, out=b)
+    np.add(b, v[None, :], out=b)
+    np.add(b, u[:, None], out=b)
+    top = b.max()
+    if top > LOG_OVERFLOW:
+        raise PlanOverflowError(
+            f"log-plan entry {top:.3g} would overflow exp(); warm start is broken")
+    low = b < EXP_FLOOR
+    np.maximum(b, EXP_FLOOR, out=b)
+    np.exp(b, out=b)
+    np.copyto(b, 0.0, where=low)
+    return low
+
+
+def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
+    """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected;
+    returns ``(plan, nnz)``, nnz its count of nonzero entries.
 
     ``-gamma C`` is formed tile by tile, as in ``log_plan_row_sums``.
-    Entries whose log is below ``EXP_FLOOR`` come out as exactly 0.
+    Entries whose log is below ``EXP_FLOOR`` come out as exactly 0.  The
+    plan is dense (written into ``out`` when given) unless ``max_nnz`` is
+    given: then it is a ``SparsePlan`` built tile by tile, with no n-by-n
+    array, and the build stops with ``(None, nnz)`` once the count passes
+    ``max_nnz``.  Its entries are those of the dense plan, bit for bit.
     """
     opcount.add(4)
     n, m = C.shape
     rows = tile_rows(m)
-    if out is None:
-        out = np.empty((n, m))
+    if max_nnz is None:
+        if out is None:
+            out = np.empty((n, m))
+        nnz = 0
+        for lo in range(0, n, rows):
+            low = _plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, out[lo:lo + rows])
+            nnz += low.size - np.count_nonzero(low)
+        return out, nnz
+    buf = np.empty((min(rows, n), m))
+    col = np.broadcast_to(np.arange(m, dtype=np.int32), buf.shape).copy()
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    data, indices, nnz = [], [], 0
     for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        b = out[lo:hi]
-        np.multiply(C[lo:hi], -gamma, out=b)
-        np.add(b, v[None, :], out=b)
-        np.add(b, u[lo:hi, None], out=b)
-        top = b.max()
-        if top > LOG_OVERFLOW:
-            raise PlanOverflowError(
-                f"log-plan entry {top:.3g} would overflow exp(); warm start is broken")
-        low = b < EXP_FLOOR
-        np.maximum(b, EXP_FLOOR, out=b)
-        np.exp(b, out=b)
-        np.copyto(b, 0.0, where=low)
-    return out
+        b = buf[: min(rows, n - lo)]
+        keep = ~_plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, b)
+        data.append(b[keep])
+        nnz += len(data[-1])
+        if nnz > max_nnz:
+            return None, nnz
+        indices.append(col[: len(b)][keep])
+        indptr[lo + 1:lo + 1 + len(b)] = np.count_nonzero(keep, axis=1)
+    np.cumsum(indptr, out=indptr)
+    return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), nnz
+
+
+class SparsePlan:
+    """A plan held in compressed sparse row (CSR) form, with the CSR of its
+    transpose built once.
+
+    ``plan_matvec``, ``log_plan_matvec`` and ``square_matvec`` serve it in
+    place of a dense plan, through ``_csr_matvec``.  ``rows`` and ``cols``
+    are the CSR of the plan and of its transpose, as ``(rows, columns,
+    indptr, indices, data)``; ``top`` is the largest entry.
+    """
+
+    def __init__(self, shape, indptr, indices, data):
+        from scipy.sparse import _sparsetools
+
+        n, m = self.shape = shape
+        self.top = float(data.max()) if len(data) else 0.0
+        self.rows = (n, m, indptr, indices, data)
+        self.cols = (m, n, np.empty(m + 1, dtype=indptr.dtype), np.empty_like(indices),
+                     np.empty_like(data))
+        _sparsetools.csr_tocsc(*self.rows, *self.cols[2:])
+
+
+# Binary exponent that the largest term of a scaled CSR product stays below:
+# a row sum of fewer than 2^31 such terms stays below 2^1022.
+_SCALED_EXP = 990
+
+
+def _csr_matvec(csr, top, x):
+    """A @ x for ``csr`` = (rows, columns, indptr, indices, data) of a matrix
+    whose entries are at most ``top``, in scipy's compiled CSR loop.
+
+    The loop is called directly: the checks of a ``scipy.sparse`` array cost
+    about 4 us a product, a third of one at n = 1024 and 1% density.  It has
+    no fused multiply-add, so a product of an entry near e^-700 and an input
+    entry near 1e-9 is rounded to a subnormal, and every such term costs
+    several times a normal one.  So the input is scaled up by an exact power
+    of two 2^k, chosen so that no term can exceed 2^_SCALED_EXP, and the
+    result scaled back: wherever the unscaled product has no subnormal term
+    or result, the two are equal bit for bit.  k >= 0 (nothing is scaled
+    down), so the scaling cannot add a subnormal.
+    """
+    from scipy.sparse import _sparsetools
+
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (csr[1],):  # the compiled loop reads x without bounds checks
+        raise DimensionError(f"sparse plan product needs a vector of {csr[1]}, got {x.shape}")
+    x_max = float(np.abs(x).max()) if x.size else 0.0
+    k = 0
+    if x_max > 0.0 and top > 0.0:
+        k = max(0, _SCALED_EXP - math.frexp(top)[1] - math.frexp(x_max)[1])
+    y = np.zeros(csr[0])
+    _sparsetools.csr_matvec(*csr, np.ldexp(x, k) if k else x, y)
+    return np.ldexp(y, -k) if k else y
 
 
 def scale_plan(P, x, y):
@@ -149,8 +243,12 @@ def scale_plan(P, x, y):
 
 
 def square_matvec(P, w):
-    """(P * P) @ w without materializing the squared matrix."""
+    """(P * P) @ w without materializing the squared matrix (for a
+    ``SparsePlan``, the squared entries are one length-nnz array)."""
     opcount.add(2)
+    if isinstance(P, SparsePlan):
+        *shape, data = P.rows
+        return _csr_matvec((*shape, data * data), P.top * P.top, w)
     n = P.shape[0]
     rows = tile_rows(P.shape[1])
     out = np.empty(n)
@@ -170,7 +268,8 @@ def fixed_order():
 
 
 def plan_matvec(P, x, fixed, transpose=False):
-    """P @ x, or P.T @ x with ``transpose``; one pass.
+    """P @ x, or P.T @ x with ``transpose``; one pass (over the nonzeros of a
+    ``SparsePlan``, which ignores ``fixed``: its order is always fixed).
 
     With ``fixed`` the product is numpy's summation of the elementwise
     products (pairwise along each row, in row order down the columns), whose
@@ -180,6 +279,8 @@ def plan_matvec(P, x, fixed, transpose=False):
     bit, is that of the untiled sum.
     """
     opcount.add(1)
+    if isinstance(P, SparsePlan):
+        return _csr_matvec(P.cols if transpose else P.rows, P.top, x)
     if not fixed:
         return P.T @ x if transpose else P @ x
     n = P.shape[0]

@@ -50,7 +50,13 @@ class MdotOptions:
 
 @dataclass
 class OuterIteration:
-    """One annealing step: the temperature, tolerance, and projection stats."""
+    """One annealing step: the temperature, tolerance, and projection stats.
+
+    ``plan_density`` is nnz / n^2 of the projection's anchored plan (the
+    last one, should the projection anchor again), so a run shows which
+    temperatures were served sparse (see ``dual.sparse_anchor``); nan when
+    no plan was anchored, as with the Sinkhorn projector.
+    """
 
     t: int
     gamma: float
@@ -59,6 +65,7 @@ class OuterIteration:
     stats: ProjStats
     ops_n2: int
     wall_ms: float
+    plan_density: float
 
 
 @dataclass
@@ -285,6 +292,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
             t=t, gamma=gamma, eps_d=eps_d, q_next=q, stats=stats,
             ops_n2=opcount.total() - it_ops0,
             wall_ms=(time.monotonic() - it_t0) * 1e3,
+            plan_density=state.plan_density,
         ))
         if done:
             break

@@ -13,9 +13,17 @@ products are evaluated as two ``_kernels.plan_matvec`` passes; P_rc is never
 formed.  The system holds a materialized plan ``P0`` and offsets ``(a, b)``
 and applies the plan ``P = D(e^a) P0 D(e^b)`` by diagonal scaling, so a
 projection materializes one plan per temperature (the state's anchored plan,
-see ``dual``), not one per Newton step.  ``OTN_DETERMINISTIC=1``, read when
-a system is built, makes its products fixed-order summations, bit-identical
-regardless of BLAS threading.
+see ``dual``), not one per Newton step.  ``P0`` is dense or, at late
+temperatures where most of its entries are exact zeros, a
+``_kernels.SparsePlan``; the kernels serve both, so the system is the same
+code either way.  ``OTN_DETERMINISTIC=1``, read when a system is built,
+makes its dense products fixed-order summations, bit-identical regardless
+of BLAS threading (sparse products always are).
+
+When annealing reaches ``RHO_CAP`` without meeting the forcing test,
+``newton_solve`` accepts the direction under the relaxed forcing term
+``ETA_MAX`` (any forcing term below 1 keeps inexact Newton convergent) and
+flags it, or raises ``StagnationError`` when even that is missed.
 """
 
 from __future__ import annotations
@@ -27,8 +35,13 @@ import numpy as np
 from ._kernels import fixed_order, plan_matvec, square_matvec
 from .errors import ConditioningError, NonconvergenceError, StagnationError
 
-# Annealing stops (with an error) once 1 - rho falls below this.
+# Annealing stops once 1 - rho falls below this: with the relaxed exit, or
+# with an error.
 RHO_CAP = 1e-12
+# Upper clamp on the forcing parameter, and the relaxed forcing test of a
+# direction at RHO_CAP; any eta <= ETA_MAX < 1 keeps inexact Newton
+# convergent (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982).
+ETA_MAX = 0.99
 # Per-step discount decay: rho <- 1 - (1 - rho) / RHO_DECAY.
 RHO_DECAY = 4.0
 # Fraction of eta granted to each discounted CG solve.
@@ -45,13 +58,16 @@ class NewtonResult:
     rho_final: float
     cg_iters: int
     undiscounted_residual_l1: float
+    # The direction met only the relaxed forcing test at RHO_CAP.
+    relaxed: bool = False
 
 
 class DiscountedSystem:
     """Immutable plan snapshot realizing D(rP) P_rc, P_c and F(rho) as operators.
 
-    The plan is ``D(e^a) P D(e^b)``; the offsets ``a`` and ``b`` default to
-    0, a system of the plan ``P`` itself.  Each product costs the passes of
+    The plan is ``D(e^a) P D(e^b)``, ``P`` a dense array or a
+    ``_kernels.SparsePlan``; the offsets ``a`` and ``b`` default to 0, a
+    system of the plan ``P`` itself.  Each product costs the passes of
     the unscaled one plus length-n multiplies.
     """
 
@@ -168,7 +184,9 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
     undiscounted residual ``F(1) d + grad_u`` exceeds ``eta * ||grad_u||_1``,
     solves the rho-discounted system to a quarter of that tolerance and
     anneals ``1 - rho`` down by ``RHO_DECAY``.  The previous direction
-    warm-starts each solve.
+    warm-starts each solve.  Once ``1 - rho`` is below ``RHO_CAP``, the
+    direction is returned with ``relaxed`` set if its residual is at most
+    ``ETA_MAX * ||grad_u||_1``, and ``StagnationError`` is raised otherwise.
     """
     if eta <= 0.0:
         raise ConditioningError(f"eta must be positive, got {eta}")
@@ -190,6 +208,8 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
         if res_norm <= eta * grad_norm:
             return NewtonResult(d, rho_used, total_cg, res_norm)
         if 1.0 - rho < RHO_CAP:
+            if res_norm <= ETA_MAX * grad_norm:
+                return NewtonResult(d, rho_used, total_cg, res_norm, relaxed=True)
             raise StagnationError(
                 f"discount reached {rho} without meeting the forcing test "
                 f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})",

@@ -20,7 +20,7 @@ import numpy as np
 from . import opcount
 from .core import chi_sq_div
 from .errors import DomainError, LineSearchError, NonconvergenceError
-from .newton import DiscountedSystem, newton_solve, next_rho0
+from .newton import ETA_MAX, DiscountedSystem, newton_solve, next_rho0
 
 # Armijo slope fraction c1; the mass-form test uses 1 - c1.
 ARMIJO_C1 = 0.01
@@ -28,9 +28,6 @@ ARMIJO_C1 = 0.01
 # own float64 evaluation noise, so backtracking would only bisect noise; the
 # full step is taken instead.
 ARMIJO_SLOPE_FLOOR = 1e-13
-# Upper clamp on the forcing parameter (defensive; the chi-square balancing
-# keeps the gradient norm well below 1 before any Newton step).
-ETA_MAX = 0.99
 # Exponent of the chi-square tolerance: eps_chi = eps_d ** CHI_EXPONENT.
 CHI_EXPONENT = 0.4
 MIN_ALPHA = 2.0 ** -30
@@ -50,6 +47,8 @@ class StepRecord:
     backtracks: int
     eta_terminal_branch: bool
     exited_after: bool = False
+    # The direction met only the relaxed forcing test (``NewtonResult.relaxed``).
+    relaxed: bool = False
 
 
 @dataclass
@@ -233,6 +232,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
             eta=eta, grad_before=grad_norm, grad_after=grad_after, alpha=alpha,
             delta=delta, rho_final=result.rho_final, cg_iters=result.cg_iters,
             backtracks=backtracks, eta_terminal_branch=terminal_branch,
+            relaxed=result.relaxed,
         ))
         stats.newton_steps += 1
         stats.cg_iters += result.cg_iters

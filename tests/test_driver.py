@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse  # noqa: F401  (imported before tracemalloc starts)
 
-from otnewton._kernels import BLOCK
+from otnewton._kernels import BLOCK, SparsePlan
 from otnewton.core import shannon_entropy
 from otnewton.driver import (
     MdotOptions,
@@ -18,7 +19,7 @@ from otnewton.driver import (
     round_plan,
     smooth_marginals,
 )
-from otnewton import driver, dual
+from otnewton import driver, dual, newton
 from otnewton.errors import (ConditioningError, DegenerateInputError, DomainError,
                              PlanOverflowError, StagnationError)
 from otnewton.oracles import exact_ot_small
@@ -357,8 +358,12 @@ class TestMdot:
         # The traced peak of a solve is its one n-by-n plan, one BLOCK * BLOCK
         # tile with its mask, numpy's 8192-element ufunc buffer and O(n)
         # vectors; the Sinkhorn projector's transposed non-symmetric cost is
-        # let go before the plan is made.  The state kept in the solution
-        # holds no n-by-n array but the problem's cost.
+        # let go before the plan is made.  The Newton solve on the l2sq grid
+        # runs on to 2^16, through temperatures whose anchors are CSR, which
+        # replace the dense buffer and are let go before the final plan is
+        # made.  The state kept in the solution holds no n-by-n array but the
+        # problem's cost, and no sparse plan.  scipy.sparse is imported
+        # before tracing starts, as a program that uses it would.
         n = 4 * BLOCK
         if symmetric:
             C = grid_points_cost(n, "l2sq")
@@ -366,17 +371,32 @@ class TestMdot:
             C = np.random.default_rng(5).uniform(size=(n, n))
         prob = Problem(C=C, r=gen_marginal(n, "smooth-random", 1),
                        c=gen_marginal(n, "smooth-random", 2))
+        sparse_run = symmetric and projector == "newton"
         tracemalloc.start()
         try:
-            sol = mdot(prob, 2.0 ** 3, 2.0 ** 6, opts=MdotOptions(projector=projector))
+            sol = mdot(prob, 2.0 ** 3, 2.0 ** (16 if sparse_run else 6),
+                       opts=MdotOptions(projector=projector))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= n * n * 8 + BLOCK * BLOCK * 9 + 8 * 8192 + 32 * n * 8
         held = [x for x in vars(sol.final_state).values()
                 for x in (x if isinstance(x, tuple) else (x,))
-                if isinstance(x, np.ndarray) and x.ndim == 2]
+                if isinstance(x, SparsePlan) or isinstance(x, np.ndarray) and x.ndim == 2]
         assert held == []
+        density = [it.plan_density for it in sol.iterations]
+        went_sparse = [dual.sparse_anchor(n, prev * n * n) and now <= 1 / 8
+                       for prev, now in zip(density, density[1:])]
+        assert any(went_sparse) == sparse_run
+
+    def test_plan_density_per_temperature(self):
+        prob = grid_problem(64, seed=6)
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 14)
+        density = [it.plan_density for it in sol.iterations]
+        assert all(0.0 < d <= 1.0 for d in density)
+        assert density[-1] < density[0]  # entries flush to 0 as gamma grows
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 8, opts=MdotOptions(projector="sinkhorn"))
+        assert all(math.isnan(it.plan_density) for it in sol.iterations)
 
     def test_fixed_schedule_mode(self):
         prob = grid_problem(16, seed=7)
@@ -445,7 +465,21 @@ class TestBatchInstances:
         gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
         assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
 
-    def test_stagnation_diagnostics_serialize(self):
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    @pytest.mark.parametrize("i", [59, 131, 282])
+    def test_former_stagnation_failures_solve(self, i, deterministic, monkeypatch):
+        # At the discount cap each takes one direction that meets only the
+        # relaxed forcing test, and the rounded plan stays within its bound.
+        monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
+        prob = batch_instance(i)
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 18)
+        gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
+        assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
+        assert sum(s.relaxed for it in sol.iterations for s in it.stats.steps) == 1
+
+    def test_stagnation_diagnostics_serialize(self, monkeypatch):
+        # Without the relaxed exit at the discount cap, instance 59 stagnates.
+        monkeypatch.setattr(newton, "ETA_MAX", 0.0)
         with pytest.raises(StagnationError) as err:
             mdot(batch_instance(59), 2.0 ** 5, 2.0 ** 18)
         diag = json.loads(json.dumps(err.value.diagnostics))

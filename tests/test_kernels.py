@@ -1,13 +1,14 @@
 """The dense kernels: reference agreement, the exp floor, and the sums and
 Newton systems served from the anchored plan."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from otnewton import _kernels, opcount
-from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, log_plan_col_max,
+from otnewton import _kernels, dual, opcount
+from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, SparsePlan, log_plan_col_max,
                                log_plan_row_sums, materialize_plan, plan_matvec,
                                scale_plan, square_matvec, tile_rows)
 from otnewton.core import lse_rows
@@ -46,7 +47,7 @@ class TestBlockedKernels:
                                       u + lse_rows(K + v[None, :]))
         np.testing.assert_array_equal(log_plan_row_sums(C_T, gamma, v, u),
                                       v + lse_rows(np.ascontiguousarray(K.T) + u[None, :]))
-        np.testing.assert_array_equal(materialize_plan(C, gamma, u, v),
+        np.testing.assert_array_equal(materialize_plan(C, gamma, u, v)[0],
                                       np.exp((K + v[None, :]) + u[:, None]))
 
     def test_square_matvec_matches_reference(self):
@@ -86,7 +87,7 @@ class TestBlockedKernels:
         u = rng.normal(size=7)
         v = rng.normal(size=7)
         ref = np.exp(u[:, None] + v[None, :] + K)
-        np.testing.assert_allclose(materialize_plan(-K, 1.0, u, v), ref, rtol=1e-15)
+        np.testing.assert_allclose(materialize_plan(-K, 1.0, u, v)[0], ref, rtol=1e-15)
 
 
 def deep_log_kernel(seed=12):
@@ -121,13 +122,13 @@ class TestExpFloor:
         logs = K + v[None, :] + u[:, None]
         low = logs < EXP_FLOOR
         assert low.any() and not low.all()
-        P = materialize_plan(-K, 1.0, u, v)
+        P = materialize_plan(-K, 1.0, u, v)[0]
         assert np.all(P[low] == 0.0)
         np.testing.assert_array_equal(P[~low], np.exp(logs[~low]))
 
     def test_plan_holds_no_subnormals(self):
         K, u, v = deep_log_kernel()
-        P = materialize_plan(-K, 1.0, u, v)
+        P = materialize_plan(-K, 1.0, u, v)[0]
         assert P[P > 0].min() >= np.finfo(float).tiny
 
     def test_no_exp_argument_below_floor(self, monkeypatch):
@@ -160,14 +161,14 @@ class TestExpFloor:
         np.testing.assert_array_equal(rounded, np.diag(r))
 
 
-def anchored_state(cost, kind, gamma, monkeypatch, deterministic):
+def anchored_state(cost, kind, gamma, monkeypatch, deterministic, sparse=False, n=BLOCK + 17):
     """A state anchored at potentials of size O(gamma), as in a late solve.
 
     The potentials are the double c-transform of zero scaled by gamma, plus
     the log marginals and a gauge shift of gamma / 2, so ``u + v - gamma C``
-    cancels terms of size gamma.  n is ``BLOCK + 17``.
+    cancels terms of size gamma.  With ``sparse`` the anchor is a
+    ``SparsePlan`` whatever its density.
     """
-    n = BLOCK + 17
     if cost == "l1-line":
         x = np.arange(n) / (n - 1)
         C = np.abs(x[:, None] - x[None, :])
@@ -179,7 +180,11 @@ def anchored_state(cost, kind, gamma, monkeypatch, deterministic):
     monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
     state = DualState(Problem(C=C, r=r, c=c), gamma,
                       u=gamma * (f + 0.5) + np.log(r), v=gamma * (g - 0.5) + np.log(c))
+    if sparse:
+        monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
+        monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
     state.anchored_plan()
+    assert isinstance(state.anchored_plan()[0], SparsePlan) == sparse
     return state
 
 
@@ -225,20 +230,7 @@ class TestAnchoredPlanSums:
         state = anchored_state(cost, kind, gamma, monkeypatch, deterministic)
         if cost == "l1-line":
             assert (state.anchored_plan()[0] == 0.0).mean() > 0.5
-        a, b = offsets(state.n, size)
-        state.set_potentials(state.u + a, state.v + b)
-        assert refresh_passes(state) == 2  # one matvec per side: the plan path
-        u, v = state.u, state.v
-        C = state.problem.C
-        lse_rows = log_plan_row_sums(C, gamma, u, v)
-        lse_cols = log_plan_row_sums(np.ascontiguousarray(C.T), gamma, v, u)
-        ref_rows, ref_cols = long_double_sums(state)
-        got = np.concatenate([state.log_rP, state.log_cP])
-        err = np.abs(got - np.concatenate([ref_rows, ref_cols])).astype(float)
-        lse_err = np.abs(np.concatenate([lse_rows - ref_rows, lse_cols - ref_cols])).astype(float)
-        ulp = np.spacing(np.abs(got).max())
-        assert err.max() <= lse_err.max() + 2.0 * ulp
-        assert np.median(err) <= np.median(lse_err) + ulp
+        assert_sums_no_less_accurate_than_lse(state, size)
 
     @pytest.mark.parametrize("deterministic", ["", "1"])
     def test_beyond_guard_falls_back_to_lse(self, deterministic, monkeypatch):
@@ -296,32 +288,55 @@ class TestScaledNewtonSystem:
     def test_no_less_accurate_than_materialized(self, deterministic, size, monkeypatch):
         state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 8, monkeypatch,
                                deterministic)
-        a, b = offsets(state.n, size)
-        state.set_potentials(state.u + a, state.v + b)
-        rP, cP = state.row_sums(), state.col_sums()
-        scaled = DiscountedSystem.from_state(state)
-        assert scaled.P is state.anchored_plan()[0]  # served from the anchor
-        plain = DiscountedSystem(state.materialize_plan(), rP, cP)
+        assert_system_no_less_accurate_than_materialized(state, size)
 
-        ld = np.longdouble
-        P = np.exp(state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
-                   - ld(state.gamma) * state.problem.C.astype(ld))
-        rP_ld, cP_ld = rP.astype(ld), cP.astype(ld)
-        d = np.random.default_rng(8).standard_normal(state.n)
-        d_ld, abs_d = d.astype(ld), np.abs(d).astype(ld)
-        mu = ((P * P) @ (1 / cP_ld)) / rP_ld
-        cases = (  # (operator, long double value, its scale)
-            (lambda s: s.round_trip(d), P @ ((P.T @ d_ld) / cP_ld),
-             P @ ((P.T @ abs_d) / cP_ld)),
-            (lambda s: s.apply_pc(d), (P.T @ d_ld) / cP_ld, (P.T @ abs_d) / cP_ld),
-            (lambda s: s.diag_prc(), mu, mu),
-        )
-        u = np.finfo(float).eps / 2
-        for op, ref, scale in cases:
-            err = (np.abs(op(scaled) - ref) / scale).astype(float)
-            base_err = (np.abs(op(plain) - ref) / scale).astype(float)
-            assert err.max() <= base_err.max() + 4.0 * u
-            assert np.median(err) <= np.median(base_err) + u
+
+def assert_sums_no_less_accurate_than_lse(state, size):
+    """``TestAnchoredPlanSums``' criterion, at offsets of ``size`` from the anchor."""
+    a, b = offsets(state.n, size)
+    state.set_potentials(state.u + a, state.v + b)
+    assert refresh_passes(state) == 2  # one matvec per side: the plan path
+    u, v, gamma = state.u, state.v, state.gamma
+    C = state.problem.C
+    lse_rows = log_plan_row_sums(C, gamma, u, v)
+    lse_cols = log_plan_row_sums(np.ascontiguousarray(C.T), gamma, v, u)
+    ref_rows, ref_cols = long_double_sums(state)
+    got = np.concatenate([state.log_rP, state.log_cP])
+    err = np.abs(got - np.concatenate([ref_rows, ref_cols])).astype(float)
+    lse_err = np.abs(np.concatenate([lse_rows - ref_rows, lse_cols - ref_cols])).astype(float)
+    ulp = np.spacing(np.abs(got).max())
+    assert err.max() <= lse_err.max() + 2.0 * ulp
+    assert np.median(err) <= np.median(lse_err) + ulp
+
+
+def assert_system_no_less_accurate_than_materialized(state, size):
+    """``TestScaledNewtonSystem``' criterion, at offsets of ``size`` from the anchor."""
+    a, b = offsets(state.n, size)
+    state.set_potentials(state.u + a, state.v + b)
+    rP, cP = state.row_sums(), state.col_sums()
+    scaled = DiscountedSystem.from_state(state)
+    assert scaled.P is state.anchored_plan()[0]  # served from the anchor
+    plain = DiscountedSystem(state.materialize_plan(), rP, cP)
+
+    ld = np.longdouble
+    P = np.exp(state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
+               - ld(state.gamma) * state.problem.C.astype(ld))
+    rP_ld, cP_ld = rP.astype(ld), cP.astype(ld)
+    d = np.random.default_rng(8).standard_normal(state.n)
+    d_ld, abs_d = d.astype(ld), np.abs(d).astype(ld)
+    mu = ((P * P) @ (1 / cP_ld)) / rP_ld
+    cases = (  # (operator, long double value, its scale)
+        (lambda s: s.round_trip(d), P @ ((P.T @ d_ld) / cP_ld),
+         P @ ((P.T @ abs_d) / cP_ld)),
+        (lambda s: s.apply_pc(d), (P.T @ d_ld) / cP_ld, (P.T @ abs_d) / cP_ld),
+        (lambda s: s.diag_prc(), mu, mu),
+    )
+    u = np.finfo(float).eps / 2
+    for op, ref, scale in cases:
+        err = (np.abs(op(scaled) - ref) / scale).astype(float)
+        base_err = (np.abs(op(plain) - ref) / scale).astype(float)
+        assert err.max() <= base_err.max() + 4.0 * u
+        assert np.median(err) <= np.median(base_err) + u
 
 
 def entry_state(cost, kind, gamma, monkeypatch, deterministic):
@@ -455,4 +470,154 @@ class TestReleasedPlan:
         P = state.release_plan()
         assert P is buf
         np.testing.assert_array_equal(P, state.materialize_plan())
-        assert state._plan_buf is None and state._C_T is None
+        assert state._plan is None and state._C_T is None
+
+
+def csr_dense(csr):
+    """The dense matrix of ``SparsePlan.rows`` or ``.cols``."""
+    rows, cols, indptr, indices, data = csr
+    out = np.zeros((rows, cols))
+    for i in range(rows):
+        out[i, indices[indptr[i]:indptr[i + 1]]] = data[indptr[i]:indptr[i + 1]]
+    return out
+
+
+def sparse_of(P):
+    """A ``SparsePlan`` of the dense matrix ``P``, built as an anchor is."""
+    n, m = P.shape
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(P, axis=1))]).astype(np.int32)
+    indices = np.nonzero(P)[1].astype(np.int32)
+    return SparsePlan((n, m), indptr, indices, P[P != 0.0])
+
+
+class TestSparseAnchor:
+    """The anchored plan held as CSR: the switch rule, the entries, and the
+    sums and Newton products served from it, which meet the dense plan's
+    criteria against long double (``TestAnchoredPlanSums`` and
+    ``TestScaledNewtonSystem``) at the densities a sparse anchor has, at
+    most 1/8: the L1 line at 2^14 keeps 8% of its entries, the non-symmetric
+    cost at 2^13 9%.  (At full density the CSR loop's plain running sums of
+    n terms can lose to BLAS by a few ulps.)"""
+
+    @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    def test_sums_no_less_accurate_than_lse(self, cost, gamma, kind, size, monkeypatch):
+        state = anchored_state(cost, kind, gamma, monkeypatch, "", sparse=True)
+        assert state.plan_density <= 0.125
+        assert_sums_no_less_accurate_than_lse(state, size)
+
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    def test_newton_system_no_less_accurate_than_materialized(self, cost, gamma, size,
+                                                              monkeypatch):
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, "", sparse=True)
+        assert state.plan_density <= 0.125
+        assert_system_no_less_accurate_than_materialized(state, size)
+
+    def test_entries_bitwise_equal_to_dense(self):
+        K, u, v = deep_log_kernel()
+        P, nnz = materialize_plan(-K, 1.0, u, v)
+        S, sparse_nnz = materialize_plan(-K, 1.0, u, v, max_nnz=P.size)
+        assert nnz == sparse_nnz == len(S.rows[4]) == np.count_nonzero(P) < P.size
+        assert csr_dense(S.rows).tobytes() == P.tobytes()
+        assert csr_dense(S.cols).tobytes() == np.ascontiguousarray(P.T).tobytes()
+        assert S.top == P.max()
+
+    def test_product_equals_unscaled_without_subnormals(self):
+        # No term or result is subnormal, so the power-of-two scaling changes
+        # no bit: the products equal scipy's own CSR product.
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(21)
+        n = BLOCK + 17
+        P = rng.uniform(0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.1)
+        S, x = sparse_of(P), rng.standard_normal(n)
+        A = sp.csr_array(P)
+        assert plan_matvec(S, x, False).tobytes() == (A @ x).tobytes()
+        assert plan_matvec(S, x, False, transpose=True).tobytes() == (A.T @ x).tobytes()
+        assert square_matvec(S, x).tobytes() == (A.multiply(A) @ x).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-300])
+    def test_tiny_terms_scaled_out_of_the_subnormals(self, scale):
+        # Entries near e^-700 against inputs near 1e-9 make subnormal terms,
+        # near 1e-300 terms below the smallest subnormal; one row mixes them
+        # with an entry of 1.  Each result is within one rounding of its
+        # long-double value on the subnormal grid, or relatively where normal.
+        rng = np.random.default_rng(22)
+        n = 16
+        P = np.exp(EXP_FLOOR + rng.uniform(0.0, 1.0, (n, n)))
+        P[0, 0] = 1.0
+        S, x = sparse_of(P), scale * rng.uniform(1.0, 2.0, n)
+        ld = np.longdouble
+        P_ld, x_ld = P.astype(ld), x.astype(ld)
+        for got, ref in ((plan_matvec(S, x, False), P_ld @ x_ld),
+                         (plan_matvec(S, x, False, transpose=True), P_ld.T @ x_ld)):
+            err = np.abs(got - ref).astype(float)
+            tiny = np.finfo(float).smallest_subnormal
+            assert np.all(err <= np.maximum(tiny, 2.0 * np.finfo(float).eps * np.abs(got)))
+        assert plan_matvec(S, x, False)[0] == x[0]  # the entry 1 dominates
+
+    def test_entry_near_overflow_does_not_overflow(self):
+        rng = np.random.default_rng(23)
+        n = BLOCK + 17
+        P = rng.uniform(0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.1)
+        P[3, 5] = np.exp(699.5)
+        S = sparse_of(P)
+        ld = np.longdouble
+        for x in (rng.uniform(1.0, 2.0, n), 1e-9 * rng.uniform(1.0, 2.0, n)):
+            got = plan_matvec(S, x, False)
+            assert np.all(np.isfinite(got))
+            ref = P.astype(ld) @ x.astype(ld)
+            assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+
+    def test_switch_rule(self):
+        n = BLOCK + 1
+        assert not dual.sparse_anchor(BLOCK, 0)
+        assert not dual.sparse_anchor(n, None)  # a solve's first anchor
+        assert dual.sparse_anchor(n, n * n // 4)
+        assert not dual.sparse_anchor(n, n * n // 4 + 1)
+        assert dual.sparse_limit(n) == n * n // 8
+
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 17])
+    def test_sparse_after_a_sparse_enough_anchor(self, n, monkeypatch):
+        # The L1 line at 2^14 keeps about 8% of its entries: the first anchor
+        # is dense, the next one CSR when the plan spans more than one tile.
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch, "", n=n)
+        density = state.plan_density
+        assert 0.0 < density <= 0.125
+        state.set_gamma(state.gamma)
+        assert math.isnan(state.plan_density)
+        P = state.anchored_plan()[0]
+        assert isinstance(P, SparsePlan) == (n > BLOCK)
+        assert state.plan_density == density
+
+    def test_dense_after_a_dense_anchor(self, monkeypatch):
+        # At 2^12 about 31% of the entries are kept, above the quarter.
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch, "")
+        assert state.plan_density > 0.25
+        state.set_gamma(state.gamma)
+        assert isinstance(state.anchored_plan()[0], np.ndarray)
+
+    def test_falls_back_to_dense_past_an_eighth(self, monkeypatch):
+        # A gauge-free shift of 2 x 200 raises every entry by e^400: the
+        # sparse build passes n^2 / 8 nonzeros and the plan is made dense,
+        # bitwise equal to a fresh materialization.
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch, "")
+        state.set_potentials(state.u + 200.0, state.v + 200.0)
+        state.set_gamma(state.gamma)
+        with opcount.category("anchor"):
+            before = opcount.snapshot().get("anchor", 0)
+            P = state.anchored_plan()[0]
+            assert opcount.snapshot()["anchor"] - before == 4 + 4  # the stopped build, then dense
+        assert isinstance(P, np.ndarray)
+        assert state.plan_density > 0.125
+        assert P.tobytes() == state.materialize_plan().tobytes()
+
+    def test_release_materializes_the_final_plan(self, monkeypatch):
+        state = anchored_state("l1-line", "spiky-random", 2.0 ** 14, monkeypatch, "",
+                               sparse=True)
+        a, b = offsets(state.n, 1.0)
+        state.set_potentials(state.u + a, state.v + b)
+        P = state.release_plan()
+        assert P.tobytes() == state.materialize_plan().tobytes()
+        assert state._plan is None

@@ -6,7 +6,8 @@ import scipy.linalg
 from dense_reference import dense_F, dense_prc
 
 from otnewton.dual import DualState
-from otnewton.errors import ConditioningError, NonconvergenceError
+from otnewton import newton
+from otnewton.errors import ConditioningError, NonconvergenceError, StagnationError
 from otnewton.newton import DiscountedSystem, newton_solve, next_rho0, pcg_solve
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
@@ -235,6 +236,30 @@ class TestNewtonSolve:
         res = newton_solve(grad, sys, eta=0.01)
         k = math.log(1.0 - res.rho_final) / math.log(4.0)
         assert k == pytest.approx(round(k), abs=1e-9)
+
+
+    @pytest.mark.parametrize("eta_max", [0.99, 1e-6])
+    def test_relaxed_exit_at_the_discount_cap(self, eta_max, monkeypatch):
+        # With the cap above 1 - rho0, the first direction is at the cap: it
+        # misses the forcing target 1e-12 and is returned, flagged, when its
+        # residual is within ETA_MAX of the gradient norm; otherwise the
+        # solve stagnates.
+        monkeypatch.setattr(newton, "RHO_CAP", 0.5)
+        monkeypatch.setattr(newton, "ETA_MAX", eta_max)
+        sys = random_system(12, seed=3, gamma=8.0)
+        grad = np.random.default_rng(53).standard_normal(12) * 0.01
+        grad -= grad.mean()
+        d = -grad / sys.rP
+        residual = np.abs(sys.apply_F(1.0, d) + grad).sum()
+        assert 1e-6 * np.abs(grad).sum() < residual < 0.99 * np.abs(grad).sum()
+        if eta_max == 0.99:
+            res = newton_solve(grad, sys, eta=1e-12, rho0=0.75)
+            assert res.relaxed and res.cg_iters == 0
+            np.testing.assert_array_equal(res.d_u, d)
+            assert res.undiscounted_residual_l1 == pytest.approx(residual, rel=1e-12)
+        else:
+            with pytest.raises(StagnationError):
+                newton_solve(grad, sys, eta=1e-12, rho0=0.75)
 
 
 class TestNextRho0:
