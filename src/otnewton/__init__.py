@@ -1,7 +1,7 @@
 """Entropic optimal transport with temperature annealing and a truncated Newton inner solver."""
 
 from . import errors, opcount
-from .core import chi_sq_div, lse_cols, lse_rows, shannon_entropy
+from .core import chi_sq_div, shannon_entropy
 from .driver import (
     MdotOptions,
     OuterIteration,
@@ -51,7 +51,7 @@ from .projector import (
 
 __all__ = [
     "errors", "opcount",
-    "chi_sq_div", "lse_cols", "lse_rows", "shannon_entropy",
+    "chi_sq_div", "shannon_entropy",
     "MdotOptions", "OuterIteration", "RunReport", "Solution",
     "adjust_schedule", "eps_rule", "error_bound", "extrapolate", "mdot",
     "round_plan", "smooth_marginals",

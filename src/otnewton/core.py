@@ -1,42 +1,10 @@
-"""Numerically stable dense reductions and divergences.
-
-All arithmetic is 64-bit.  Log-domain matrices may contain ``-inf`` (treated
-as ``exp(-inf) == 0``); ``+inf`` and ``NaN`` are never legal inputs.  Rows
-that are entirely ``-inf`` reduce to ``-inf``, not ``NaN``.
-"""
+"""Divergences and entropies of marginals; all arithmetic is 64-bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-
-def lse_rows(X):
-    """Row-wise log-sum-exp with per-row max subtraction.
-
-    Exact for rows whose entries share a common large magnitude: the shift
-    makes the largest exponent 0, so no overflow occurs for any finite input.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise DimensionError(f"lse_rows needs a nonempty 2-d matrix, got shape {X.shape}")
-    m = np.max(X, axis=1)
-    finite = np.isfinite(m)
-    shift = np.where(finite, m, 0.0)
-    with np.errstate(over="ignore"):
-        s = np.sum(np.exp(X - shift[:, None]), axis=1)
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(s)
-    return np.where(finite, out, -np.inf)
-
-
-def lse_cols(X):
-    """Column-wise log-sum-exp; the transpose analogue of :func:`lse_rows`."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise DimensionError(f"lse_cols needs a nonempty 2-d matrix, got shape {X.shape}")
-    return lse_rows(X.T)
 
 
 def chi_sq_div(y, x):

@@ -54,8 +54,9 @@ class OuterIteration:
 
     ``plan_density`` is nnz / n^2 of the projection's anchored plan (the
     last one, should the projection anchor again), so a run shows which
-    temperatures were served sparse (see ``dual.sparse_anchor``); nan when
-    no plan was anchored, as with the Sinkhorn projector.
+    temperatures were served sparse (see ``dual.sparse_anchor``).  Both
+    projectors anchor at every temperature; it is nan only when the state
+    holds no anchor.
     """
 
     t: int

@@ -13,17 +13,21 @@ two paths:
   matrix-vector product, and ``newton.DiscountedSystem`` applies it by the
   same two diagonal scalings.
 
-A plan is anchored once per temperature, without log-sum-exp:
-``rebalance_columns``, finding no anchor that covers the state, takes each
-column's largest log entry ``m`` at ``(u, 0)`` in one pass without exp,
+A plan is anchored once per temperature, without log-sum-exp, by
+``anchor_columns``: finding no anchor that covers the state, it takes each
+column's largest log entry ``m`` at ``(u, 0)`` in one pass without exp and
 anchors at ``(u, -m)``, where each column's largest entry is 1 (up to
-rounding) and none can overflow, and rebalances with one transposed
-product, ``v = -m + log c - log(P0^T 1)``.  Every later sum and Newton
-system at that temperature is served from the anchor while the offsets stay
-within ``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0 could
-add.  Beyond it, sums fall back to log-sum-exp, and the next column rebalance or
-Newton system anchors again.  ``set_gamma`` drops the anchor (the buffer is
-kept for the next one).
+rounding) and none can overflow.  The Newton projector's entry
+``rebalance_columns`` anchors so and rebalances with one transposed
+product, ``v = -m + log c - log(P0^T 1)``; the Sinkhorn projector
+(``oracles.sinkhorn_project``) anchors so before each gradient check, and
+its exact row and column scalings take their sums from the anchor.  Every
+later sum and Newton system at that temperature is served from the anchor
+while the offsets stay within ``PLAN_OFFSET_MAX``, which bounds what its
+entries flushed to 0 could add.  Beyond it, sums fall back to log-sum-exp,
+and the next column rebalance, Newton system or Sinkhorn gradient check
+anchors again.  ``set_gamma`` drops the anchor (the buffer is kept for the
+next one).
 
 As gamma grows, most anchored entries fall below e^-700 and are stored as
 exact zeros.  An anchor is then built as a ``_kernels.SparsePlan`` (CSR),
@@ -331,23 +335,36 @@ class DualState:
 
     # -- exact scaling updates that keep the caches coherent -----------------
 
-    def rebalance_columns(self):
-        """Set v so the column sums equal c exactly, then refresh the row cache.
+    def anchor_columns(self):
+        """Anchor the plan at ``(u, -m)`` unless an anchored plan covers the
+        state, ``m`` the column maxima of ``u 1^T - gamma C``; return the v
+        of the anchor taken, or the current v when none was.
 
-        Without an anchored plan covering the state, the plan is anchored at
-        ``(u, -m)``, ``m`` the column maxima of ``u 1^T - gamma C``, so each
-        column's largest entry is 1; v is then ``-m`` plus the offset
-        ``log c - log(P0^T 1)``.  The column maxima take no exp, and the
-        offset stays out of the sums, as in log-sum-exp.  Should the offset
-        leave ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters it);
-        the row sums then come from log-sum-exp, and the next anchor is taken
-        at the rebalanced state.
+        Each column's largest entry at ``(u, -m)`` is 1, so no entry
+        overflows, whatever v is.  The column maxima take one pass and no
+        exp.  Once the column sums at ``(u, v)`` are on a target c, the
+        offset ``v + m`` lies in ``[log c - log n, log c]`` (each column sum
+        of the anchor lies in [1, n]), so the anchor covers the state unless
+        a target is below e^-100 / n.
         """
-        log_c = np.log(self.c)
         u, v = self.u, self.v
         if self._plan_offsets(u, v) is None:
             v = -log_plan_col_max(self.problem.C, self.gamma, u)
             self._anchor_plan(u, v)
+        return v
+
+    def rebalance_columns(self):
+        """Set v so the column sums equal c exactly, then refresh the row cache.
+
+        Anchors first where ``anchor_columns`` does; v is then ``-m`` plus
+        the offset ``log c - log(P0^T 1)``, so the offset stays out of the
+        sums, as in log-sum-exp.  Should the offset leave
+        ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters it); the row
+        sums then come from log-sum-exp, and the next anchor is taken at the
+        rebalanced state.
+        """
+        log_c = np.log(self.c)
+        u, v = self.u, self.anchor_columns()
         v = v + (log_c - self._log_col_sums(u, v, True))
         self.refresh_rows_only(u, v, log_c)
 

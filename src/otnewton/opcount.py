@@ -33,7 +33,9 @@ active at call time:
                            materialization that anchor the projection's
                            plan, plus driver-level finalization (scale the
                            anchored plan in place + round).
-* ``"sinkhorn"``         - sweeps of the log-domain Sinkhorn baseline.
+* ``"sinkhorn"``         - sweeps of the Sinkhorn baseline, including the
+                           column maxima and the materialization that
+                           anchor its plan.
 
 The tally is process-global; one solve runs per process in benchmarks, so
 no locking is needed.

@@ -23,8 +23,9 @@ from otnewton.newton import DiscountedSystem, newton_solve, pcg_solve
 from otnewton.oracles import exact_ot_small, sinkhorn_project
 from otnewton.projector import project
 
-# Two log-sum-exp reductions per Sinkhorn sweep, four matrix passes each.
-OPS_PER_SWEEP = 8
+# The fewest passes a Sinkhorn sweep makes: one product with the anchored
+# plan per scaling (a log-sum-exp sum costs 4).
+MIN_SWEEP_PASSES = 2
 
 
 def grid_problem(n, seed, metric="l2sq", marginal="smooth-random"):
@@ -252,7 +253,13 @@ def test_08_schedule_op_count_trends():
 
 @pytest.mark.slow
 def test_09_fewer_ops_than_sinkhorn():
-    """The annealed Newton solver beats single-temperature Sinkhorn on ops."""
+    """The annealed Newton solver beats single-temperature Sinkhorn on ops.
+
+    Both are priced by the passes ``opcount`` records.  Newton wins a seed
+    when Sinkhorn has made more passes than it by the time Sinkhorn
+    converges or runs out of sweeps; the sweep budget is large enough that
+    Sinkhorn cannot run out first.
+    """
     n, gamma_f = 1024, 2.0 ** 12
     wins = 0
     seeds = range(20)
@@ -263,14 +270,14 @@ def test_09_fewer_ops_than_sinkhorn():
         eps_d = eps_rule(gamma_f, 1.5, prob.r, prob.c)
         r_s, c_s = smooth_marginals(prob.r, prob.c, eps_d)
         state = DualState(prob, gamma_f, u=np.log(r_s), v=np.log(c_s))
-        budget = ops_tn // OPS_PER_SWEEP + 1
+        budget = ops_tn // MIN_SWEEP_PASSES + 1
+        ops_start = opcount.total()
         try:
-            _, sweeps = sinkhorn_project(state, r_s, c_s, eps_d / 2.0,
-                                         sweep_budget=budget)
-            if sweeps * OPS_PER_SWEEP > ops_tn:
-                wins += 1
+            sinkhorn_project(state, r_s, c_s, eps_d / 2.0, sweep_budget=budget)
         except NonconvergenceError:
-            wins += 1  # Sinkhorn burned the Newton solver's budget
+            pass  # the budget has bought more passes than the Newton solver made
+        if opcount.total() - ops_start > ops_tn:
+            wins += 1
     assert wins >= 0.9 * len(seeds), wins
     print(f"\nACCEPTANCE 9: PASS - fewer ops than Sinkhorn on {wins}/20 seeds")
 

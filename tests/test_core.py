@@ -5,62 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otnewton.core import chi_sq_div, lse_cols, lse_rows, shannon_entropy
-from otnewton.errors import DimensionError, DomainError
-
-
-class TestLseRows:
-    def test_identical_entries(self):
-        out = lse_rows(np.zeros((2, 2)))
-        np.testing.assert_allclose(out, [math.log(2)] * 2, rtol=0, atol=1e-15)
-
-    def test_no_overflow_at_large_magnitude(self):
-        out = lse_rows(np.array([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out, [1000.0 + math.log(2)], rtol=1e-15)
-
-    def test_hand_value(self):
-        out = lse_rows(np.array([[0.0, math.log(3.0)]]))
-        np.testing.assert_allclose(out, [math.log(4.0)], rtol=1e-15)
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(DimensionError):
-            lse_rows(np.zeros((0, 3)))
-        with pytest.raises(DimensionError):
-            lse_rows(np.zeros((3, 0)))
-
-    def test_minus_inf_entries_are_zero_mass(self):
-        out = lse_rows(np.array([[0.0, -np.inf], [-np.inf, -np.inf]]))
-        assert out[0] == 0.0
-        assert out[1] == -np.inf
-        assert not np.any(np.isnan(out))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 5),
-           st.floats(-50, 50), st.integers(0, 2 ** 32 - 1))
-    def test_shift_equivariance(self, rows, cols, shift, seed):
-        X = np.random.default_rng(seed).normal(size=(rows, cols))
-        np.testing.assert_allclose(lse_rows(X + shift), lse_rows(X) + shift,
-                                   rtol=0, atol=1e-12)
-
-    def test_reproduces_row_sums_across_underflow_range(self):
-        rng = np.random.default_rng(7)
-        # log-uniform entries spanning [1e-300, 1]
-        P = np.exp(rng.uniform(-690, 0, size=(6, 6)))
-        got = np.exp(lse_rows(np.log(P)))
-        np.testing.assert_allclose(got, P.sum(axis=1), rtol=1e-12)
-
-
-class TestLseCols:
-    def test_single_column(self):
-        np.testing.assert_allclose(lse_cols(np.zeros((2, 1))), [math.log(2)], rtol=1e-15)
-
-    def test_matches_transposed_rows(self):
-        X = np.random.default_rng(11).normal(size=(3, 4))
-        np.testing.assert_allclose(lse_cols(X), lse_rows(X.T), rtol=0, atol=0)
-
-    def test_hand_value(self):
-        X = np.array([[math.log(2.0)], [math.log(2.0)]])
-        np.testing.assert_allclose(lse_cols(X), [math.log(4.0)], rtol=1e-15)
+from otnewton.core import chi_sq_div, shannon_entropy
+from otnewton.errors import DomainError
 
 
 class TestChiSqDiv:

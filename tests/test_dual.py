@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dense_reference import finite_diff_grad
 
-from otnewton import opcount
-from otnewton._kernels import log_plan_row_sums
+from otnewton import dual, opcount
+from otnewton._kernels import SparsePlan, log_plan_row_sums
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
@@ -229,6 +230,27 @@ class TestAnchoredPlan:
         np.testing.assert_allclose(state.v, lse.v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(state.log_rP, lse.log_rP, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(state.log_cP, np.log(state.c))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_anchor_columns_anchors_at_the_column_maxima(self, sparse, monkeypatch):
+        monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: sparse)
+        monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
+        state = random_state(12, seed=6, gamma=8.0)
+        m = (state.u[:, None] - state.gamma * state.problem.C).max(axis=0)
+        with opcount.category("t"):
+            before = opcount.snapshot().get("t", 0)
+            v0 = state.anchor_columns()
+            assert opcount.snapshot()["t"] - before == 5  # column maxima 1, plan 4
+            P0 = state.anchored_plan()[0]
+            assert isinstance(P0, SparsePlan) == sparse
+            if sparse:
+                _, _, indptr, indices, data = P0.rows
+                P0 = scipy.sparse.csr_array((data, indices, indptr), shape=P0.shape).toarray()
+            np.testing.assert_array_equal(v0, -m)
+            np.testing.assert_allclose(P0.max(axis=0), 1.0, rtol=1e-14)
+            # covered now: no pass, and the current v comes back
+            np.testing.assert_array_equal(state.anchor_columns(), state.v)
+            assert opcount.snapshot()["t"] - before == 5
 
     def test_set_gamma_drops_the_anchor(self):
         state = anchored()

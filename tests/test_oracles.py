@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dense_reference import finite_diff_grad
+from scipy.special import logsumexp
 
 import otnewton
-from otnewton.dual import DualState
-from otnewton.errors import DomainError, NonconvergenceError, RefusalError
+from otnewton import dual, opcount
+from otnewton._kernels import SparsePlan
+from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.errors import DomainError, NonconvergenceError, PlanOverflowError, RefusalError
 from otnewton.oracles import EXACT_MAX_N, exact_ot_small, sinkhorn_project
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
@@ -152,6 +155,117 @@ class TestSinkhornProject:
         state = make_state(9, seed=3, gamma=64.0, spread=1.0)
         with pytest.raises(NonconvergenceError):
             sinkhorn_project(state, state.r, state.c, 1e-12, sweep_budget=1)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of log-sum-exp passes and plan anchors made through ``dual``."""
+    counts = {"lse": 0, "anchor": 0}
+    lse, anchor = dual.log_plan_row_sums, DualState._anchor_plan
+
+    def counting_lse(*args):
+        counts["lse"] += 1
+        return lse(*args)
+
+    def counting_anchor(self, *args):
+        counts["anchor"] += 1
+        return anchor(self, *args)
+
+    monkeypatch.setattr(dual, "log_plan_row_sums", counting_lse)
+    monkeypatch.setattr(DualState, "_anchor_plan", counting_anchor)
+    return counts
+
+
+def sinkhorn_pin_solve(monkeypatch):
+    """The ``l1-grid-sinkhorn`` solve pinned in ``test_regression``."""
+    monkeypatch.setenv("OTN_DETERMINISTIC", "1")
+    prob = Problem(C=grid_points_cost(64, "l1"), r=gen_marginal(64, "smooth-random", 0),
+                   c=gen_marginal(64, "smooth-random", 1))
+    return otnewton.mdot(prob, 2.0 ** 5, 2.0 ** 8,
+                         opts=otnewton.MdotOptions(projector="sinkhorn"))
+
+
+class TestAbsorbedSinkhorn:
+    """Sinkhorn sweeps served from the anchored plan (stabilized absorption)."""
+
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    def test_covered_sweep_costs_two_passes_and_no_lse(self, deterministic, calls,
+                                                      monkeypatch):
+        monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
+        state = make_state(16, seed=7, gamma=16.0)
+        _, warm = sinkhorn_project(state, state.r, state.c, 1e-3)
+        assert warm > 0 and calls["anchor"] == 1
+        calls.update(lse=0, anchor=0)
+        before = opcount.snapshot().get("sinkhorn", 0)
+        _, steps = sinkhorn_project(state, state.r, state.c, 1e-10)
+        passes = opcount.snapshot()["sinkhorn"] - before
+        assert steps > 0
+        assert passes == 2 * steps  # one product per scaling, nothing else
+        assert calls == {"lse": 0, "anchor": 0}
+
+    def test_solve_anchors_once_per_temperature(self, calls, monkeypatch):
+        sol = sinkhorn_pin_solve(monkeypatch)
+        assert sol.report.outer_iterations == 4
+        assert calls == {"lse": 0, "anchor": 4}
+        # per temperature: column maxima 1, plan 4, first sums 2; then 2 a sweep
+        sweeps = sum(it.stats.sinkhorn_steps for it in sol.iterations)
+        assert sol.report.ops["sinkhorn"] == 7 * 4 + 2 * sweeps
+
+    def test_sparse_anchor_gives_the_dense_iterates(self, monkeypatch):
+        dense = make_state(32, seed=11, gamma=64.0)
+        _, steps = sinkhorn_project(dense, dense.r, dense.c, 1e-10)
+        monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
+        monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
+        sparse = make_state(32, seed=11, gamma=64.0)
+        _, sparse_steps = sinkhorn_project(sparse, sparse.r, sparse.c, 1e-10)
+        assert isinstance(sparse.anchored_plan()[0], SparsePlan)
+        assert sparse_steps == steps
+        np.testing.assert_allclose(sparse.u, dense.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sparse.v, dense.v, rtol=0, atol=1e-12)
+
+    def test_plan_density_is_reported_at_every_temperature(self, monkeypatch):
+        sol = sinkhorn_pin_solve(monkeypatch)
+        densities = [it.plan_density for it in sol.iterations]
+        assert all(0.0 < d <= 1.0 for d in densities), densities
+
+    def test_overflowing_warm_start_projects(self, calls):
+        state = make_state(8, seed=8, gamma=16.0)
+        u0, v0 = state.u, state.v
+        state.set_potentials(u0, v0 + 800.0)  # log plan entries above 700
+        with pytest.raises(PlanOverflowError):
+            state.materialize_plan()
+        with np.errstate(over="ignore"):
+            sinkhorn_project(state, state.r, state.c, 1e-12)
+        assert state.grad_norm_l1() <= 1e-12
+        assert calls["lse"] > 0  # the sums beyond the guard
+        ref = DualState(state.problem, state.gamma, u=u0, v=v0)
+        sinkhorn_project(ref, state.r, state.c, 1e-12)
+        np.testing.assert_allclose(state.materialize_plan(), ref.materialize_plan(),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_step_across_the_guard_falls_back_to_lse(self, side, calls):
+        # One potential far off its target mass, anchored where it is: the
+        # exact step on that side moves it beyond the guard, so the other
+        # side's sums come from log-sum-exp, and the next check anchors again.
+        state = make_state(8, seed=9, gamma=4.0, spread=0.0)
+        u, v = state.u.copy(), state.v.copy()
+        (u if side == "rows" else v)[0] -= 1.5 * PLAN_OFFSET_MAX
+        state.set_potentials(u, v)
+        state.anchored_plan()
+        state.refresh()
+        assert calls == {"lse": 0, "anchor": 1}  # covered before the step
+        if side == "rows":
+            state.scale_rows_to_target()
+            got, axis = state.log_cP, 0
+        else:
+            state.scale_cols_to_target()
+            got, axis = state.log_rP, 1
+        assert calls["lse"] == 1
+        X = state.u[:, None] + state.v[None, :] - state.gamma * state.problem.C
+        np.testing.assert_allclose(got, logsumexp(X, axis=axis), rtol=0, atol=1e-13)
+        state.anchor_columns()
+        assert calls["anchor"] == 2
 
 
 class TestFiniteDiffGrad:

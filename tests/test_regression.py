@@ -48,7 +48,7 @@ PINNED = {
     ),
     "l1-grid-sinkhorn": (
         l1_grid, 2.0 ** 8, "sinkhorn",
-        {"mirror_descent": 11, "sinkhorn": 6024, "total": 6035},
+        {"mirror_descent": 8, "sinkhorn": 1526, "total": 1534},
         0.16378771263214129,
         [(0, 0, 33, 0), (0, 0, 219, 0), (0, 0, 291, 0), (0, 0, 206, 0)],
     ),
