@@ -60,6 +60,9 @@ class NewtonResult:
     undiscounted_residual_l1: float
     # The direction met only the relaxed forcing test at RHO_CAP.
     relaxed: bool = False
+    # The column step -P_c d_u that goes with d_u, from the transposed
+    # product the forcing test already made.
+    d_v: np.ndarray | None = None
 
 
 class DiscountedSystem:
@@ -99,16 +102,23 @@ class DiscountedSystem:
         P0, a, b = state.anchored_plan()
         return cls(P0, state.row_sums(), state.col_sums(), a, b)
 
-    def round_trip(self, d):
-        """Q = P (P^T d / cP), the off-diagonal part of F(1) d; two passes."""
-        P0, fixed, e_a = self.P, self._fixed_order, self._e_a
-        inner = plan_matvec(P0, e_a * d, fixed, transpose=True)
-        return e_a * plan_matvec(P0, self._w * inner, fixed)
+    def transposed(self, d):
+        """P0^T (e^a d), the unscaled half of ``round_trip`` and ``apply_pc``; one pass."""
+        return plan_matvec(self.P, self._e_a * d, self._fixed_order, transpose=True)
 
-    def apply_pc(self, d):
-        """P_c @ d = D(cP)^-1 P^T d; gives d_v = -apply_pc(d_u) for free."""
-        return self._pc_scale * plan_matvec(self.P, self._e_a * d, self._fixed_order,
-                                            transpose=True)
+    def round_trip(self, d, pt=None):
+        """Q = P (P^T d / cP), the off-diagonal part of F(1) d; two passes,
+        or one when the caller passes ``pt = transposed(d)``."""
+        if pt is None:
+            pt = self.transposed(d)
+        return self._e_a * plan_matvec(self.P, self._w * pt, self._fixed_order)
+
+    def apply_pc(self, d, pt=None):
+        """P_c @ d = D(cP)^-1 P^T d, so d_v = -apply_pc(d_u); one pass, or
+        none when the caller passes ``pt = transposed(d)``."""
+        if pt is None:
+            pt = self.transposed(d)
+        return self._pc_scale * pt
 
     def apply_F(self, rho, d):
         """F(rho) @ d = rP * d - rho * round_trip(d)."""
@@ -187,6 +197,8 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
     warm-starts each solve.  Once ``1 - rho`` is below ``RHO_CAP``, the
     direction is returned with ``relaxed`` set if its residual is at most
     ``ETA_MAX * ||grad_u||_1``, and ``StagnationError`` is raised otherwise.
+    The result carries the column step ``d_v = -P_c d_u``, scaled from the
+    transposed product of the last forcing test.
     """
     if eta <= 0.0:
         raise ConditioningError(f"eta must be positive, got {eta}")
@@ -194,22 +206,25 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
         raise ConditioningError(f"rho0 must be in [0, 1), got {rho0}")
     grad_norm = float(np.abs(grad_u).sum())
     if grad_norm == 0.0:
-        return NewtonResult(np.zeros(sys.n), rho0, 0, 0.0)
+        return NewtonResult(np.zeros(sys.n), rho0, 0, 0.0, d_v=np.zeros(sys.n))
     d = -grad_u / sys.rP
     rho = rho0
     rho_used = rho0
     total_cg = 0
     cg_tol = CG_TOL_FRACTION * eta * grad_norm
     while True:
-        # F(rho) d = rP d - rho Q: one Q serves the residual and the warm start.
-        Q = sys.round_trip(d)
+        # F(rho) d = rP d - rho Q: one Q serves the residual and the warm
+        # start, and its transposed half gives the returned d_v.
+        pt = sys.transposed(d)
+        Q = sys.round_trip(d, pt)
         residual = (sys.rP * d - Q) + grad_u
         res_norm = float(np.abs(residual).sum())
         if res_norm <= eta * grad_norm:
-            return NewtonResult(d, rho_used, total_cg, res_norm)
+            return NewtonResult(d, rho_used, total_cg, res_norm, d_v=-sys.apply_pc(d, pt))
         if 1.0 - rho < RHO_CAP:
             if res_norm <= ETA_MAX * grad_norm:
-                return NewtonResult(d, rho_used, total_cg, res_norm, relaxed=True)
+                return NewtonResult(d, rho_used, total_cg, res_norm, relaxed=True,
+                                    d_v=-sys.apply_pc(d, pt))
             raise StagnationError(
                 f"discount reached {rho} without meeting the forcing test "
                 f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})",

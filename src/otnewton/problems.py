@@ -14,12 +14,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._kernels import tile_rows
 from .errors import DimensionError, DomainError, ParseError
 
 SIMPLEX_TOL = 1e-12
 # Parsing tolerates decimal round-trip noise up to this before renormalizing;
 # larger deviations are treated as genuinely bad inputs.
 PARSE_SIMPLEX_TOL = 1e-9
+
+# The one-dimensional term f of each separable grid metric.
+_GRID_METRICS = {"l1": np.abs, "l2sq": np.square}
 
 TRACE_HEADER = [
     "t", "gamma", "eps_d", "newton_steps", "cg_iters", "sinkhorn_steps",
@@ -54,9 +58,12 @@ class Problem:
         if self.r.shape != (n,) or self.c.shape != (n,):
             raise DimensionError(
                 f"marginal lengths {self.r.shape}, {self.c.shape} do not match n={n}")
-        if not np.all(np.isfinite(self.C)):
+        # NaN and +-inf propagate through min and max, so two reductions
+        # check finiteness and range with no n-by-n temporary.
+        lo, hi = self.C.min(), self.C.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DomainError("cost matrix must be finite")
-        if self.C.min() < 0.0 or self.C.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise DomainError("cost entries must lie in [0, 1]")
         for name, m in (("r", self.r), ("c", self.c)):
             if np.any(m < 0.0):
@@ -90,22 +97,32 @@ def grid_points_cost(n, metric, side=None):
     Points are laid out row-major on a ``side``-by-``side`` grid (default:
     the smallest square grid holding ``n`` points).  ``metric`` is ``"l1"``
     (Manhattan) or ``"l2sq"`` (squared Euclidean).
+
+    Both metrics are separable, ``C_ij = f(x_i - x_j) + f(y_i - y_j)``, so
+    the matrix is written tile by tile (``_kernels.tile_rows`` rows) from the
+    two coordinate vectors: its peak memory is the one n-by-n result plus a
+    tile.  Every entry is an exact integer before the normalization.
     """
     if n < 1:
         raise DimensionError("need at least one grid point")
+    f = _GRID_METRICS.get(metric.lower())
+    if f is None:
+        raise DomainError(f"unknown metric {metric!r}; use 'l1' or 'l2sq'")
     if side is None:
         side = int(np.ceil(np.sqrt(n)))
-    k = np.arange(n)
-    pts = np.stack([k // side, k % side], axis=1).astype(np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    metric = metric.lower()
-    if metric == "l1":
-        C = np.abs(diff).sum(axis=2)
-    elif metric == "l2sq":
-        C = (diff ** 2).sum(axis=2)
-    else:
-        raise DomainError(f"unknown metric {metric!r}; use 'l1' or 'l2sq'")
-    m = C.max()
+    x, y = np.divmod(np.arange(n), side)
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    C = np.empty((n, n))
+    rows = tile_rows(n)
+    tile = np.empty((min(rows, n), n))
+    m = 0.0
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        out, t = C[i0:i1], tile[:i1 - i0]
+        f(np.subtract(x[i0:i1, None], x, out=out), out=out)
+        f(np.subtract(y[i0:i1, None], y, out=t), out=t)
+        out += t
+        m = max(m, out.max())
     if m > 0.0:
         C /= m
     return C

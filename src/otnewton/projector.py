@@ -185,10 +185,9 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
 
         eta, terminal_branch = eta_rule(grad_norm, eps_d)
         with opcount.category("newton_solve"):
-            sys = DiscountedSystem.from_state(state)
-            result = newton_solve(grad_u, sys, eta, rho0=rho_next)
-            d_u = result.d_u
-            d_v = -sys.apply_pc(d_u)
+            result = newton_solve(grad_u, DiscountedSystem.from_state(state), eta,
+                                  rho0=rho_next)
+            d_u, d_v = result.d_u, result.d_v
         stats.rho_final = result.rho_final
         rho_next = next_rho0(result.rho_final) if adaptive_rho0 else 0.0
 

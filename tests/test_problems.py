@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from otnewton.errors import DimensionError, ParseError
+from otnewton._kernels import BLOCK
+from otnewton.errors import DimensionError, DomainError, ParseError
 from otnewton.problems import (
     Problem,
     TraceRow,
@@ -13,6 +16,30 @@ from otnewton.problems import (
     save_problem,
     write_trace,
 )
+
+
+def broadcast_grid_cost(n, metric, side=None):
+    """The (n, n, 2) broadcast formula that grid_points_cost's tiles replace."""
+    if side is None:
+        side = int(np.ceil(np.sqrt(n)))
+    k = np.arange(n)
+    pts = np.stack([k // side, k % side], axis=1).astype(np.float64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    C = np.abs(diff).sum(axis=2) if metric.lower() == "l1" else (diff ** 2).sum(axis=2)
+    m = C.max()
+    if m > 0.0:
+        C /= m
+    return C
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` holds at its ``tracemalloc`` peak."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGridCost:
@@ -50,6 +77,30 @@ class TestGridCost:
         sub = full_raw[:5, :5]
         np.testing.assert_allclose(grid_points_cost(5, "l1", side=3), sub / sub.max())
 
+    # One point, a grid one short of full, more than one tile, and more
+    # points than the given grid holds.
+    @pytest.mark.parametrize("n, side", [(1, None), (48, 7), (BLOCK + 17, None),
+                                         (BLOCK + 17, 7), (100, 7)])
+    @pytest.mark.parametrize("metric", ["l1", "l2sq", "L2SQ"])
+    def test_tiles_match_broadcast_formula_bitwise(self, n, side, metric):
+        got = grid_points_cost(n, metric, side=side)
+        assert got.tobytes() == broadcast_grid_cost(n, metric, side).tobytes()
+
+    def test_unknown_metric_rejected_before_allocation(self):
+        n = 4 * BLOCK
+
+        def build():
+            with pytest.raises(DomainError, match="unknown metric"):
+                grid_points_cost(n, "linf")
+
+        assert traced_peak(build) < n * n
+
+    def test_peak_is_one_matrix_and_one_tile(self):
+        n = 4 * BLOCK
+        peak = traced_peak(grid_points_cost, n, "l1")
+        # numpy holds two 8192-element iteration buffers when an operand broadcasts.
+        assert peak <= 8 * (n * n + BLOCK * BLOCK + 8 * n) + 2 * 8 * 8192
+
 
 class TestGenMarginal:
     def test_uniform(self):
@@ -70,6 +121,31 @@ class TestGenMarginal:
         m = gen_marginal(100, "smooth-random", 3)
         assert m.min() > 0.0
         assert abs(m.sum() - 1.0) <= 1e-12
+
+
+class TestValidate:
+    def _problem(self, C):
+        return Problem(C=C, r=np.full(3, 1 / 3), c=np.full(3, 1 / 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        C = grid_points_cost(3, "l1")
+        C[1, 2] = bad
+        with pytest.raises(DomainError, match="^cost matrix must be finite$"):
+            self._problem(C)
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5])
+    def test_out_of_range_entry(self, bad):
+        C = grid_points_cost(3, "l1")
+        C[2, 0] = bad
+        with pytest.raises(DomainError, match=r"^cost entries must lie in \[0, 1\]$"):
+            self._problem(C)
+
+    def test_non_finite_reported_before_range(self):
+        C = grid_points_cost(3, "l1")
+        C[0, 1], C[1, 0] = 2.0, np.nan
+        with pytest.raises(DomainError, match="finite"):
+            self._problem(C)
 
 
 class TestProblemIO:

@@ -31,7 +31,7 @@ def uniform_nonsymmetric():
 PINNED = {
     "l1-grid": (
         l1_grid, 2.0 ** 14, "newton",
-        {"mirror_descent": 112, "chi_sinkhorn": 10, "newton_solve": 1312, "total": 1434},
+        {"mirror_descent": 112, "chi_sinkhorn": 10, "newton_solve": 1290, "total": 1412},
         0.1636240399954206,
         [(3, 15, 5, 0), (4, 74, 0, 0), (2, 29, 0, 0), (1, 11, 0, 0), (1, 48, 0, 0),
          (2, 64, 0, 0), (1, 13, 0, 0), (2, 83, 0, 0), (1, 17, 0, 0), (2, 82, 0, 0),
@@ -39,8 +39,8 @@ PINNED = {
     ),
     "uniform-nonsymmetric": (
         uniform_nonsymmetric, 2.0 ** 14, "newton",
-        {"mirror_descent": 120, "chi_sinkhorn": 2, "newton_solve": 3732, "line_search": 1,
-         "total": 3855},
+        {"mirror_descent": 120, "chi_sinkhorn": 2, "newton_solve": 3698, "line_search": 1,
+         "total": 3821},
         0.03663784913566019,
         [(2, 3, 1, 0), (2, 8, 0, 0), (2, 15, 0, 0), (3, 31, 0, 0), (3, 64, 0, 0),
          (3, 83, 0, 0), (4, 222, 0, 1), (2, 160, 0, 0), (3, 274, 0, 0), (4, 383, 0, 0),
