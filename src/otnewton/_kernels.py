@@ -13,19 +13,19 @@ The kernels never exponentiate below ``EXP_FLOOR`` = -700.  Two slow
 paths sit just below it: numpy's SIMD ``exp`` falls back to a scalar loop,
 about 20x slower, for any vector holding an argument below about -707.7, and
 BLAS products on subnormal operands run several times slower than on normal
-ones.  So ``log_plan_row_sums`` clamps its shifted exponents at the floor
-(each row sum is at least 1 after the shift, and the n * e^-700 the clamp can
-add is far below half an ulp), and ``materialize_plan`` and ``scale_plan``
-write exactly 0 for every entry below ``PLAN_FLOOR`` = e^-700 (a normal
-number, so a plan never holds a subnormal).
+ones.  So ``materialize_plan`` and ``scale_plan`` write exactly 0 for every
+entry below ``PLAN_FLOOR`` = e^-700 (a normal number, so a plan never holds
+a subnormal).
 
 ``plan_matvec`` is the one matrix-vector product with a materialized plan,
 used by the Newton system (which applies a diagonally rescaled plan as the
 product with the plan between two length-n scalings) and by
 ``log_plan_matvec``, which serves row or column log sums of a diagonally
-rescaled plan from one product instead of a log-sum-exp pass.  With
-``OTN_DETERMINISTIC=1`` (see ``fixed_order``) the product is a fixed-order
-summation, bit-identical whatever the BLAS threading.
+rescaled plan from one product.  With ``OTN_DETERMINISTIC=1`` (see
+``fixed_order``) the product is a fixed-order summation, bit-identical
+whatever the BLAS threading.  ``log_plan_max`` finds the row or column
+maxima of the log plan, where a plan is anchored so that no entry of the
+summed lines exceeds 1.
 
 A plan whose entries are mostly exact zeros can be materialized as a
 ``SparsePlan`` instead (``materialize_plan`` with ``max_nnz``): compressed
@@ -65,52 +65,29 @@ def tile_rows(m):
     return max(1, BLOCK * BLOCK // m)
 
 
-def log_plan_row_sums(C, gamma, u, v):
-    """u + LSE over rows of (1 v^T - gamma C): the log row sums of the plan.
-
-    ``-gamma C`` is formed tile by tile (the log kernel is never built), so
-    ``log_plan_row_sums(C.T, gamma, v, u)`` gives the log column sums.
-    Handles rows whose entries are all -inf (they reduce to -inf).
-    """
-    opcount.add(4)
-    n = C.shape[0]
-    rows = tile_rows(C.shape[1])
-    out = np.empty(n)
-    buf = np.empty((min(rows, n), C.shape[1]))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        b = buf[: hi - lo]
-        np.multiply(C[lo:hi], -gamma, out=b)
-        np.add(b, v[None, :], out=b)
-        m = b.max(axis=1)
-        finite = np.isfinite(m)
-        shift = np.where(finite, m, 0.0)
-        np.subtract(b, shift[:, None], out=b)
-        np.maximum(b, EXP_FLOOR, out=b)
-        np.exp(b, out=b)
-        with np.errstate(divide="ignore"):
-            s = shift + np.log(b.sum(axis=1))
-        out[lo:hi] = np.where(finite, s, -np.inf)
-    return u + out
-
-
-def log_plan_col_max(C, gamma, u):
-    """max over i of (u_i - gamma C_ij) for each column j: the largest log
-    entry of each column of the plan at (u, 0).
+def log_plan_max(C, gamma, x, axis):
+    """The largest log entry of each column (``axis`` 0) or row (``axis`` 1)
+    of the plan at potentials ``(x, 0)`` or ``(0, x)``: max over i of
+    ``x_i - gamma C_ij`` for each column j, or max over j of
+    ``x_j - gamma C_ij`` for each row i.
 
     One pass over row tiles of ``C``, with no exp and no transposed cost.
     """
     opcount.add(1)
     n, m = C.shape
     rows = tile_rows(m)
-    out = np.full(m, -np.inf)
+    out = np.full(m, -np.inf) if axis == 0 else np.empty(n)
     buf = np.empty((min(rows, n), m))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         b = buf[: hi - lo]
         np.multiply(C[lo:hi], -gamma, out=b)
-        np.add(b, u[lo:hi, None], out=b)
-        np.maximum(out, b.max(axis=0), out=out)
+        if axis == 0:
+            np.add(b, x[lo:hi, None], out=b)
+            np.maximum(out, b.max(axis=0), out=out)
+        else:
+            np.add(b, x[None, :], out=b)
+            b.max(axis=1, out=out[lo:hi])
     return out
 
 
@@ -135,12 +112,12 @@ def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
     """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected;
     returns ``(plan, nnz)``, nnz its count of nonzero entries.
 
-    ``-gamma C`` is formed tile by tile, as in ``log_plan_row_sums``.
-    Entries whose log is below ``EXP_FLOOR`` come out as exactly 0.  The
-    plan is dense (written into ``out`` when given) unless ``max_nnz`` is
-    given: then it is a ``SparsePlan`` built tile by tile, with no n-by-n
-    array, and the build stops with ``(None, nnz)`` once the count passes
-    ``max_nnz``.  Its entries are those of the dense plan, bit for bit.
+    ``-gamma C`` is formed tile by tile, never stored.  Entries whose log
+    is below ``EXP_FLOOR`` come out as exactly 0.  The plan is dense
+    (written into ``out`` when given) unless ``max_nnz`` is given: then it
+    is a ``SparsePlan`` built tile by tile, with no n-by-n array, and the
+    build stops with ``(None, nnz)`` once the count passes ``max_nnz``.
+    Its entries are those of the dense plan, bit for bit.
     """
     opcount.add(4)
     n, m = C.shape

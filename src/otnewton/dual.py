@@ -2,32 +2,29 @@
 
 The plan implied by potentials ``(u, v)`` at inverse temperature ``gamma``
 is ``P_ij = exp(u_i + v_j - gamma * C_ij)``.  Its row and column sums are
-kept in log form and cached alongside the potentials.  They come from one of
-two paths:
+kept in log form and cached alongside the potentials.  Every one comes
+from the *anchored plan* ``P0``, materialized at potentials ``(u0, v0)``:
+the plan at ``(u0 + a, v0 + b)`` is ``D(e^a) P0 D(e^b)``, so its column sums
+are ``b + log(P0^T e^(a - max a)) + max a`` (rows alike), one matrix-vector
+product, and ``newton.DiscountedSystem`` applies it by the same two
+diagonal scalings.  An anchor serves the state while the offsets stay
+within ``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0
+could add.
 
-* log-sum-exp passes over ``-gamma C`` (``log_plan_row_sums``, four passes;
-  the log kernel is formed tile by tile from the cost, never stored);
-* the *anchored plan* ``P0``, materialized at potentials ``(u0, v0)``: the
-  plan at ``(u0 + a, v0 + b)`` is ``D(e^a) P0 D(e^b)``, so its column sums
-  are ``b + log(P0^T e^(a - max a)) + max a`` (rows alike), one
-  matrix-vector product, and ``newton.DiscountedSystem`` applies it by the
-  same two diagonal scalings.
-
-A plan is anchored once per temperature, without log-sum-exp, by
-``anchor_columns``: finding no anchor that covers the state, it takes each
-column's largest log entry ``m`` at ``(u, 0)`` in one pass without exp and
-anchors at ``(u, -m)``, where each column's largest entry is 1 (up to
-rounding) and none can overflow.  The Newton projector's entry
-``rebalance_columns`` anchors so and rebalances with one transposed
-product, ``v = -m + log c - log(P0^T 1)``; the Sinkhorn projector
-(``oracles.sinkhorn_project``) anchors so before each gradient check, and
-its exact row and column scalings take their sums from the anchor.  Every
-later sum and Newton system at that temperature is served from the anchor
-while the offsets stay within ``PLAN_OFFSET_MAX``, which bounds what its
-entries flushed to 0 could add.  Beyond it, sums fall back to log-sum-exp,
-and the next column rebalance, Newton system or Sinkhorn gradient check
-anchors again.  ``set_gamma`` drops the anchor (the buffer is kept for the
-next one).
+A sum at potentials no anchor covers anchors at the maxima of the axis it
+sums, found in one pass without exp (``_anchor_at_maxima``): column sums at
+``(u, -m)``, ``m`` the column maxima of ``u 1^T - gamma C``, row sums at
+``(-m', v)``, ``m'`` the row maxima of ``1 v^T - gamma C``.  Each summed
+line's largest entry is then 1 (up to rounding), so nothing overflows
+whatever the potentials; the summed side's offset is 0 and the other
+side's stays outside the log, so the sum is log-sum-exp's own computation,
+with entries below e^-700 dropped, at any offset size.  The Newton
+projector's entry ``rebalance_columns`` anchors so once per temperature
+(``anchor_columns``) and rebalances with one transposed product,
+``v = -m + log c - log(P0^T 1)``; the Sinkhorn projector
+(``oracles.sinkhorn_project``) anchors so before each gradient check that
+its anchor does not cover.  ``set_gamma`` drops the anchor (the buffer is
+kept for the next one).
 
 As gamma grows, most anchored entries fall below e^-700 and are stored as
 exact zeros.  An anchor is then built as a ``_kernels.SparsePlan`` (CSR),
@@ -54,23 +51,26 @@ import math
 
 import numpy as np
 
-from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, fixed_order, log_plan_col_max,
-                       log_plan_matvec, log_plan_row_sums, materialize_plan, scale_plan)
+from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, fixed_order, log_plan_matvec,
+                       log_plan_max, materialize_plan, scale_plan)
 from .errors import DomainError
 
 # Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
-# sums; beyond it they fall back to log-sum-exp.  A plan entry flushed to 0
-# had log below EXP_FLOOR, and the offsets scale it by at most e^B, so with
-# B = -EXP_FLOOR - 600 each dropped term stays below e^-600 ~ 2.7e-261 and
-# the n <= 2^20 of one sum below 3e-255: far below half an ulp of any target
-# above 1e-230.  The smallest smoothed target, w_c * eps_d / n, is about
-# 1e-11 on an n = 64 batch instance at gamma = 2^18.  The weights
-# e^(a - max a) stay above e^(-2B) = e^-200, and the Newton system's
-# scalings e^a and e^2b within e^(+-2B), normal numbers.  The entry anchor at
-# (u, -m) puts its column offset b = log c - log(P0^T 1) in
-# [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
-# unless a target is below e^-100 / n; then the sums at the rebalanced state
-# come from log-sum-exp until the next anchor.
+# sums; beyond it a sum anchors anew at the maxima of its summed axis.  A plan
+# entry flushed to 0 had log below EXP_FLOOR, and the offsets scale it by at
+# most e^B, so with B = -EXP_FLOOR - 600 each dropped term stays below
+# e^-600 ~ 2.7e-261 and the n <= 2^20 of one sum below 3e-255: far below half
+# an ulp of any target above 1e-230.  The smallest smoothed target,
+# w_c * eps_d / n, is about 1e-11 on an n = 64 batch instance at
+# gamma = 2^18.  The weights e^(a - max a) stay above e^(-2B) = e^-200, and
+# the Newton system's scalings e^a and e^2b within e^(+-2B), normal numbers.
+# The entry anchor at (u, -m) puts its column offset b = log c - log(P0^T 1)
+# in [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
+# unless a target is below e^-100 / n; then the row sums at the rebalanced
+# state anchor anew at the row maxima.  A sum at such a new anchor needs no
+# bound on the other side's offset, which stays outside the log: the summed
+# side's is 0, and each dropped term is below e^-700 against a sum of at
+# least 1.
 PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
 
 
@@ -104,7 +104,6 @@ class DualState:
     """
 
     def __init__(self, problem, gamma, u=None, v=None, r=None, c=None):
-        self._C_T = None
         self._plan = None  # the anchored plan, or the dense buffer kept for the next
         self._anchor = None  # (u0, v0) that _plan is the plan of
         self._anchor_nnz = None  # nonzeros of the last anchored plan
@@ -161,13 +160,6 @@ class DualState:
         """Swap the target marginals (does not touch the plan caches)."""
         self.r = np.asarray(r, dtype=np.float64)
         self.c = np.asarray(c, dtype=np.float64)
-
-    def _cost_T(self):
-        """The transposed cost, contiguous, built once; the cost itself when symmetric."""
-        if self._C_T is None:
-            C = self.problem.C
-            self._C_T = C if (C == C.T).all() else np.ascontiguousarray(C.T)
-        return self._C_T
 
     # -- the anchored plan ---------------------------------------------------
 
@@ -229,8 +221,8 @@ class DualState:
 
     def release_plan(self):
         """The plan at the current potentials, in the state's own plan buffer,
-        which the state then gives up with the transposed cost, so it keeps
-        no n-by-n array but the problem's cost.
+        which the state then gives up, so it keeps no n-by-n array but the
+        problem's cost.
 
         When the anchor covers the state and is dense, the anchored plan is
         scaled in place to ``D(e^a) P0 D(e^b)`` (one pass, entries below
@@ -238,7 +230,6 @@ class DualState:
         after a sparse anchor is let go.  The cached log sums stay valid;
         the next anchor allocates a new buffer.
         """
-        self._C_T = None
         off = self._plan_offsets(self.u, self.v)
         if off is None or isinstance(self._plan, SparsePlan):
             P = self._materialize_into_buffer(self.u, self.v)[0]
@@ -248,25 +239,37 @@ class DualState:
         self._anchor = None
         return P
 
-    # -- log row/column sums: anchored plan or log-sum-exp --------------------
+    # -- log row/column sums: one product with the anchored plan -------------
+
+    def _anchor_at_maxima(self, u, v, axis):
+        """Anchor at the maxima of the summed ``axis`` (0: columns, 1: rows)
+        of the log plan at (u, v): at ``(u, -m)`` or ``(-m', v)``, whose
+        summed lines each have largest entry 1; return the anchor."""
+        C, gamma = self.problem.C, self.gamma
+        if axis == 0:
+            anchor = (u, -log_plan_max(C, gamma, u, 0))
+        else:
+            anchor = (-log_plan_max(C, gamma, v, 1), v)
+        self._anchor_plan(*anchor)
+        return anchor
+
+    def _summing_offsets(self, u, v, axis):
+        """(u - u0, v - v0) from an anchor that serves the sums over ``axis``
+        at (u, v): the current one when it covers them, else a new one at
+        that axis's maxima."""
+        off = self._plan_offsets(u, v)
+        if off is not None:
+            return off
+        u0, v0 = self._anchor_at_maxima(u, v, axis)
+        return u - u0, v - v0
 
     def _log_row_sums(self, u, v):
-        off = self._plan_offsets(u, v)
-        if off is None:
-            return log_plan_row_sums(self.problem.C, self.gamma, u, v)
-        a, b = off
+        a, b = self._summing_offsets(u, v, 1)
         return a + log_plan_matvec(self._plan, b, self._fixed_order)
 
-    def _log_col_sums(self, u, v, on_plan=None):
-        """Log column sums at (u, v); ``on_plan`` overrides the guard, for a
-        line search whose path was chosen from its whole step."""
-        if on_plan is None:
-            on_plan = self._plan_offsets(u, v) is not None
-        if not on_plan:
-            return log_plan_row_sums(self._cost_T(), self.gamma, v, u)
-        u0, v0 = self._anchor
-        return (v - v0) + log_plan_matvec(self._plan, u - u0, self._fixed_order,
-                                          transpose=True)
+    def _log_col_sums(self, u, v):
+        a, b = self._summing_offsets(u, v, 0)
+        return b + log_plan_matvec(self._plan, a, self._fixed_order, transpose=True)
 
     def refresh(self):
         """Recompute the cached log row/column sums of the implied plan."""
@@ -312,21 +315,23 @@ class DualState:
         return materialize_plan(self.problem.C, self.gamma, self.u, self.v)[0]
 
     def trial_log_col_sums(self, d_u, d_v, alpha):
-        """Log column sums at (u + alpha d_u, v + alpha d_v) without mutating state.
+        """Log column sums at (u + alpha d_u, v + alpha d_v); the potentials
+        and their sums are left as they are.
 
-        The path depends on the direction, not on ``alpha``: the anchored plan
-        when it covers both ends of the full step, hence (the offsets being
-        convex in alpha) every alpha in [0, 1]; log-sum-exp otherwise.  So a
-        line search, with its ``base_log_col_sums``, stays on one path.
+        When the anchor covers both ends of the full step, it covers (the
+        offsets being convex in alpha) every alpha in [0, 1], so a line
+        search, with its ``base_log_col_sums``, is served by one plan.
+        Otherwise a trial the anchor does not cover re-anchors at its column
+        maxima.
         """
-        return self._log_col_sums(self.u + alpha * d_u, self.v + alpha * d_v,
-                                  self._step_on_plan(d_u, d_v))
+        return self._log_col_sums(self.u + alpha * d_u, self.v + alpha * d_v)
 
     def base_log_col_sums(self, d_u, d_v):
-        """Log column sums at alpha = 0 from the path ``trial_log_col_sums(d_u,
-        d_v, .)`` takes: one product with the anchored plan, or the cache."""
+        """Log column sums at alpha = 0 for a line search along (d_u, d_v):
+        one product with the anchored plan when it covers the full step,
+        else the cache."""
         if self._step_on_plan(d_u, d_v):
-            return self._log_col_sums(self.u, self.v, True)
+            return self._log_col_sums(self.u, self.v)
         return self.log_cP
 
     def _step_on_plan(self, d_u, d_v):
@@ -341,16 +346,16 @@ class DualState:
         of the anchor taken, or the current v when none was.
 
         Each column's largest entry at ``(u, -m)`` is 1, so no entry
-        overflows, whatever v is.  The column maxima take one pass and no
-        exp.  Once the column sums at ``(u, v)`` are on a target c, the
+        overflows, whatever v is; this is the anchor ``_anchor_at_maxima``
+        takes for column sums.  The column maxima take one pass and no exp.
+        Once the column sums at ``(u, v)`` are on a target c, the
         offset ``v + m`` lies in ``[log c - log n, log c]`` (each column sum
         of the anchor lies in [1, n]), so the anchor covers the state unless
         a target is below e^-100 / n.
         """
         u, v = self.u, self.v
         if self._plan_offsets(u, v) is None:
-            v = -log_plan_col_max(self.problem.C, self.gamma, u)
-            self._anchor_plan(u, v)
+            v = self._anchor_at_maxima(u, v, 0)[1]
         return v
 
     def rebalance_columns(self):
@@ -360,12 +365,11 @@ class DualState:
         the offset ``log c - log(P0^T 1)``, so the offset stays out of the
         sums, as in log-sum-exp.  Should the offset leave
         ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters it); the row
-        sums then come from log-sum-exp, and the next anchor is taken at the
-        rebalanced state.
+        sums then re-anchor at the row maxima of the rebalanced state.
         """
         log_c = np.log(self.c)
         u, v = self.u, self.anchor_columns()
-        v = v + (log_c - self._log_col_sums(u, v, True))
+        v = v + (log_c - self._log_col_sums(u, v))
         self.refresh_rows_only(u, v, log_c)
 
     def scale_rows_to_target(self):

@@ -95,9 +95,9 @@ class DiscountedSystem:
         by scaling; sums come from the log-domain caches.
 
         The plan is the state's buffer: the system is valid until the state
-        anchors again, which the projection loop does only when a new
-        temperature starts or the offsets leave ``dual.PLAN_OFFSET_MAX``,
-        never while a system is in use.
+        anchors again, which happens when a new temperature starts or a sum
+        leaves ``dual.PLAN_OFFSET_MAX``, never while the projection loop uses
+        the system (a line search trial that re-anchors comes after it).
         """
         P0, a, b = state.anchored_plan()
         return cls(P0, state.row_sums(), state.col_sums(), a, b)

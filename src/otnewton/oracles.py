@@ -78,8 +78,9 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     potentials, ``DualState.anchor_columns`` anchors it at the column
     maxima, so each sweep's two exact scalings take their sums from one
     product with that plan each.  The iterates are those of log-domain
-    Sinkhorn.  A sum whose offsets leave ``dual.PLAN_OFFSET_MAX`` comes from
-    log-sum-exp, and the next check anchors again.
+    Sinkhorn.  A scaling whose step leaves ``dual.PLAN_OFFSET_MAX``
+    re-anchors at the maxima of the axis it sums, and that anchor serves the
+    later sums and checks while it covers them.
     """
     if np.min(r) <= 0.0 or np.min(c) <= 0.0:
         raise DomainError("sinkhorn_project requires strictly positive marginals")

@@ -24,7 +24,7 @@ from otnewton.oracles import exact_ot_small, sinkhorn_project
 from otnewton.projector import project
 
 # The fewest passes a Sinkhorn sweep makes: one product with the anchored
-# plan per scaling (a log-sum-exp sum costs 4).
+# plan per scaling (a sum that anchors anew costs 6: maxima, plan, product).
 MIN_SWEEP_PASSES = 2
 
 

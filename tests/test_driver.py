@@ -474,6 +474,29 @@ class TestBatchInstances:
         assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
         assert sum(s.relaxed for it in sol.iterations for s in it.stats.steps) == 1
 
+    @pytest.mark.parametrize("deterministic", ["", "1"])
+    @pytest.mark.parametrize("i", [35, 111, 252, 281])
+    def test_uncovered_line_search_solves(self, i, deterministic, monkeypatch):
+        # Random costs (35, 281) and L1 grids (111, 252) whose Newton steps
+        # leave the anchor: some trial re-anchors at its column maxima, and
+        # the rounded plan stays within its bound.
+        monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
+        reanchored = []
+        trial = dual.DualState.trial_log_col_sums
+
+        def spy(state, *args):
+            anchor = state._anchor
+            out = trial(state, *args)
+            reanchored.append(state._anchor is not anchor)
+            return out
+
+        monkeypatch.setattr(dual.DualState, "trial_log_col_sums", spy)
+        prob = batch_instance(i)
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 18)
+        gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
+        assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
+        assert any(reanchored)
+
     def test_stagnation_diagnostics_serialize(self, monkeypatch):
         # Without the relaxed exit at the discount cap, instance 59 stagnates.
         monkeypatch.setattr(newton, "ETA_MAX", 0.0)

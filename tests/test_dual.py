@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from dense_reference import finite_diff_grad
+from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad
 
 from otnewton import dual, opcount
-from otnewton._kernels import SparsePlan, log_plan_row_sums
+from otnewton._kernels import SparsePlan, log_plan_max
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
@@ -201,19 +201,27 @@ class TestAnchoredPlan:
             before = opcount.snapshot().get("t", 0)
             got = state.trial_log_col_sums(d_u, d_v, 0.3)
             base = state.base_log_col_sums(d_u, d_v)
-            assert opcount.snapshot()["t"] - before == 2  # two matvecs, no LSE
+            assert opcount.snapshot()["t"] - before == 2  # two matvecs, no anchor
         np.testing.assert_allclose(got, probe.log_cP, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(base, state.trial_log_col_sums(d_u, d_v, 0.0))
 
-    def test_step_beyond_guard_uses_lse_and_the_cache(self):
+    @pytest.mark.parametrize("size", [1.01 * PLAN_OFFSET_MAX, 10.0 * PLAN_OFFSET_MAX])
+    def test_step_beyond_guard_reanchors_and_uses_the_cache(self, size):
+        # The base sums come from the cache; each trial the anchor does not
+        # cover anchors at its column maxima (maxima 1, plan 4, product 1).
         state = anchored()
-        d_u = np.full(12, 1.01 * PLAN_OFFSET_MAX)
+        d_u = np.full(12, size)
         d_v = np.zeros(12)
         np.testing.assert_array_equal(state.base_log_col_sums(d_u, d_v), state.log_cP)
-        C_T = np.ascontiguousarray(state.problem.C.T)
-        np.testing.assert_array_equal(
-            state.trial_log_col_sums(d_u, d_v, 0.5),
-            log_plan_row_sums(C_T, state.gamma, state.v, state.u + 0.5 * d_u))
+        C, gamma = state.problem.C, state.gamma
+        for alpha in (1.0, 0.5):
+            with opcount.category("t"):
+                before = opcount.snapshot().get("t", 0)
+                got = state.trial_log_col_sums(d_u, d_v, alpha)
+                assert opcount.snapshot()["t"] - before == 1 + 4 + 1
+            u = state.u + alpha * d_u
+            np.testing.assert_array_equal(state._anchor[1], -log_plan_max(C, gamma, u, 0))
+            assert_no_less_accurate_than_lse(C, gamma, u, state.v, cols=got)
 
     def test_scalings_match_lse(self):
         state = anchored()
@@ -253,7 +261,16 @@ class TestAnchoredPlan:
             assert opcount.snapshot()["t"] - before == 5
 
     def test_set_gamma_drops_the_anchor(self):
+        # The next sums anchor at the new temperature's row maxima, and the
+        # column sums come from that anchor (maxima 1, plan 4, two products).
         state = anchored()
         state.set_gamma(9.0)
-        np.testing.assert_array_equal(state.log_rP,
-                                      log_plan_row_sums(state.problem.C, 9.0, state.u, state.v))
+        assert math.isnan(state.plan_density)
+        with opcount.category("t"):
+            before = opcount.snapshot().get("t", 0)
+            state.refresh()
+            assert opcount.snapshot()["t"] - before == 1 + 4 + 2
+        np.testing.assert_array_equal(state._anchor[0],
+                                      -log_plan_max(state.problem.C, 9.0, state.v, 1))
+        assert_no_less_accurate_than_lse(state.problem.C, 9.0, state.u, state.v,
+                                         state.log_rP, state.log_cP)

@@ -6,19 +6,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import (assert_no_less_accurate_than_lse, long_double_sums,
+                             lse_col_sums, lse_row_sums)
 from scipy.special import logsumexp
 
 from otnewton import _kernels, dual, opcount
-from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, SparsePlan, log_plan_col_max,
-                               log_plan_row_sums, materialize_plan, plan_matvec,
-                               scale_plan, square_matvec, tile_rows)
+from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, SparsePlan, log_plan_max,
+                               materialize_plan, plan_matvec, scale_plan, square_matvec,
+                               tile_rows)
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.newton import DiscountedSystem
 from otnewton.problems import Problem, gen_marginal
 
-# The kernels' LSE sums the shifted exponentials whole, scipy's separates the
-# largest term (log1p); the two differ by rounding, a few ulps of the result.
+# The reference LSE sums the shifted exponentials whole, scipy's separates
+# the largest term (log1p); the two differ by rounding, a few ulps of the result.
 LSE_ATOL = 1e-13
 
 
@@ -33,38 +35,26 @@ def assert_matches_lse(got, X, shift):
 class TestBlockedKernels:
     """The tiled internal kernels agree with the reference reductions."""
 
-    def test_row_sums_match_reference(self):
-        rng = np.random.default_rng(9)
-        n = BLOCK + 17  # force a partial tail block
-        K = rng.normal(size=(n, n)) * 10
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        assert_matches_lse(log_plan_row_sums(-K, 1.0, u, v), K + v[None, :], u)
-
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_fused_log_kernel_matches_built_one(self, symmetric, monkeypatch):
+    def test_fused_log_kernel_matches_built_one(self, monkeypatch):
         # The kernels form -gamma C inside each tile; their output must match
-        # LSE over a stored log kernel K = -gamma * C, and stay the same bit
-        # for bit whatever the tile size.
+        # the same expressions over a stored log kernel K = -gamma * C, and
+        # stay the same bit for bit whatever the tile size.
         rng = np.random.default_rng(13)
-        n = BLOCK + 17
+        n = BLOCK + 17  # force a partial tail block
         C = rng.uniform(size=(n, n))
-        if symmetric:
-            C = C + C.T
         gamma = 37.3
         u, v = 5.0 * rng.normal(size=n), 5.0 * rng.normal(size=n)
         K = -gamma * C
-        C_T = C if symmetric else np.ascontiguousarray(C.T)
-        rows = log_plan_row_sums(C, gamma, u, v)
-        cols = log_plan_row_sums(C_T, gamma, v, u)
-        assert_matches_lse(rows, K + v[None, :], u)
-        assert_matches_lse(cols, K.T + u[None, :], v)
-        np.testing.assert_array_equal(materialize_plan(C, gamma, u, v)[0],
-                                      np.exp((K + v[None, :]) + u[:, None]))
+        plan = materialize_plan(C, gamma, u, v)[0]
+        col_max, row_max = log_plan_max(C, gamma, u, 0), log_plan_max(C, gamma, v, 1)
+        np.testing.assert_array_equal(plan, np.exp((K + v[None, :]) + u[:, None]))
+        np.testing.assert_array_equal(col_max, (K + u[:, None]).max(axis=0))
+        np.testing.assert_array_equal(row_max, (K + v[None, :]).max(axis=1))
         for block in (8, n + 1):  # many small tiles, then one tile
             monkeypatch.setattr(_kernels, "BLOCK", block)
-            assert log_plan_row_sums(C, gamma, u, v).tobytes() == rows.tobytes()
-            assert log_plan_row_sums(C_T, gamma, v, u).tobytes() == cols.tobytes()
+            assert materialize_plan(C, gamma, u, v)[0].tobytes() == plan.tobytes()
+            assert log_plan_max(C, gamma, u, 0).tobytes() == col_max.tobytes()
+            assert log_plan_max(C, gamma, v, 1).tobytes() == row_max.tobytes()
 
     def test_square_matvec_matches_reference(self):
         rng = np.random.default_rng(10)
@@ -89,13 +79,15 @@ class TestBlockedKernels:
         assert out.tobytes() == ((P * P) @ w).tobytes()
         assert peak <= min(tile_rows(n), n) * n * 8 + 8 * 8192 + 8 * n * 8
 
-    def test_column_max_matches_reference(self):
+    def test_maxima_match_reference(self):
         rng = np.random.default_rng(14)
         n = BLOCK + 17
         C = rng.uniform(size=(n, n))
-        u = 5.0 * rng.normal(size=n)
-        np.testing.assert_array_equal(log_plan_col_max(C, 37.3, u),
+        u, v = 5.0 * rng.normal(size=n), 5.0 * rng.normal(size=n)
+        np.testing.assert_array_equal(log_plan_max(C, 37.3, u, 0),
                                       (-37.3 * C + u[:, None]).max(axis=0))
+        np.testing.assert_array_equal(log_plan_max(C, 37.3, v, 1),
+                                      (-37.3 * C + v[None, :]).max(axis=1))
 
     def test_materialize_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -125,9 +117,10 @@ def deep_log_kernel(seed=12):
 class TestExpFloor:
     """No kernel exponentiates below EXP_FLOOR, and plans hold no subnormals."""
 
-    def test_row_sums_match_unclamped_reference(self):
+    def test_lse_reference_matches_unclamped_one(self):
+        # The tests' log-sum-exp reference clamps at the floor; scipy's does not.
         K, u, v = deep_log_kernel()
-        got = log_plan_row_sums(-K, 1.0, u, v)
+        got = lse_row_sums(-K, 1.0, u, v)
         assert got[3] == -np.inf
         assert_matches_lse(got, K + v[None, :], u)
 
@@ -155,9 +148,12 @@ class TestExpFloor:
 
         monkeypatch.setattr(_kernels.np, "exp", spy)
         K, u, v = deep_log_kernel()
-        log_plan_row_sums(-K, 1.0, u, v)
-        log_plan_row_sums(-K.T, 1.0, v, u)
         materialize_plan(-K, 1.0, u, v)
+        # The plans anchored at the column and row maxima, over a finite cost
+        # as a problem's is: their largest entries are 1.
+        C = -np.maximum(K, -2e4)
+        materialize_plan(C, 1.0, u, -log_plan_max(C, 1.0, u, 0))
+        materialize_plan(C, 1.0, -log_plan_max(C, 1.0, v, 1), v)
         monkeypatch.undo()
         assert len(lowest) == 6  # one exp per tile, two tiles per call
         assert min(lowest) >= EXP_FLOOR
@@ -209,15 +205,6 @@ def offsets(n, size, seed=5):
     return a * (0.5 * size / np.abs(a).max()), b * (0.5 * size / np.abs(b).max())
 
 
-def long_double_sums(state):
-    """Log row and column sums at the state's potentials, in np.longdouble."""
-    ld = np.longdouble
-    logs = (state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
-            - ld(state.gamma) * state.problem.C.astype(ld))
-    E = np.exp(logs)
-    return np.log(E.sum(axis=1)), np.log(E.sum(axis=0))
-
-
 def refresh_passes(state):
     with opcount.category("refresh"):
         before = opcount.snapshot().get("refresh", 0)
@@ -247,15 +234,20 @@ class TestAnchoredPlanSums:
         assert_sums_no_less_accurate_than_lse(state, size)
 
     @pytest.mark.parametrize("deterministic", ["", "1"])
-    def test_beyond_guard_falls_back_to_lse(self, deterministic, monkeypatch):
-        state = anchored_state("l1-line", "spiky-random", 2.0 ** 14, monkeypatch, deterministic)
-        a, b = offsets(state.n, 1.01 * PLAN_OFFSET_MAX)
-        state.set_potentials(state.u + a, state.v + b)
-        assert refresh_passes(state) == 8  # two log-sum-exp passes
-        C, gamma = state.problem.C, state.gamma
-        np.testing.assert_array_equal(state.log_rP, log_plan_row_sums(C, gamma, state.u, state.v))
-        np.testing.assert_array_equal(
-            state.log_cP, log_plan_row_sums(np.ascontiguousarray(C.T), gamma, state.v, state.u))
+    @pytest.mark.parametrize("cost,gamma,size,passes", [
+        ("l1-line", 2.0 ** 14, 1.01 * PLAN_OFFSET_MAX, 12),
+        ("nonsymmetric", 2.0 ** 8, 1.01 * PLAN_OFFSET_MAX, 7),
+        ("l1-line", 2.0 ** 14, 10.0 * PLAN_OFFSET_MAX, 12),
+        ("nonsymmetric", 2.0 ** 8, 10.0 * PLAN_OFFSET_MAX, 12)])
+    def test_beyond_guard_reanchors_at_the_maxima(self, cost, gamma, size, passes,
+                                                  deterministic, monkeypatch):
+        # The row sums anchor at the row maxima (maxima 1, plan 4, product
+        # 1).  The column sums come from that anchor when it covers the
+        # state (one product), else from one at the column maxima (6 more).
+        # At 10 times the guard the log plan's entries reach far beyond
+        # exp's overflow.
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, deterministic)
+        assert_sums_no_less_accurate_than_lse(state, size, passes)
 
     def test_fixed_order_matvec_ignores_blas(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -305,22 +297,14 @@ class TestScaledNewtonSystem:
         assert_system_no_less_accurate_than_materialized(state, size)
 
 
-def assert_sums_no_less_accurate_than_lse(state, size):
-    """``TestAnchoredPlanSums``' criterion, at offsets of ``size`` from the anchor."""
+def assert_sums_no_less_accurate_than_lse(state, size, passes=2):
+    """``TestAnchoredPlanSums``' criterion, at offsets of ``size`` from the
+    anchor, whose refresh takes ``passes`` (by default one matvec per side)."""
     a, b = offsets(state.n, size)
     state.set_potentials(state.u + a, state.v + b)
-    assert refresh_passes(state) == 2  # one matvec per side: the plan path
-    u, v, gamma = state.u, state.v, state.gamma
-    C = state.problem.C
-    lse_rows = log_plan_row_sums(C, gamma, u, v)
-    lse_cols = log_plan_row_sums(np.ascontiguousarray(C.T), gamma, v, u)
-    ref_rows, ref_cols = long_double_sums(state)
-    got = np.concatenate([state.log_rP, state.log_cP])
-    err = np.abs(got - np.concatenate([ref_rows, ref_cols])).astype(float)
-    lse_err = np.abs(np.concatenate([lse_rows - ref_rows, lse_cols - ref_cols])).astype(float)
-    ulp = np.spacing(np.abs(got).max())
-    assert err.max() <= lse_err.max() + 2.0 * ulp
-    assert np.median(err) <= np.median(lse_err) + ulp
+    assert refresh_passes(state) == passes
+    assert_no_less_accurate_than_lse(state.problem.C, state.gamma, state.u, state.v,
+                                     state.log_rP, state.log_cP)
 
 
 def assert_system_no_less_accurate_than_materialized(state, size):
@@ -385,12 +369,12 @@ class TestEntryRebalance:
         np.testing.assert_array_equal(state.log_cP, log_c)
         # The log-sum-exp rebalance: v from the column log-sum-exp, row sums
         # from the plan anchored there.
-        v_lse = log_c - log_plan_row_sums(np.ascontiguousarray(C.T), gamma, 0.0, u)
+        v_lse = log_c - lse_col_sums(C, gamma, u, 0.0)
         lse = DualState(state.problem, gamma, u=u, v=v_lse)
         lse.anchored_plan()
         errs = []
         for st in (state, lse):
-            ref_rows, ref_cols = long_double_sums(st)
+            ref_rows, ref_cols = long_double_sums(C, gamma, st.u, st.v)
             errs.append(np.abs(np.concatenate([st.log_rP - ref_rows, log_c - ref_cols]))
                         .astype(float))
         err, lse_err = errs
@@ -401,8 +385,8 @@ class TestEntryRebalance:
     def test_entry_offset_beyond_the_guard(self):
         # A column target below e^-PLAN_OFFSET_MAX puts the entry offset
         # beyond the guard: v still sets the column sums to c, the row sums
-        # come from log-sum-exp, and the next anchor is taken at the
-        # rebalanced state.
+        # anchor at the row maxima of the rebalanced state, and that anchor
+        # serves the Newton system.
         n, gamma = 8, 4.0
         c = np.full(n, 1.0)
         c[0] = np.exp(-1.2 * PLAN_OFFSET_MAX)
@@ -410,18 +394,20 @@ class TestEntryRebalance:
         prob = Problem(C=np.random.default_rng(2).uniform(size=(n, n)),
                        r=np.full(n, 1.0 / n), c=c)
         state = DualState(prob, gamma)
-        state.rebalance_columns()
+        with opcount.category("entry"):
+            before = opcount.snapshot().get("entry", 0)
+            state.rebalance_columns()
+            # column maxima, plan, product; then row maxima, plan, product
+            assert opcount.snapshot()["entry"] - before == 2 * (1 + 4 + 1)
         u, v = state.u, state.v
-        C_T = np.ascontiguousarray(prob.C.T)
-        np.testing.assert_allclose(np.exp(log_plan_row_sums(C_T, gamma, v, u)), c,
-                                   rtol=1e-13)
-        np.testing.assert_array_equal(state.log_rP,
-                                      log_plan_row_sums(prob.C, gamma, u, v))
+        np.testing.assert_allclose(np.exp(lse_col_sums(prob.C, gamma, u, v)), c, rtol=1e-13)
+        assert_no_less_accurate_than_lse(prob.C, gamma, u, v, rows=state.log_rP)
         before = opcount.snapshot().get("anchor", 0)
         with opcount.category("anchor"):
             _, a, b = state.anchored_plan()
-            assert opcount.snapshot()["anchor"] - before == 4  # one materialization
-        assert not a.any() and not b.any()
+        assert opcount.snapshot().get("anchor", 0) == before  # no new anchor
+        np.testing.assert_array_equal(a - u, log_plan_max(prob.C, gamma, v, 1))
+        assert not b.any()
 
 
 class TestReleasedPlan:
@@ -484,7 +470,7 @@ class TestReleasedPlan:
         P = state.release_plan()
         assert P is buf
         np.testing.assert_array_equal(P, state.materialize_plan())
-        assert state._plan is None and state._C_T is None
+        assert state._plan is None
 
 
 def csr_dense(csr):

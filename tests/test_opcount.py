@@ -29,8 +29,9 @@ def system():
 def test_kernels():
     rng = np.random.default_rng(1)
     K, u, v = rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=5)
-    assert passes("kern", _kernels.log_plan_row_sums, K, 1.0, u, v) == 4
     assert passes("kern", _kernels.materialize_plan, K, 1.0, u, v) == 4
+    for axis, x in ((0, u), (1, v)):
+        assert passes("kern", _kernels.log_plan_max, K, 1.0, x, axis) == 1
     assert passes("kern", _kernels.square_matvec, np.exp(K), u) == 2
     for fixed in (False, True):
         assert passes("kern", _kernels.plan_matvec, np.exp(K), u, fixed) == 1

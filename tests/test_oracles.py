@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import finite_diff_grad
+from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad
 from scipy.special import logsumexp
 
 import otnewton
@@ -159,19 +159,14 @@ class TestSinkhornProject:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of log-sum-exp passes and plan anchors made through ``dual``."""
-    counts = {"lse": 0, "anchor": 0}
-    lse, anchor = dual.log_plan_row_sums, DualState._anchor_plan
-
-    def counting_lse(*args):
-        counts["lse"] += 1
-        return lse(*args)
+    """Counts of plan anchors made through ``dual``."""
+    counts = {"anchor": 0}
+    anchor = DualState._anchor_plan
 
     def counting_anchor(self, *args):
         counts["anchor"] += 1
         return anchor(self, *args)
 
-    monkeypatch.setattr(dual, "log_plan_row_sums", counting_lse)
     monkeypatch.setattr(DualState, "_anchor_plan", counting_anchor)
     return counts
 
@@ -189,24 +184,24 @@ class TestAbsorbedSinkhorn:
     """Sinkhorn sweeps served from the anchored plan (stabilized absorption)."""
 
     @pytest.mark.parametrize("deterministic", ["", "1"])
-    def test_covered_sweep_costs_two_passes_and_no_lse(self, deterministic, calls,
-                                                      monkeypatch):
+    def test_covered_sweep_costs_two_passes_and_no_anchor(self, deterministic, calls,
+                                                         monkeypatch):
         monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
         state = make_state(16, seed=7, gamma=16.0)
         _, warm = sinkhorn_project(state, state.r, state.c, 1e-3)
         assert warm > 0 and calls["anchor"] == 1
-        calls.update(lse=0, anchor=0)
+        calls.update(anchor=0)
         before = opcount.snapshot().get("sinkhorn", 0)
         _, steps = sinkhorn_project(state, state.r, state.c, 1e-10)
         passes = opcount.snapshot()["sinkhorn"] - before
         assert steps > 0
         assert passes == 2 * steps  # one product per scaling, nothing else
-        assert calls == {"lse": 0, "anchor": 0}
+        assert calls == {"anchor": 0}
 
     def test_solve_anchors_once_per_temperature(self, calls, monkeypatch):
         sol = sinkhorn_pin_solve(monkeypatch)
         assert sol.report.outer_iterations == 4
-        assert calls == {"lse": 0, "anchor": 4}
+        assert calls == {"anchor": 4}
         # per temperature: column maxima 1, plan 4, first sums 2; then 2 a sweep
         sweeps = sum(it.stats.sinkhorn_steps for it in sol.iterations)
         assert sol.report.ops["sinkhorn"] == 7 * 4 + 2 * sweeps
@@ -234,37 +229,47 @@ class TestAbsorbedSinkhorn:
         state.set_potentials(u0, v0 + 800.0)  # log plan entries above 700
         with pytest.raises(PlanOverflowError):
             state.materialize_plan()
-        with np.errstate(over="ignore"):
+        # Each side's sums anchor at that side's maxima, where no entry
+        # exceeds 1 (maxima 1, plan 4, product 1 each).
+        with opcount.category("warm"):
+            before = opcount.snapshot().get("warm", 0)
+            state.refresh()
+            assert opcount.snapshot()["warm"] - before == 2 * (1 + 4 + 1)
+        assert calls["anchor"] == 2
+        assert_no_less_accurate_than_lse(state.problem.C, state.gamma, state.u, state.v,
+                                         state.log_rP, state.log_cP)
+        with np.errstate(over="ignore"):  # the gradient at the warm start
             sinkhorn_project(state, state.r, state.c, 1e-12)
         assert state.grad_norm_l1() <= 1e-12
-        assert calls["lse"] > 0  # the sums beyond the guard
         ref = DualState(state.problem, state.gamma, u=u0, v=v0)
         sinkhorn_project(ref, state.r, state.c, 1e-12)
         np.testing.assert_allclose(state.materialize_plan(), ref.materialize_plan(),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("side", ["rows", "cols"])
-    def test_step_across_the_guard_falls_back_to_lse(self, side, calls):
+    def test_step_across_the_guard_reanchors_once(self, side, calls):
         # One potential far off its target mass, anchored where it is: the
         # exact step on that side moves it beyond the guard, so the other
-        # side's sums come from log-sum-exp, and the next check anchors again.
+        # side's sums anchor at the maxima of the axis they sum, and that
+        # anchor covers the next gradient check.
         state = make_state(8, seed=9, gamma=4.0, spread=0.0)
         u, v = state.u.copy(), state.v.copy()
         (u if side == "rows" else v)[0] -= 1.5 * PLAN_OFFSET_MAX
         state.set_potentials(u, v)
         state.anchored_plan()
         state.refresh()
-        assert calls == {"lse": 0, "anchor": 1}  # covered before the step
+        assert calls == {"anchor": 1}  # covered before the step
         if side == "rows":
             state.scale_rows_to_target()
             got, axis = state.log_cP, 0
         else:
             state.scale_cols_to_target()
             got, axis = state.log_rP, 1
-        assert calls["lse"] == 1
+        assert calls["anchor"] == 2
         X = state.u[:, None] + state.v[None, :] - state.gamma * state.problem.C
         np.testing.assert_allclose(got, logsumexp(X, axis=axis), rtol=0, atol=1e-13)
         state.anchor_columns()
+        state.grad_norm_l1()
         assert calls["anchor"] == 2
 
 

@@ -212,8 +212,7 @@ class TestProject:
         assert stats.sinkhorn_steps > 0
         # Rebalancing, the same number of chi-square sweeps with no stopping
         # test, and the exit row scaling land on the same potentials, up to
-        # rounding: project's sums after a Newton solve come from the plan
-        # that solve materialized rather than from log-sum-exp passes.
+        # rounding.
         twin.rebalance_columns()
         with pytest.raises(NonconvergenceError):
             chi_sinkhorn(twin, twin.r, twin.c, eps_chi=0.0,
@@ -291,21 +290,21 @@ class TestAnchoring:
     """One anchored plan per temperature serves every sum and Newton system."""
 
     def test_one_anchor_per_projection(self, monkeypatch):
-        # The entry column rebalance anchors at the column maxima without
-        # log-sum-exp, and every later sum and system comes from that plan
-        # while the offsets stay within the guard.
+        # The entry column rebalance anchors at the column maxima, and every
+        # later sum and system comes from that plan while the offsets stay
+        # within the guard: no sum takes maxima to anchor again.
         calls = spy_materializations(monkeypatch)
-        lse_calls = []
-        real_lse = dual.log_plan_row_sums
-        monkeypatch.setattr(dual, "log_plan_row_sums",
-                            lambda *args: lse_calls.append(1) or real_lse(*args))
+        maxima = []
+        real_max = dual.log_plan_max
+        monkeypatch.setattr(dual, "log_plan_max",
+                            lambda *args: maxima.append(args[-1]) or real_max(*args))
         state = make_state(16, seed=3, gamma=64.0, spread=1.0)
         stats = project(state, state.r, state.c, 1e-10)
         assert stats.newton_steps >= 3 and stats.sinkhorn_steps >= 1
-        assert calls == [True] and lse_calls == []
+        assert calls == [True] and maxima == [0]
         state.set_gamma(128.0)
         project(state, state.r, state.c, 1e-10)
-        assert calls == [True, True] and lse_calls == []
+        assert calls == [True, True] and maxima == [0, 0]
 
     def test_reanchors_when_offsets_leave_the_guard(self, monkeypatch):
         calls = spy_materializations(monkeypatch)
