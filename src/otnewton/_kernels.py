@@ -1,9 +1,9 @@
 """Dense kernels: blocked log-domain reductions and plan matrix-vector products.
 
 The kernels work over row tiles of ``BLOCK * BLOCK`` entries (512 KiB, see
-``tile_rows``), which stay in a core's L2 cache whatever n is, and every
-operation writes into one such reusable tile or the output, so no n-by-n
-temporaries are allocated.  The log-domain kernels form the log kernel
+``tile_rows`` and ``row_tiles``), which stay in a core's L2 cache whatever n
+is, and every operation writes into one such reusable tile or the output, so
+no n-by-n temporaries are allocated.  The log-domain kernels form the log kernel
 ``-gamma C`` inside each tile from the cost (it is never stored).  Each row
 is still reduced whole by numpy's pairwise summation, and each column in row
 order, so results are bit-identical to the unblocked expressions over
@@ -21,11 +21,11 @@ a subnormal).
 used by the Newton system (which applies a diagonally rescaled plan as the
 product with the plan between two length-n scalings) and by
 ``log_plan_matvec``, which serves row or column log sums of a diagonally
-rescaled plan from one product.  With ``OTN_DETERMINISTIC=1`` (see
-``fixed_order``) the product is a fixed-order summation, bit-identical
-whatever the BLAS threading.  ``log_plan_max`` finds the row or column
-maxima of the log plan, where a plan is anchored so that no entry of the
-summed lines exceeds 1.
+rescaled plan from one product; ``plan_cost`` is the final plan's cost.
+With ``OTN_DETERMINISTIC=1`` (see ``fixed_order``) both are fixed-order
+summations, bit-identical whatever the BLAS threading.  ``log_plan_max``
+finds the row or column maxima of the log plan, where a plan is anchored so
+that no entry of the summed lines exceeds 1.
 
 A plan whose entries are mostly exact zeros can be materialized as a
 ``SparsePlan`` instead (``materialize_plan`` with ``max_nnz``): compressed
@@ -65,6 +65,16 @@ def tile_rows(m):
     return max(1, BLOCK * BLOCK // m)
 
 
+def row_tiles(n, m):
+    """``(lo, hi, tile)`` for each span of ``tile_rows(m)`` rows of an n-by-m
+    matrix, ``tile`` the first ``hi - lo`` rows of one reusable buffer."""
+    rows = tile_rows(m)
+    buf = np.empty((min(rows, n), m))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        yield lo, hi, buf[: hi - lo]
+
+
 def log_plan_max(C, gamma, x, axis):
     """The largest log entry of each column (``axis`` 0) or row (``axis`` 1)
     of the plan at potentials ``(x, 0)`` or ``(0, x)``: max over i of
@@ -75,12 +85,8 @@ def log_plan_max(C, gamma, x, axis):
     """
     opcount.add(1)
     n, m = C.shape
-    rows = tile_rows(m)
     out = np.full(m, -np.inf) if axis == 0 else np.empty(n)
-    buf = np.empty((min(rows, n), m))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        b = buf[: hi - lo]
+    for lo, hi, b in row_tiles(n, m):
         np.multiply(C[lo:hi], -gamma, out=b)
         if axis == 0:
             np.add(b, x[lo:hi, None], out=b)
@@ -130,19 +136,17 @@ def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
             low = _plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, out[lo:lo + rows])
             nnz += low.size - np.count_nonzero(low)
         return out, nnz
-    buf = np.empty((min(rows, n), m))
-    col = np.broadcast_to(np.arange(m, dtype=np.int32), buf.shape).copy()
+    col = np.broadcast_to(np.arange(m, dtype=np.int32), (min(rows, n), m)).copy()
     indptr = np.zeros(n + 1, dtype=np.int32)
     data, indices, nnz = [], [], 0
-    for lo in range(0, n, rows):
-        b = buf[: min(rows, n - lo)]
-        keep = ~_plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, b)
+    for lo, hi, b in row_tiles(n, m):
+        keep = ~_plan_tile(C[lo:hi], gamma, u[lo:hi], v, b)
         data.append(b[keep])
         nnz += len(data[-1])
         if nnz > max_nnz:
             return None, nnz
-        indices.append(col[: len(b)][keep])
-        indptr[lo + 1:lo + 1 + len(b)] = np.count_nonzero(keep, axis=1)
+        indices.append(col[: hi - lo][keep])
+        indptr[lo + 1:hi + 1] = np.count_nonzero(keep, axis=1)
     np.cumsum(indptr, out=indptr)
     return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), nnz
 
@@ -226,13 +230,8 @@ def square_matvec(P, w):
     if isinstance(P, SparsePlan):
         *shape, data = P.rows
         return _csr_matvec((*shape, data * data), P.top * P.top, w)
-    n = P.shape[0]
-    rows = tile_rows(P.shape[1])
-    out = np.empty(n)
-    buf = np.empty((min(rows, n), P.shape[1]))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        b = buf[: hi - lo]
+    out = np.empty(P.shape[0])
+    for lo, hi, b in row_tiles(*P.shape):
         np.multiply(P[lo:hi], P[lo:hi], out=b)
         out[lo:hi] = b @ w
     return out
@@ -260,13 +259,8 @@ def plan_matvec(P, x, fixed, transpose=False):
         return _csr_matvec(P.cols if transpose else P.rows, P.top, x)
     if not fixed:
         return P.T @ x if transpose else P @ x
-    n = P.shape[0]
-    rows = tile_rows(P.shape[1])
-    out = None if transpose else np.empty(n)
-    buf = np.empty((min(rows, n), P.shape[1]))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        b = buf[: hi - lo]
+    out = None if transpose else np.empty(P.shape[0])
+    for lo, hi, b in row_tiles(*P.shape):
         if transpose:
             np.multiply(P[lo:hi], x[lo:hi, None], out=b)
             if out is not None:
@@ -276,6 +270,21 @@ def plan_matvec(P, x, fixed, transpose=False):
             np.multiply(P[lo:hi], x[None, :], out=b)
             out[lo:hi] = b.sum(axis=1)
     return out
+
+
+def plan_cost(P, C, fixed):
+    """<P, C> for a dense plan, one pass: BLAS's ``vdot``, or with ``fixed``
+    numpy's pairwise sums of each row's products and then of the row sums,
+    over row tiles, so every bit is that of the untiled sum whatever the
+    BLAS threading."""
+    opcount.add(1)
+    if not fixed:
+        return float(np.vdot(P, C))
+    out = np.empty(P.shape[0])
+    for lo, hi, b in row_tiles(*P.shape):
+        np.multiply(P[lo:hi], C[lo:hi], out=b)
+        b.sum(axis=1, out=out[lo:hi])
+    return float(out.sum())
 
 
 def log_plan_matvec(P, x, fixed, transpose=False):

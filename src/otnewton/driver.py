@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcount, oracles
-from ._kernels import PLAN_FLOOR, tile_rows
+from ._kernels import PLAN_FLOOR, fixed_order, plan_cost, row_tiles
 from .core import shannon_entropy
 from .dual import DualState
 from .errors import DegenerateInputError, DomainError, OTNError
@@ -202,14 +202,10 @@ def round_plan(P, r, c, out=None):
     deficit = err_r.sum()
     if deficit > 0.0:
         opcount.add(1)
-    n = P.shape[0]
-    rows = tile_rows(P.shape[1])
-    buf = np.empty((min(rows, n), P.shape[1]))
-    for lo in range(0, n, rows):
-        tile = P[lo:lo + rows]
+    for lo, hi, b in row_tiles(*P.shape):
+        tile = P[lo:hi]
         if deficit > 0.0:
-            b = buf[: tile.shape[0]]
-            np.multiply(err_r[lo:lo + rows, None], err_c[None, :], out=b)
+            np.multiply(err_r[lo:hi, None], err_c[None, :], out=b)
             b /= deficit
             tile += b
         tile[tile < PLAN_FLOOR] = 0.0
@@ -307,8 +303,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     with opcount.category("mirror_descent"):
         P = state.release_plan()
         round_plan(P, problem.r, problem.c, out=P)
-        opcount.add(1)
-        primal = float(np.vdot(P, problem.C))
+        primal = plan_cost(P, problem.C, fixed_order())
     wall_ms = (time.monotonic() - t0) * 1e3
 
     ops_cat_end = opcount.snapshot()

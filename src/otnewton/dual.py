@@ -18,13 +18,14 @@ sums, found in one pass without exp (``_anchor_at_maxima``): column sums at
 line's largest entry is then 1 (up to rounding), so nothing overflows
 whatever the potentials; the summed side's offset is 0 and the other
 side's stays outside the log, so the sum is log-sum-exp's own computation,
-with entries below e^-700 dropped, at any offset size.  The Newton
-projector's entry ``rebalance_columns`` anchors so once per temperature
-(``anchor_columns``) and rebalances with one transposed product,
-``v = -m + log c - log(P0^T 1)``; the Sinkhorn projector
-(``oracles.sinkhorn_project``) anchors so before each gradient check that
-its anchor does not cover.  ``set_gamma`` drops the anchor (the buffer is
-kept for the next one).
+with entries below e^-700 dropped, at any offset size.  The one exact
+column scaling, ``rebalance_columns``, anchors so at a Newton projection's
+entry, once per temperature (``anchor_columns``), and rebalances with one
+transposed product, ``v = -m + log c - log(P0^T 1)``; after a row scaling
+(``sinkhorn_sweep``) or an accepted Newton step it takes the column sums
+that step computed.  The Sinkhorn projector (``oracles.sinkhorn_project``)
+anchors so before each gradient check that its anchor does not cover.
+``set_gamma`` drops the anchor (the buffer is kept for the next one).
 
 As gamma grows, most anchored entries fall below e^-700 and are stored as
 exact zeros.  An anchor is then built as a ``_kernels.SparsePlan`` (CSR),
@@ -41,8 +42,8 @@ place to the plan at the current potentials, or drops a sparse one and
 materializes the plan, and hands the buffer over, so a solve holds one
 n-by-n plan.  ``u``, ``v`` and ``gamma``
 are read-only: change them through ``set_potentials``, ``set_gamma`` or the
-exact scaling updates, which all install the potentials and their sums
-together in ``_set``.
+exact scalings, which all install the potentials and their sums together in
+``_set``.
 """
 
 from __future__ import annotations
@@ -131,10 +132,6 @@ class DualState:
     @property
     def gamma(self):
         return self._gamma
-
-    @property
-    def cache_valid(self):
-        return self._log_rP is not None and self._log_cP is not None
 
     def _set(self, u, v, log_rP=None, log_cP=None):
         """The one writer of the potentials and their cached log sums; a sum
@@ -309,11 +306,6 @@ class DualState:
         mass = float(np.exp(self.log_rP).sum())
         return mass - 1.0 - float(self.u @ self.r) - float(self.v @ self.c)
 
-    def materialize_plan(self):
-        """Linear-domain plan at the current potentials, in a fresh array;
-        entries below e^-700 (``EXP_FLOOR``) become 0."""
-        return materialize_plan(self.problem.C, self.gamma, self.u, self.v)[0]
-
     def trial_log_col_sums(self, d_u, d_v, alpha):
         """Log column sums at (u + alpha d_u, v + alpha d_v); the potentials
         and their sums are left as they are.
@@ -358,35 +350,35 @@ class DualState:
             v = self._anchor_at_maxima(u, v, 0)[1]
         return v
 
-    def rebalance_columns(self):
-        """Set v so the column sums equal c exactly, then refresh the row cache.
+    def rebalance_columns(self, u=None, v=None, log_cols=None):
+        """Set v so the column sums equal c exactly, then refresh the row sums.
 
-        Anchors first where ``anchor_columns`` does; v is then ``-m`` plus
-        the offset ``log c - log(P0^T 1)``, so the offset stays out of the
-        sums, as in log-sum-exp.  Should the offset leave
-        ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters it); the row
-        sums then re-anchor at the row maxima of the rebalanced state.
+        With no arguments, anchors first where ``anchor_columns`` does and
+        takes the column sums from one product, so v is ``-m`` plus the
+        offset ``log c - log(P0^T 1)``, kept out of the sums as in
+        log-sum-exp.  Given potentials and their log column sums, installs
+        ``(u, v + (log c - log_cols))`` with no column product.  Should the
+        offset leave ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters
+        it); the row sums then re-anchor at the row maxima.
         """
         log_c = np.log(self.c)
-        u, v = self.u, self.anchor_columns()
-        v = v + (log_c - self._log_col_sums(u, v))
-        self.refresh_rows_only(u, v, log_c)
+        if log_cols is None:
+            u, v = self.u, self.anchor_columns()
+            log_cols = self._log_col_sums(u, v)
+        v = v + (log_c - log_cols)
+        self._set(u, v, self._log_row_sums(u, v), log_c)
 
     def scale_rows_to_target(self):
-        """One exact row Sinkhorn step: u += log r - log r(P); refresh the column cache."""
+        """One exact row Sinkhorn step: u += log r - log r(P); refresh the column sums."""
         log_r = np.log(self.r)
         u = self.u + log_r - self.log_rP
         self._set(u, self.v, log_r, self._log_col_sums(u, self.v))
 
-    def scale_cols_to_target(self):
-        """One exact column Sinkhorn step: v += log c - log c(P); refresh the row cache."""
-        log_c = np.log(self.c)
-        self.refresh_rows_only(self.u, self.v + log_c - self.log_cP, log_c)
-
-    def refresh_rows_only(self, u, v, log_cP):
-        """Install (u, v) whose log column sums ``log_cP`` are already known,
-        recomputing only the log row sums."""
-        self._set(u, v, self._log_row_sums(u, v), log_cP)
+    def sinkhorn_sweep(self):
+        """One exact Sinkhorn sweep, two products: scale the rows onto r,
+        then rebalance the columns from the column sums that step computed."""
+        self.scale_rows_to_target()
+        self.rebalance_columns(self.u, self.v, self.log_cP)
 
     # -- stacked potentials for the annealing driver -------------------------
 

@@ -11,10 +11,11 @@ behalf of a callee.  The counting functions are the dense kernels in
 pass, whether it serves ``newton.DiscountedSystem`` or a log sum from the
 anchored plan; the length-n scalings around it are not passes, and the log
 kernel ``-gamma C`` is formed inside the kernels' tiles, not in a pass of
-its own), and ``round_plan`` and the final cost evaluation in
-``driver.mdot``.  A kernel on a sparse plan (``_kernels.SparsePlan``) counts
-as the dense pass it replaces, although it touches only the nonzeros: the
-count stays a measure of the algorithm, not of the storage.  A sparse build
+its own; the final plan's cost, ``plan_cost``, is one pass too), and
+``driver.round_plan``.  A
+kernel on a sparse plan (``_kernels.SparsePlan``) counts as the dense pass
+it replaces, although it touches only the nonzeros: the count stays a
+measure of the algorithm, not of the storage.  A sparse build
 that stops past its limit counts its 4 passes before the dense one.
 
 The convention is identical for every solver, so totals are comparable

@@ -76,8 +76,8 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     Stabilized by absorption (Schmitzer, SIAM J. Sci. Comput. 2019): before
     each gradient check, unless the state's anchored plan covers the
     potentials, ``DualState.anchor_columns`` anchors it at the column
-    maxima, so each sweep's two exact scalings take their sums from one
-    product with that plan each.  The iterates are those of log-domain
+    maxima, so each sweep's two exact scalings (``DualState.sinkhorn_sweep``)
+    take their sums from one product with that plan each.  The iterates are those of log-domain
     Sinkhorn.  A scaling whose step leaves ``dual.PLAN_OFFSET_MAX``
     re-anchors at the maxima of the axis it sums, and that anchor serves the
     later sums and checks while it covers them.
@@ -97,7 +97,6 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
                     f"> {eps_d:.3g} after {steps} sweeps",
                     diagnostics={"gamma": state.gamma, "eps_d": eps_d},
                 )
-            state.scale_rows_to_target()
-            state.scale_cols_to_target()
+            state.sinkhorn_sweep()
             steps += 1
     return state, steps

@@ -1,13 +1,15 @@
 """Bregman projection onto the transportation polytope.
 
-Column sums are kept exactly on target throughout; each iteration first runs
-chi-square Sinkhorn sweeps until the row mismatch is well conditioned, then
-takes one truncated Newton step with backtracking line search.  The search
-accepts a step by testing the increase of total plan mass over its value at
-step size 0 against the linearized decrease, which is equivalent to the
-textbook Armijo condition on the dual objective when the column sums match
-their target.  Both masses come from one evaluation path (see ``dual``), so
-the rounding noise they share cancels.
+Column sums are kept exactly on target throughout by
+``DualState.rebalance_columns``: at the entry, in every chi-square sweep and
+after every accepted step.  Each iteration first runs chi-square Sinkhorn
+sweeps until the row mismatch is well conditioned, then takes one truncated
+Newton step with backtracking line search.  The search accepts a step by
+testing the increase of total plan mass over its value at step size 0
+against the linearized decrease, which is equivalent to the textbook Armijo
+condition on the dual objective when the column sums match their target.
+Both masses come from one evaluation path (see ``dual``), so the rounding
+noise they share cancels.
 """
 
 from __future__ import annotations
@@ -108,13 +110,6 @@ def _mass(log_cols):
         return float(np.exp(log_cols).sum())
 
 
-def _chi_sweep(state, log_r):
-    """One chi-square sweep: scale the rows onto target, then restore the
-    column sums exactly."""
-    state.set_potentials(state.u + log_r - state.log_rP, state.v)
-    state.rebalance_columns()
-
-
 def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
     """Row-scale / column-rebalance sweeps until chi^2(r | r(P)) <= eps_chi.
 
@@ -123,7 +118,6 @@ def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
     number of sweeps taken.
     """
     state.set_targets(r, c)
-    log_r = np.log(r)
     steps = 0
     with opcount.category("chi_sinkhorn"):
         while chi_sq_div(r, state.row_sums()) > eps_chi:
@@ -132,7 +126,7 @@ def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
                     f"chi-square balancing still above {eps_chi:.3g} after {budget} sweeps",
                     diagnostics={"chi_sq": chi_sq_div(r, state.row_sums())},
                 )
-            _chi_sweep(state, log_r)
+            state.sinkhorn_sweep()
             steps += 1
     return steps
 
@@ -154,7 +148,6 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
         raise DomainError("project requires strictly positive marginals")
     state.set_targets(r, c)
     stats = ProjStats()
-    log_c = np.log(c)
     eps_chi = eps_d ** CHI_EXPONENT
     rho_next = rho0 if adaptive_rho0 else 0.0
     with opcount.category("mirror_descent"):
@@ -196,7 +189,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
             # Numerically non-descent direction: fall back to one
             # chi-square sweep and re-enter the loop.  Never hit in practice.
             with opcount.category("chi_sinkhorn"):
-                _chi_sweep(state, np.log(r))
+                state.sinkhorn_sweep()
             stats.sinkhorn_steps += 1
             continue
 
@@ -219,11 +212,10 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
                 trial_cols = state.trial_log_col_sums(d_u, d_v, alpha)
             backtracks += 1
 
-        # Apply the accepted step, restore the column sums exactly with the
-        # already-computed trial reduction, and refresh the row cache.
+        # Apply the accepted step and restore the column sums exactly from
+        # the accepted trial's.
         with opcount.category("newton_solve"):
-            state.refresh_rows_only(state.u + alpha * d_u,
-                                    state.v + alpha * d_v + (log_c - trial_cols), log_c)
+            state.rebalance_columns(state.u + alpha * d_u, state.v + alpha * d_v, trial_cols)
 
         grad_after = float(np.abs(state.row_sums() - r).sum())
         delta = delta_ratio(grad_norm, grad_after, eta)

@@ -3,8 +3,14 @@ solver against."""
 
 import numpy as np
 
-from otnewton._kernels import EXP_FLOOR
+from otnewton._kernels import EXP_FLOOR, materialize_plan
 from otnewton.dual import DualState
+
+
+def plan_at(state):
+    """The plan at the state's potentials in a fresh array, entries below
+    e^-700 set to 0."""
+    return materialize_plan(state.problem.C, state.gamma, state.u, state.v)[0]
 
 
 def lse_row_sums(C, gamma, u, v):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from dense_reference import dense_F, dense_plan, dense_prc, finite_diff_grad
+from dense_reference import dense_F, dense_plan, dense_prc, finite_diff_grad, plan_at
 
 import otnewton as ot
 from otnewton import opcount
@@ -75,12 +75,12 @@ def test_02_closed_form_fixture():
 
     newton_state = DualState(prob, 4.0, u=np.log(prob.r), v=np.log(prob.c))
     project(newton_state, prob.r, prob.c, 1e-10)
-    P = newton_state.materialize_plan()
+    P = plan_at(newton_state)
     assert P[0, 1] + P[1, 0] == pytest.approx(expected_off_pair, abs=1e-10)
 
     sk_state = DualState(prob, 4.0, u=np.log(prob.r), v=np.log(prob.c))
     sinkhorn_project(sk_state, prob.r, prob.c, 1e-12)
-    P = sk_state.materialize_plan()
+    P = plan_at(sk_state)
     assert P[0, 1] + P[1, 0] == pytest.approx(expected_off_pair, abs=1e-10)
     print("\nACCEPTANCE 2: PASS - closed-form fixture for both projectors")
 

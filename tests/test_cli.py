@@ -115,6 +115,29 @@ class TestBench:
         assert cols["gap_basis"] == "exact"
         assert float(cols["gap_med"]) >= -1e-10
 
+    def test_reference_gap_above_the_exact_guard(self, tmp_path):
+        # n = 289 is past the exact LP's guard, so the gap is taken against
+        # a solve at 16 x gamma_f.  Both rounded plans are feasible and each
+        # is within its own error bound of the optimum, so the gap lies in
+        # [-bound / 16, bound].
+        cfg = {
+            "problems": [{"kind": "grid", "metric": "l1", "side": 17, "seed": 1}],
+            "settings": [{"name": "s", "gamma_i": 16, "gamma_f": 256}],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["bench", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        header, summary = (out / "summary.csv").read_text().strip().split("\n")
+        cols = dict(zip(header.split(","), summary.split(",")))
+        (report,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
+        assert report["n"] == 289
+        bound = report["error_bound"]
+        assert cols["gap_basis"] == "reference"
+        assert -bound / 16.0 <= float(cols["gap_med"]) <= bound
+
     def test_summary_percentiles_are_order_stats(self, tmp_path):
         cfg = {
             "problems": [{"kind": "grid", "metric": "l1", "side": 2, "seed": 5}],

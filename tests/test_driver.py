@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse  # noqa: F401  (imported before tracemalloc starts)
 
+import otnewton
 from otnewton._kernels import BLOCK, SparsePlan
 from otnewton.core import shannon_entropy
 from otnewton.driver import (
@@ -518,3 +523,27 @@ def test_projection_errors_name_outer_iteration_and_gamma(error, monkeypatch):
         mdot(grid_problem(9), 2.0 ** 5, 2.0 ** 10)
     diag = json.loads(json.dumps(err.value.diagnostics))
     assert diag == {"outer_iteration": 1, "gamma": 2.0 ** 5}
+
+
+DETERMINISM_PROBE = """
+import hashlib, otnewton as ot
+prob = ot.Problem(C=ot.grid_points_cost(400, "l2sq"), r=ot.gen_marginal(400, "smooth-random", 2),
+                  c=ot.gen_marginal(400, "smooth-random", 3))
+sol = ot.mdot(prob, 2.0 ** 5, 2.0 ** 9)
+print(sol.primal_cost.hex(), sol.report.dual_value_final.hex(),
+      hashlib.sha256(sol.P.tobytes()).hexdigest())
+"""
+
+
+def test_deterministic_solve_ignores_blas_threads():
+    # With OTN_DETERMINISTIC=1 the plan, the dual value and the final cost
+    # are bit-identical at one and two BLAS threads.  A threaded dot product
+    # for the cost gave 0x1.d97e71e4cddc5p-4 against 0x1.d97e71e4cddcfp-4.
+    src = str(Path(otnewton.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OTN_DETERMINISTIC="1", OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outs.append(subprocess.run([sys.executable, "-c", DETERMINISM_PROBE], env=env,
+                                   check=True, capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad
+from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad, plan_at
 
 from otnewton import dual, opcount
 from otnewton._kernels import SparsePlan, log_plan_max
@@ -56,15 +56,18 @@ class TestRowSums:
         assert total_r == pytest.approx(total_c, rel=1e-12)
 
     def test_cache_invalidation_on_write(self):
+        def cached(state):
+            return state._log_rP is not None and state._log_cP is not None
+
         state = random_state(4)
         state.refresh()
-        assert state.cache_valid
+        assert cached(state)
         state.set_potentials(state.u + 0.1, state.v)
-        assert not state.cache_valid
+        assert not cached(state)
         state.refresh()
-        assert state.cache_valid
+        assert cached(state)
         state.set_gamma(5.0)
-        assert not state.cache_valid
+        assert not cached(state)
 
     @pytest.mark.parametrize("name", ["u", "v", "gamma"])
     def test_direct_assignment_rejected(self, name):
@@ -141,31 +144,31 @@ class TestMaterialize:
     def test_independence_product(self):
         prob = make_problem(4, zero_cost=True)
         state = DualState(prob, 1.0, u=np.log(prob.r), v=np.log(prob.c))
-        np.testing.assert_allclose(state.materialize_plan(),
+        np.testing.assert_allclose(plan_at(state),
                                    np.outer(prob.r, prob.c), rtol=1e-14)
 
     def test_trivial_scalar(self):
         prob = Problem(C=np.array([[0.0]]), r=np.array([1.0]), c=np.array([1.0]))
         state = DualState(prob, 2.0, u=np.zeros(1), v=np.zeros(1))
-        np.testing.assert_array_equal(state.materialize_plan(), [[1.0]])
+        np.testing.assert_array_equal(plan_at(state), [[1.0]])
 
     def test_row_sums_match_cache(self):
         state = random_state(16, seed=21)
-        P = state.materialize_plan()
+        P = plan_at(state)
         np.testing.assert_allclose(P.sum(axis=1), np.exp(state.log_rP), rtol=1e-12)
 
     def test_gauge_invariance_of_plan(self):
         state = random_state(5, seed=30)
-        P = state.materialize_plan()
+        P = plan_at(state)
         for s in (-10.0, 10.0):
             other = DualState(state.problem, state.gamma, u=state.u + s, v=state.v - s)
-            np.testing.assert_allclose(other.materialize_plan(), P, rtol=1e-12)
+            np.testing.assert_allclose(plan_at(other), P, rtol=1e-12)
 
     def test_overflow_rejected(self):
         state = random_state(3)
         state.set_potentials(state.u + 800.0, state.v)
         with pytest.raises(PlanOverflowError):
-            state.materialize_plan()
+            plan_at(state)
 
 
 class TestTrialColSums:
@@ -225,19 +228,34 @@ class TestAnchoredPlan:
 
     def test_scalings_match_lse(self):
         state = anchored()
-        # The reference never anchors: its exact column step is the Sinkhorn
-        # one, which rebalance_columns equals in exact arithmetic.
+        # The reference's first column step is the Sinkhorn one, from its
+        # cached column sums, which the entry rebalance equals in exact
+        # arithmetic.
         lse = DualState(state.problem, state.gamma, u=state.u, v=state.v)
         for st, rebalance in ((state, state.rebalance_columns),
-                              (lse, lse.scale_cols_to_target)):
+                              (lse, lambda: lse.rebalance_columns(lse.u, lse.v, lse.log_cP))):
             st.set_potentials(st.u + 0.2, st.v)
             rebalance()
-            st.scale_rows_to_target()
-            st.scale_cols_to_target()
+            st.sinkhorn_sweep()
         np.testing.assert_allclose(state.u, lse.u, rtol=0, atol=1e-13)
         np.testing.assert_allclose(state.v, lse.v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(state.log_rP, lse.log_rP, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(state.log_cP, np.log(state.c))
+
+    def test_rebalance_from_known_sums_takes_only_the_row_product(self):
+        state = anchored()
+        d_u = np.random.default_rng(2).standard_normal(12)
+        cols = state.trial_log_col_sums(d_u, np.zeros(12), 0.1)
+        u, v = state.u + 0.1 * d_u, state.v
+        with opcount.category("t"):
+            before = opcount.snapshot().get("t", 0)
+            state.rebalance_columns(u, v, cols)
+            assert opcount.snapshot()["t"] - before == 1
+        assert state.v.tobytes() == (v + (np.log(state.c) - cols)).tobytes()
+        np.testing.assert_array_equal(state.log_cP, np.log(state.c))
+        fresh = DualState(state.problem, state.gamma, u=state.u, v=state.v)
+        np.testing.assert_allclose(fresh.log_cP, np.log(state.c), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fresh.log_rP, state.log_rP, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_anchor_columns_anchors_at_the_column_maxima(self, sparse, monkeypatch):

@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (assert_no_less_accurate_than_lse, long_double_sums,
-                             lse_col_sums, lse_row_sums)
+                             lse_col_sums, lse_row_sums, plan_at)
 from scipy.special import logsumexp
 
 from otnewton import _kernels, dual, opcount
 from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, SparsePlan, log_plan_max,
-                               materialize_plan, plan_matvec, scale_plan, square_matvec,
-                               tile_rows)
+                               materialize_plan, plan_cost, plan_matvec, scale_plan,
+                               square_matvec, tile_rows)
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.newton import DiscountedSystem
@@ -275,6 +275,13 @@ class TestAnchoredPlanSums:
             assert out.tobytes() == ref.tobytes()
             assert peak <= min(tile_rows(n), n) * n * 8 + 8 * 8192 + 8 * n * 8
 
+    @pytest.mark.parametrize("n", [64, BLOCK + 17])
+    def test_fixed_order_cost_is_the_untiled_sum(self, n):
+        rng = np.random.default_rng(n)
+        P, C = rng.random((n, n)) ** 3, rng.random((n, n))
+        assert plan_cost(P, C, True) == (P * C).sum(axis=1).sum()
+        assert plan_cost(P, C, False) == np.vdot(P, C)
+
 
 class TestScaledNewtonSystem:
     """The Newton system served from the anchored plan by diagonal scaling,
@@ -314,7 +321,7 @@ def assert_system_no_less_accurate_than_materialized(state, size):
     rP, cP = state.row_sums(), state.col_sums()
     scaled = DiscountedSystem.from_state(state)
     assert scaled.P is state.anchored_plan()[0]  # served from the anchor
-    plain = DiscountedSystem(state.materialize_plan(), rP, cP)
+    plain = DiscountedSystem(plan_at(state), rP, cP)
 
     ld = np.longdouble
     P = np.exp(state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
@@ -425,7 +432,7 @@ class TestReleasedPlan:
         state = anchored_state(cost, "spiky-random", gamma, monkeypatch, deterministic)
         a, b = offsets(state.n, size)
         state.set_potentials(state.u + a, state.v + b)
-        fresh = state.materialize_plan()
+        fresh = plan_at(state)
         P0 = state.anchored_plan()[0]
         P = state.release_plan()
         assert P is P0  # scaled in place
@@ -469,7 +476,7 @@ class TestReleasedPlan:
         state.set_gamma(32.0)
         P = state.release_plan()
         assert P is buf
-        np.testing.assert_array_equal(P, state.materialize_plan())
+        np.testing.assert_array_equal(P, plan_at(state))
         assert state._plan is None
 
 
@@ -611,7 +618,7 @@ class TestSparseAnchor:
             assert opcount.snapshot()["anchor"] - before == 4 + 4  # the stopped build, then dense
         assert isinstance(P, np.ndarray)
         assert state.plan_density > 0.125
-        assert P.tobytes() == state.materialize_plan().tobytes()
+        assert P.tobytes() == plan_at(state).tobytes()
 
     def test_release_materializes_the_final_plan(self, monkeypatch):
         state = anchored_state("l1-line", "spiky-random", 2.0 ** 14, monkeypatch, "",
@@ -619,5 +626,5 @@ class TestSparseAnchor:
         a, b = offsets(state.n, 1.0)
         state.set_potentials(state.u + a, state.v + b)
         P = state.release_plan()
-        assert P.tobytes() == state.materialize_plan().tobytes()
+        assert P.tobytes() == plan_at(state).tobytes()
         assert state._plan is None

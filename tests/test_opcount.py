@@ -36,6 +36,7 @@ def test_kernels():
     for fixed in (False, True):
         assert passes("kern", _kernels.plan_matvec, np.exp(K), u, fixed) == 1
         assert passes("kern", _kernels.log_plan_matvec, np.exp(K), u, fixed, True) == 1
+        assert passes("kern", _kernels.plan_cost, np.exp(K), K, fixed) == 1
 
 
 def test_operators(system):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import plan_at
 
 from otnewton.core import chi_sq_div
 from otnewton import dual
@@ -149,7 +150,7 @@ class TestProject:
     def test_symmetric_closed_form(self):
         state = symmetric_fixture(gamma=4.0)
         project(state, state.problem.r, state.problem.c, 1e-10)
-        P = state.materialize_plan()
+        P = plan_at(state)
         off = P[0, 1] + P[1, 0]
         assert off == pytest.approx(1.0 / (1.0 + math.exp(4.0)), abs=1e-10)
         assert P[0, 1] == pytest.approx(P[1, 0], rel=1e-10)
@@ -170,7 +171,7 @@ class TestProject:
         b = make_state(8, seed=11, gamma=8.0)
         project(a, a.problem.r, a.problem.c, 1e-12)
         sinkhorn_project(b, b.problem.r, b.problem.c, 1e-13)
-        np.testing.assert_allclose(a.materialize_plan(), b.materialize_plan(),
+        np.testing.assert_allclose(plan_at(a), plan_at(b),
                                    rtol=0, atol=1e-10)
 
     def test_step_records_are_complete(self):
@@ -220,6 +221,33 @@ class TestProject:
         twin.scale_rows_to_target()
         np.testing.assert_allclose(twin.u, state.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(twin.v, state.v, rtol=0, atol=1e-12)
+
+    def test_accepted_step_is_installed_by_the_column_scaling(self, monkeypatch):
+        # Each accepted step installs (u + alpha d_u, (v + alpha d_v) +
+        # (log c - trial column sums)), bit for bit, from the sums of the
+        # line search's last trial.
+        trials, installs = [], []
+        trial = DualState.trial_log_col_sums
+        rebalance = DualState.rebalance_columns
+
+        def spy_trial(state, d_u, d_v, alpha):
+            out = trial(state, d_u, d_v, alpha)
+            trials.append((state.u + alpha * d_u, state.v + alpha * d_v, out))
+            return out
+
+        def spy_rebalance(state, *args):
+            rebalance(state, *args)
+            if args and trials and args[2] is trials[-1][2]:
+                installs.append((trials[-1], state.u, state.v, np.log(state.c)))
+
+        monkeypatch.setattr(DualState, "trial_log_col_sums", spy_trial)
+        monkeypatch.setattr(DualState, "rebalance_columns", spy_rebalance)
+        state = make_state(9, seed=13, gamma=32.0, spread=1.0)
+        stats = project(state, state.r, state.c, 1e-9)
+        assert stats.newton_steps >= 2 and len(installs) == stats.newton_steps
+        for (u1, v1, cols), u, v, log_c in installs:
+            assert u.tobytes() == u1.tobytes()
+            assert v.tobytes() == (v1 + (log_c - cols)).tobytes()
 
     def test_rejects_bad_tolerance_and_marginals(self):
         state = make_state(4, seed=16)
@@ -318,7 +346,7 @@ class TestAnchoring:
         assert not a0.any() and b0.max() <= 0.0
         room = (PLAN_OFFSET_MAX - np.abs(b0).max()) / 2.0
         d = np.linspace(-1.0, 1.0, 16)
-        ref = DiscountedSystem(state.materialize_plan(), state.row_sums(),
+        ref = DiscountedSystem(plan_at(state), state.row_sums(),
                                state.col_sums()).round_trip(d)
         del calls[1:]
         # A gauge shift leaves the plan as it is and moves only the offsets.
