@@ -21,11 +21,11 @@ a subnormal).
 used by the Newton system (which applies a diagonally rescaled plan as the
 product with the plan between two length-n scalings) and by
 ``log_plan_matvec``, which serves row or column log sums of a diagonally
-rescaled plan from one product; ``plan_cost`` is the final plan's cost.
-With ``OTN_DETERMINISTIC=1`` (see ``fixed_order``) both are fixed-order
-summations, bit-identical whatever the BLAS threading.  ``log_plan_max``
-finds the row or column maxima of the log plan, where a plan is anchored so
-that no entry of the summed lines exceeds 1.
+rescaled plan from one product.  With ``OTN_DETERMINISTIC=1`` (see
+``fixed_order``) it is a fixed-order summation, bit-identical whatever the
+BLAS threading; ``plan_cost``, the final plan's cost, always is one.
+``log_plan_max`` finds the row or column maxima of the log plan, where a
+plan is anchored so that no entry of the summed lines exceeds 1.
 
 A plan whose entries are mostly exact zeros can be materialized as a
 ``SparsePlan`` instead (``materialize_plan`` with ``max_nnz``): compressed
@@ -272,14 +272,11 @@ def plan_matvec(P, x, fixed, transpose=False):
     return out
 
 
-def plan_cost(P, C, fixed):
-    """<P, C> for a dense plan, one pass: BLAS's ``vdot``, or with ``fixed``
-    numpy's pairwise sums of each row's products and then of the row sums,
-    over row tiles, so every bit is that of the untiled sum whatever the
-    BLAS threading."""
+def plan_cost(P, C):
+    """<P, C> for a dense plan, one pass: numpy's pairwise sums of each row's
+    products and then of the row sums, over row tiles, so every bit is that
+    of the untiled sum whatever the BLAS threading."""
     opcount.add(1)
-    if not fixed:
-        return float(np.vdot(P, C))
     out = np.empty(P.shape[0])
     for lo, hi, b in row_tiles(*P.shape):
         np.multiply(P[lo:hi], C[lo:hi], out=b)

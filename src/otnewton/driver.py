@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcount, oracles
-from ._kernels import PLAN_FLOOR, fixed_order, plan_cost, row_tiles
+from ._kernels import PLAN_FLOOR, plan_cost, row_tiles
 from .core import shannon_entropy
 from .dual import DualState
 from .errors import DegenerateInputError, DomainError, OTNError
@@ -303,7 +303,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     with opcount.category("mirror_descent"):
         P = state.release_plan()
         round_plan(P, problem.r, problem.c, out=P)
-        primal = plan_cost(P, problem.C, fixed_order())
+        primal = plan_cost(P, problem.C)
     wall_ms = (time.monotonic() - t0) * 1e3
 
     ops_cat_end = opcount.snapshot()

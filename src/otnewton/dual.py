@@ -356,11 +356,14 @@ class DualState:
         With no arguments, anchors first where ``anchor_columns`` does and
         takes the column sums from one product, so v is ``-m`` plus the
         offset ``log c - log(P0^T 1)``, kept out of the sums as in
-        log-sum-exp.  Given potentials and their log column sums, installs
-        ``(u, v + (log c - log_cols))`` with no column product.  Should the
-        offset leave ``PLAN_OFFSET_MAX``, v is still exact (no scaling enters
-        it); the row sums then re-anchor at the row maxima.
+        log-sum-exp.  Given potentials and their log column sums (all three,
+        or a ``TypeError``), installs ``(u, v + (log c - log_cols))`` with no
+        column product.  Should the offset leave ``PLAN_OFFSET_MAX``, v is
+        still exact (no scaling enters it); the row sums then re-anchor at
+        the row maxima.
         """
+        if sum(x is None for x in (u, v, log_cols)) not in (0, 3):
+            raise TypeError("rebalance_columns takes u, v and log_cols together or none of them")
         log_c = np.log(self.c)
         if log_cols is None:
             u, v = self.u, self.anchor_columns()

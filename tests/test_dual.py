@@ -257,6 +257,14 @@ class TestAnchoredPlan:
         np.testing.assert_allclose(fresh.log_cP, np.log(state.c), rtol=0, atol=1e-13)
         np.testing.assert_allclose(fresh.log_rP, state.log_rP, rtol=0, atol=1e-13)
 
+    def test_rebalance_takes_all_known_sums_or_none(self):
+        state = anchored()
+        u, v = state.u.copy(), state.v.copy()
+        for args in ((u, v), (None, None, state.log_cP), (u, None, state.log_cP)):
+            with pytest.raises(TypeError):
+                state.rebalance_columns(*args)
+        assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_anchor_columns_anchors_at_the_column_maxima(self, sparse, monkeypatch):
         monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: sparse)

@@ -33,10 +33,10 @@ def test_kernels():
     for axis, x in ((0, u), (1, v)):
         assert passes("kern", _kernels.log_plan_max, K, 1.0, x, axis) == 1
     assert passes("kern", _kernels.square_matvec, np.exp(K), u) == 2
+    assert passes("kern", _kernels.plan_cost, np.exp(K), K) == 1
     for fixed in (False, True):
         assert passes("kern", _kernels.plan_matvec, np.exp(K), u, fixed) == 1
         assert passes("kern", _kernels.log_plan_matvec, np.exp(K), u, fixed, True) == 1
-        assert passes("kern", _kernels.plan_cost, np.exp(K), K, fixed) == 1
 
 
 def test_operators(system):
