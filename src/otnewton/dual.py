@@ -11,21 +11,25 @@ diagonal scalings.  An anchor serves the state while the offsets stay
 within ``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0
 could add.
 
-A sum at potentials no anchor covers anchors at the maxima of the axis it
-sums, found in one pass without exp (``_anchor_at_maxima``): column sums at
-``(u, -m)``, ``m`` the column maxima of ``u 1^T - gamma C``, row sums at
-``(-m', v)``, ``m'`` the row maxima of ``1 v^T - gamma C``.  Each summed
-line's largest entry is then 1 (up to rounding), so nothing overflows
-whatever the potentials; the summed side's offset is 0 and the other
-side's stays outside the log, so the sum is log-sum-exp's own computation,
-with entries below e^-700 dropped, at any offset size.  The one exact
-column scaling, ``rebalance_columns``, anchors so at a Newton projection's
-entry, once per temperature (``anchor_columns``), and rebalances with one
-transposed product, ``v = -m + log c - log(P0^T 1)``; after a row scaling
+Every anchor is taken by one rule (``_serving_anchor``): a sum at
+potentials no anchor covers anchors at the maxima of the axis it sums,
+found in one pass without exp: column sums at ``(u, -m)``, ``m`` the column
+maxima of ``u 1^T - gamma C``, row sums at ``(-m', v)``, ``m'`` the row
+maxima of ``1 v^T - gamma C``.  Each summed line's largest entry is then 1
+(up to rounding), so nothing overflows whatever the potentials; the summed
+side's offset is 0 and the other side's stays outside the log, so the sum
+is log-sum-exp's own computation, with entries below e^-700 dropped, at any
+offset size.  ``anchored_plan``, which serves the Newton system and the
+Sinkhorn projector's gradient checks (``oracles.sinkhorn_project``),
+anchors as the column sums do.  The one exact column scaling,
+``rebalance_columns``, at a Newton projection's entry takes v from the
+anchor serving the column sums and one transposed product,
+``v = v0 + log c - log(P0^T e^a)``: ``-m + log c - log(P0^T 1)`` once per
+temperature, when it has just anchored.  After a row scaling
 (``sinkhorn_sweep``) or an accepted Newton step it takes the column sums
-that step computed.  The Sinkhorn projector (``oracles.sinkhorn_project``)
-anchors so before each gradient check that its anchor does not cover.
-``set_gamma`` drops the anchor (the buffer is kept for the next one).
+that step computed.  Only ``release_plan`` materializes a plan at the
+potentials themselves.  ``set_gamma`` drops the anchor (the buffer is kept
+for the next one).
 
 As gamma grows, most anchored entries fall below e^-700 and are stored as
 exact zeros.  An anchor is then built as a ``_kernels.SparsePlan`` (CSR),
@@ -200,21 +204,34 @@ class DualState:
         a, b = u - u0, v - v0
         return (a, b) if _within_guard(a, b) else None
 
+    def _serving_anchor(self, u, v, axis):
+        """The anchor ``(u0, v0)`` that serves the sums over ``axis`` (0:
+        columns, 1: rows) at (u, v): the current one when it covers (u, v),
+        else a new one at that axis's maxima, ``(u, -m)`` with ``m`` the
+        column maxima of ``u 1^T - gamma C``, or ``(-m', v)`` with ``m'`` the
+        row maxima of ``1 v^T - gamma C``.  Each summed line of a new anchor
+        has largest entry 1, so nothing overflows whatever the potentials;
+        the maxima take one pass and no exp."""
+        if self._plan_offsets(u, v) is None:
+            C, gamma = self.problem.C, self.gamma
+            if axis == 0:
+                self._anchor_plan(u, -log_plan_max(C, gamma, u, 0))
+            else:
+                self._anchor_plan(-log_plan_max(C, gamma, v, 1), v)
+        return self._anchor
+
     def anchored_plan(self):
         """``(P0, a, b)``: the anchored plan and the offsets of the current
         potentials from its anchor, so the current plan is ``D(e^a) P0 D(e^b)``.
 
-        Anchors at the current potentials first when no anchor covers them.
-        ``P0`` is the state's buffer or a ``SparsePlan``: it stays valid
-        until the state anchors again, which in the projection loop happens
-        at most once per temperature while the offsets stay within
-        ``PLAN_OFFSET_MAX``.
+        Anchors at the column maxima first when no anchor covers the state,
+        as the column sums do.  ``P0`` is the state's buffer or a
+        ``SparsePlan``: it stays valid until the state anchors again, which
+        in the projection loop happens at most once per temperature while
+        the offsets stay within ``PLAN_OFFSET_MAX``.
         """
-        off = self._plan_offsets(self.u, self.v)
-        if off is None:
-            self._anchor_plan(self.u, self.v)
-            off = self._plan_offsets(self.u, self.v)
-        return self._plan, off[0], off[1]
+        u0, v0 = self._serving_anchor(self.u, self.v, 0)
+        return self._plan, self.u - u0, self.v - v0
 
     def release_plan(self):
         """The plan at the current potentials, in the state's own plan buffer,
@@ -238,35 +255,14 @@ class DualState:
 
     # -- log row/column sums: one product with the anchored plan -------------
 
-    def _anchor_at_maxima(self, u, v, axis):
-        """Anchor at the maxima of the summed ``axis`` (0: columns, 1: rows)
-        of the log plan at (u, v): at ``(u, -m)`` or ``(-m', v)``, whose
-        summed lines each have largest entry 1; return the anchor."""
-        C, gamma = self.problem.C, self.gamma
-        if axis == 0:
-            anchor = (u, -log_plan_max(C, gamma, u, 0))
-        else:
-            anchor = (-log_plan_max(C, gamma, v, 1), v)
-        self._anchor_plan(*anchor)
-        return anchor
-
-    def _summing_offsets(self, u, v, axis):
-        """(u - u0, v - v0) from an anchor that serves the sums over ``axis``
-        at (u, v): the current one when it covers them, else a new one at
-        that axis's maxima."""
-        off = self._plan_offsets(u, v)
-        if off is not None:
-            return off
-        u0, v0 = self._anchor_at_maxima(u, v, axis)
-        return u - u0, v - v0
-
     def _log_row_sums(self, u, v):
-        a, b = self._summing_offsets(u, v, 1)
-        return a + log_plan_matvec(self._plan, b, self._fixed_order)
+        u0, v0 = self._serving_anchor(u, v, 1)
+        return (u - u0) + log_plan_matvec(self._plan, v - v0, self._fixed_order)
 
     def _log_col_sums(self, u, v):
-        a, b = self._summing_offsets(u, v, 0)
-        return b + log_plan_matvec(self._plan, a, self._fixed_order, transpose=True)
+        u0, v0 = self._serving_anchor(u, v, 0)
+        return (v - v0) + log_plan_matvec(self._plan, u - u0, self._fixed_order,
+                                          transpose=True)
 
     def refresh(self):
         """Recompute the cached log row/column sums of the implied plan."""
@@ -332,42 +328,25 @@ class DualState:
 
     # -- exact scaling updates that keep the caches coherent -----------------
 
-    def anchor_columns(self):
-        """Anchor the plan at ``(u, -m)`` unless an anchored plan covers the
-        state, ``m`` the column maxima of ``u 1^T - gamma C``; return the v
-        of the anchor taken, or the current v when none was.
-
-        Each column's largest entry at ``(u, -m)`` is 1, so no entry
-        overflows, whatever v is; this is the anchor ``_anchor_at_maxima``
-        takes for column sums.  The column maxima take one pass and no exp.
-        Once the column sums at ``(u, v)`` are on a target c, the
-        offset ``v + m`` lies in ``[log c - log n, log c]`` (each column sum
-        of the anchor lies in [1, n]), so the anchor covers the state unless
-        a target is below e^-100 / n.
-        """
-        u, v = self.u, self.v
-        if self._plan_offsets(u, v) is None:
-            v = self._anchor_at_maxima(u, v, 0)[1]
-        return v
-
     def rebalance_columns(self, u=None, v=None, log_cols=None):
         """Set v so the column sums equal c exactly, then refresh the row sums.
 
-        With no arguments, anchors first where ``anchor_columns`` does and
-        takes the column sums from one product, so v is ``-m`` plus the
-        offset ``log c - log(P0^T 1)``, kept out of the sums as in
-        log-sum-exp.  Given potentials and their log column sums (all three,
-        or a ``TypeError``), installs ``(u, v + (log c - log_cols))`` with no
-        column product.  Should the offset leave ``PLAN_OFFSET_MAX``, v is
-        still exact (no scaling enters it); the row sums then re-anchor at
-        the row maxima.
+        With no arguments, takes v from the anchor serving the column sums
+        (at the column maxima unless one covers the state) and one
+        transposed product: ``v = v0 + (log c - log(P0^T e^a))``, kept out
+        of the sums as in log-sum-exp.  Given potentials and their log
+        column sums (all three, or a ``TypeError``), installs
+        ``(u, v + (log c - log_cols))`` with no column product.  Should the
+        offset leave ``PLAN_OFFSET_MAX``, v is still exact (no scaling
+        enters it); the row sums then re-anchor at the row maxima.
         """
         if sum(x is None for x in (u, v, log_cols)) not in (0, 3):
             raise TypeError("rebalance_columns takes u, v and log_cols together or none of them")
         log_c = np.log(self.c)
         if log_cols is None:
-            u, v = self.u, self.anchor_columns()
-            log_cols = self._log_col_sums(u, v)
+            u = self.u
+            u0, v = self._serving_anchor(u, self.v, 0)
+            log_cols = log_plan_matvec(self._plan, u - u0, self._fixed_order, transpose=True)
         v = v + (log_c - log_cols)
         self._set(u, v, self._log_row_sums(u, v), log_c)
 

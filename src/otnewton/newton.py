@@ -92,7 +92,9 @@ class DiscountedSystem:
     @classmethod
     def from_state(cls, state):
         """The system at the state's potentials, served from its anchored plan
-        by scaling; sums come from the log-domain caches.
+        by scaling (``DualState.anchored_plan``, which anchors at the column
+        maxima when no anchor covers the state); sums come from the
+        log-domain caches.
 
         The plan is the state's buffer: the system is valid until the state
         anchors again, which happens when a new temperature starts or a sum

@@ -75,10 +75,10 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
 
     Stabilized by absorption (Schmitzer, SIAM J. Sci. Comput. 2019): before
     each gradient check, unless the state's anchored plan covers the
-    potentials, ``DualState.anchor_columns`` anchors it at the column
-    maxima, so each sweep's two exact scalings (``DualState.sinkhorn_sweep``)
-    take their sums from one product with that plan each.  The iterates are those of log-domain
-    Sinkhorn.  A scaling whose step leaves ``dual.PLAN_OFFSET_MAX``
+    potentials, ``DualState.anchored_plan`` anchors it at the column maxima,
+    so each sweep's two exact scalings (``DualState.sinkhorn_sweep``) take
+    their sums from one product with that plan each.  The iterates are
+    those of log-domain Sinkhorn.  A scaling whose step leaves ``dual.PLAN_OFFSET_MAX``
     re-anchors at the maxima of the axis it sums, and that anchor serves the
     later sums and checks while it covers them.
     """
@@ -88,7 +88,7 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     steps = 0
     with opcount.category("sinkhorn"):
         while True:
-            state.anchor_columns()
+            state.anchored_plan()
             if state.grad_norm_l1() <= eps_d:
                 break
             if steps >= sweep_budget:

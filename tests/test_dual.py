@@ -266,25 +266,49 @@ class TestAnchoredPlan:
         assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_anchor_columns_anchors_at_the_column_maxima(self, sparse, monkeypatch):
+    def test_anchored_plan_anchors_at_the_column_maxima(self, sparse, monkeypatch):
         monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: sparse)
         monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
         state = random_state(12, seed=6, gamma=8.0)
         m = (state.u[:, None] - state.gamma * state.problem.C).max(axis=0)
         with opcount.category("t"):
             before = opcount.snapshot().get("t", 0)
-            v0 = state.anchor_columns()
-            assert opcount.snapshot()["t"] - before == 5  # column maxima 1, plan 4
             P0 = state.anchored_plan()[0]
+            assert opcount.snapshot()["t"] - before == 5  # column maxima 1, plan 4
             assert isinstance(P0, SparsePlan) == sparse
             if sparse:
                 _, _, indptr, indices, data = P0.rows
                 P0 = scipy.sparse.csr_array((data, indices, indptr), shape=P0.shape).toarray()
-            np.testing.assert_array_equal(v0, -m)
+            np.testing.assert_array_equal(state._anchor[1], -m)
             np.testing.assert_allclose(P0.max(axis=0), 1.0, rtol=1e-14)
-            # covered now: no pass, and the current v comes back
-            np.testing.assert_array_equal(state.anchor_columns(), state.v)
+            # covered now: no pass
+            state.anchored_plan()
             assert opcount.snapshot()["t"] - before == 5
+
+    def test_overflowing_warm_start_anchors_at_the_column_maxima(self):
+        # Log plan entries above 700 would overflow a plan materialized at
+        # the potentials; the one at the column maxima has maxima 1.
+        state = random_state(12, seed=6, gamma=8.0)
+        state.set_potentials(state.u, state.v + 800.0)
+        C, gamma = state.problem.C, state.gamma
+        assert (state.u[:, None] + state.v[None, :] - gamma * C).max() > 700.0
+        P0, a, _ = state.anchored_plan()
+        assert not a.any()
+        np.testing.assert_allclose(P0.max(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_covered_entry_rebalance_takes_no_anchor(self):
+        # v from the covering anchor and one transposed product, then the
+        # row product: two passes.
+        state = anchored()
+        state.set_potentials(state.u + 0.2, state.v - 0.1)
+        anchor = state._anchor
+        with opcount.category("t"):
+            before = opcount.snapshot().get("t", 0)
+            state.rebalance_columns()
+            assert opcount.snapshot()["t"] - before == 2
+        assert state._anchor is anchor
+        fresh = DualState(state.problem, state.gamma, u=state.u, v=state.v)
+        np.testing.assert_allclose(fresh.col_sums(), state.c, rtol=1e-13, atol=0)
 
     def test_set_gamma_drops_the_anchor(self):
         # The next sums anchor at the new temperature's row maxima, and the

@@ -193,7 +193,7 @@ def anchored_state(cost, kind, gamma, monkeypatch, deterministic, sparse=False, 
     if sparse:
         monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
         monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
-    state.anchored_plan()
+    state._anchor_plan(state.u, state.v)
     assert isinstance(state.anchored_plan()[0], SparsePlan) == sparse
     return state
 
@@ -377,7 +377,7 @@ class TestEntryRebalance:
         # from the plan anchored there.
         v_lse = log_c - lse_col_sums(C, gamma, u, 0.0)
         lse = DualState(state.problem, gamma, u=u, v=v_lse)
-        lse.anchored_plan()
+        lse._anchor_plan(lse.u, lse.v)
         errs = []
         for st in (state, lse):
             ref_rows, ref_cols = long_double_sums(C, gamma, st.u, st.v)
@@ -613,8 +613,9 @@ class TestSparseAnchor:
         state.set_gamma(state.gamma)
         with opcount.category("anchor"):
             before = opcount.snapshot().get("anchor", 0)
-            P = state.anchored_plan()[0]
+            state._anchor_plan(state.u, state.v)
             assert opcount.snapshot()["anchor"] - before == 4 + 4  # the stopped build, then dense
+        P = state.anchored_plan()[0]
         assert isinstance(P, np.ndarray)
         assert state.plan_density > 0.125
         assert P.tobytes() == plan_at(state).tobytes()

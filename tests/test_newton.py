@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from dense_reference import dense_F, dense_prc
+from dense_reference import dense_F, dense_plan, dense_prc
 
 from otnewton.dual import DualState
 from otnewton import newton
@@ -32,7 +32,7 @@ def independence_system(r, c):
 def prc_spectrum(sys):
     """Ascending eigenvalues of P_rc, from its symmetric similar form
     D(rP)^1/2 P_rc D(rP)^-1/2 = G G^T."""
-    G = sys.P / (np.sqrt(sys.rP)[:, None] * np.sqrt(sys.cP)[None, :])
+    G = dense_plan(sys) / (np.sqrt(sys.rP)[:, None] * np.sqrt(sys.cP)[None, :])
     return np.linalg.eigvalsh(G @ G.T)
 
 
@@ -65,7 +65,7 @@ class TestOperators:
     def test_pc_matches_dense(self):
         sys = random_system(8, seed=5)
         d = np.random.default_rng(6).standard_normal(8)
-        dense = (sys.P.T / sys.cP[:, None]) @ d
+        dense = (dense_plan(sys).T / sys.cP[:, None]) @ d
         np.testing.assert_allclose(sys.apply_pc(d), dense, rtol=1e-12)
 
     def test_F_at_rho_zero_is_diagonal(self):
@@ -311,7 +311,8 @@ class TestResidualIdentity:
         grad_u = sys.rP - r_target
         d_u = rng.standard_normal(n)
         d_v = -sys.apply_pc(d_u)
-        hessian = np.block([[np.diag(sys.rP), sys.P], [sys.P.T, np.diag(sys.cP)]])
+        P = dense_plan(sys)
+        hessian = np.block([[np.diag(sys.rP), P], [P.T, np.diag(sys.cP)]])
         e = hessian @ np.concatenate([d_u, d_v]) + np.concatenate([grad_u, np.zeros(n)])
         np.testing.assert_allclose(e[n:], 0.0, atol=1e-12)
         e_u1 = sys.apply_F(1.0, d_u) + grad_u

@@ -256,7 +256,7 @@ class TestAbsorbedSinkhorn:
         u, v = state.u.copy(), state.v.copy()
         (u if side == "rows" else v)[0] -= 1.5 * PLAN_OFFSET_MAX
         state.set_potentials(u, v)
-        state.anchored_plan()
+        state._anchor_plan(state.u, state.v)
         state.refresh()
         assert calls == {"anchor": 1}  # covered before the step
         if side == "rows":
@@ -268,7 +268,7 @@ class TestAbsorbedSinkhorn:
         assert calls["anchor"] == 2
         X = state.u[:, None] + state.v[None, :] - state.gamma * state.problem.C
         np.testing.assert_allclose(got, logsumexp(X, axis=axis), rtol=0, atol=1e-13)
-        state.anchor_columns()
+        state.anchored_plan()
         state.grad_norm_l1()
         assert calls["anchor"] == 2
 
