@@ -259,7 +259,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         r_s, c_s = smooth_marginals(problem.r, problem.c, eps_d, opts.w_r, opts.w_c)
         if t == 1:
             state = DualState(problem, gamma, u=np.log(r_s), v=np.log(c_s), r=r_s, c=c_s)
-            z_prev = state.z
+            z_prev = np.concatenate([state.u, state.v])
         else:
             state.set_gamma(gamma)
 
@@ -282,7 +282,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         if opts.adaptive_q:
             q = adjust_schedule(q, stats.delta_min)
         gamma_next = min(q * gamma, gamma_f)
-        z = state.z
+        z = np.concatenate([state.u, state.v])
         z_new = extrapolate(z, z_prev, gamma_next, gamma, gamma_prev)
 
         iterations.append(OuterIteration(
@@ -296,7 +296,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         z_prev = z
         gamma_prev = gamma
         gamma = gamma_next
-        state.set_z(z_new)
+        state.set_potentials(z_new[:problem.n], z_new[problem.n:])
         t += 1
 
     dual_final = state.dual_value()

@@ -361,13 +361,3 @@ class DualState:
         then rebalance the columns from the column sums that step computed."""
         self.scale_rows_to_target()
         self.rebalance_columns(self.u, self.v, self.log_cP)
-
-    # -- stacked potentials for the annealing driver -------------------------
-
-    @property
-    def z(self):
-        return np.concatenate([self.u, self.v])
-
-    def set_z(self, z):
-        n = self.n
-        self.set_potentials(z[:n], z[n:])
