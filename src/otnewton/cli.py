@@ -80,7 +80,7 @@ class BenchConfig:
 
 def _mdot_options(solver, adaptive_q, adaptive_rho0, w_r):
     return MdotOptions(
-        w_r=w_r, w_c=0.5 - w_r,
+        w_r=w_r,
         adaptive_q=adaptive_q, adaptive_rho0=adaptive_rho0,
         projector="newton" if solver == "mdot-tn" else "sinkhorn",
     )

@@ -28,7 +28,6 @@ from .problems import TraceRow
 from .projector import ProjStats, project
 
 DEFAULT_W_R = 0.45
-DEFAULT_W_C = 0.05
 Q_GROW_THRESHOLD = 0.95
 Q_SHRINK_THRESHOLD = 0.8
 Q_MAX = 2.0
@@ -42,7 +41,6 @@ class MdotOptions:
     """Driver configuration; defaults reproduce the benchmarked setup."""
 
     w_r: float = DEFAULT_W_R
-    w_c: float = DEFAULT_W_C
     adaptive_q: bool = True
     adaptive_rho0: bool = True
     projector: str = "newton"  # "newton" or "sinkhorn"
@@ -118,17 +116,18 @@ def eps_rule(gamma, p, r, c):
     return min(shannon_entropy(r), shannon_entropy(c)) / gamma ** p
 
 
-def smooth_marginals(r, c, eps_d, w_r=DEFAULT_W_R, w_c=DEFAULT_W_C):
+def smooth_marginals(r, c, eps_d, w_r=DEFAULT_W_R):
     """Mix the marginals toward uniform, spending the stability budget asymmetrically.
 
-    The row marginal receives most of the budget because the row system's
-    diagonal preconditioning is the stability-critical path, while column
-    sums are restored by exact log-domain scalings.
+    The weights of the row and column marginals add up to 1/2: the rows
+    take ``w_r`` and the columns ``w_c = 1/2 - w_r``.  The row marginal
+    receives most of the budget because the row system's diagonal
+    preconditioning is the stability-critical path, while column sums are
+    restored by exact log-domain scalings.
     """
-    if not (w_r > w_c > 0.0):
-        raise DomainError(f"need w_r > w_c > 0, got {w_r}, {w_c}")
-    if abs((w_r + w_c) - 0.5) > 1e-12:
-        raise DomainError(f"weights must satisfy w_r + w_c = 1/2, got {w_r + w_c}")
+    if not 0.25 < w_r < 0.5:
+        raise DomainError(f"need 1/4 < w_r < 1/2 (so that w_r > 1/2 - w_r > 0), got {w_r}")
+    w_c = 0.5 - w_r
     if not 0.0 < eps_d < 1.0:
         raise DomainError(f"eps_d must be in (0, 1), got {eps_d}")
     r = np.asarray(r, dtype=np.float64)
@@ -256,7 +255,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         if eps_d >= 1.0:
             raise DomainError(
                 f"tolerance {eps_d:.3g} >= 1 at gamma={gamma}; raise gamma_i")
-        r_s, c_s = smooth_marginals(problem.r, problem.c, eps_d, opts.w_r, opts.w_c)
+        r_s, c_s = smooth_marginals(problem.r, problem.c, eps_d, opts.w_r)
         if t == 1:
             state = DualState(problem, gamma, u=np.log(r_s), v=np.log(c_s), r=r_s, c=c_s)
             z_prev = np.concatenate([state.u, state.v])

@@ -61,7 +61,7 @@ class TestEpsRule:
 class TestSmoothMarginals:
     def test_point_mass_example(self):
         r, _ = smooth_marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]),
-                                0.1, w_r=0.45, w_c=0.05)
+                                0.1, w_r=0.45)
         np.testing.assert_allclose(r, [0.9775, 0.0225], rtol=1e-14)
 
     def test_vanishing_budget_is_identity(self):
@@ -83,17 +83,23 @@ class TestSmoothMarginals:
         assert c_s.min() >= 0.05 * eps / 16
 
     def test_default_weights(self):
+        # The rows take w_r = 0.45 and the columns the rest of one half.
         import inspect
         sig = inspect.signature(smooth_marginals)
+        assert list(sig.parameters) == ["r", "c", "eps_d", "w_r"]
         assert sig.parameters["w_r"].default == 0.45
-        assert sig.parameters["w_c"].default == 0.05
+        r, c, eps = np.array([0.3, 0.7]), np.array([0.2, 0.8]), 0.1
+        w_c = 0.5 - 0.45
+        _, c_s = smooth_marginals(r, c, eps)
+        assert c_s.tobytes() == ((1.0 - w_c * eps) * c + w_c * eps / 2).tobytes()
 
     def test_weight_validation(self):
+        # w_r > w_c = 1/2 - w_r > 0
         r = np.array([0.5, 0.5])
-        with pytest.raises(DomainError):
-            smooth_marginals(r, r, 0.1, w_r=0.3, w_c=0.3)
-        with pytest.raises(DomainError):
-            smooth_marginals(r, r, 0.1, w_r=0.05, w_c=0.45)
+        for w_r in (0.05, 0.25, 0.5, 0.6):
+            with pytest.raises(DomainError):
+                smooth_marginals(r, r, 0.1, w_r=w_r)
+        smooth_marginals(r, r, 0.1, w_r=0.3)
 
 
 class TestAdjustSchedule:
