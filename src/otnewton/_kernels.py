@@ -4,7 +4,8 @@ The kernels work over row tiles of ``BLOCK * BLOCK`` entries (512 KiB, see
 ``tile_rows`` and ``row_tiles``), which stay in a core's L2 cache whatever n
 is, and every operation writes into one such reusable tile or the output, so
 no n-by-n temporaries are allocated.  The log-domain kernels form the log kernel
-``-gamma C`` inside each tile from the cost (it is never stored).  Each row
+``-gamma C`` inside each tile from the cost (it is never stored), and a log
+plan entry is always rounded as ``(-gamma C_ij + u_i) + v_j``.  Each row
 is still reduced whole by numpy's pairwise summation, and each column in row
 order, so results are bit-identical to the unblocked expressions over
 ``-gamma * C`` regardless of the tile size.
@@ -15,7 +16,16 @@ about 20x slower, for any vector holding an argument below about -707.7, and
 BLAS products on subnormal operands run several times slower than on normal
 ones.  So ``materialize_plan`` and ``scale_plan`` write exactly 0 for every
 entry below ``PLAN_FLOOR`` = e^-700 (a normal number, so a plan never holds
-a subnormal).
+a subnormal).  A plan tile with no log entry below the floor is
+exponentiated as it is, with no mask, clamp or flush, which would not
+change it.
+
+``materialize_col_anchor`` builds the dense plan anchored at the column
+maxima, ``materialize_plan(C, gamma, u, -log_plan_max(C, gamma, u, 0))`` bit
+for bit, with one read of ``C``: its first pass writes the log plan
+``-gamma C + u 1^T`` into the plan itself and reduces its column maxima
+``m``, the second adds ``-m`` in place and exponentiates.  In that rounding
+order each column's largest entry is exactly 1.
 
 ``plan_matvec`` is the one matrix-vector product with a materialized plan,
 used by the Newton system (which applies a diagonally rescaled plan as the
@@ -97,16 +107,19 @@ def log_plan_max(C, gamma, x, axis):
     return out
 
 
-def _plan_tile(C, gamma, u, v, b):
-    """Write exp(u 1^T + 1 v^T - gamma C) into the tile ``b`` (rows of ``C``
-    and ``u`` alike); return the mask of its entries set to 0."""
-    np.multiply(C, -gamma, out=b)
-    np.add(b, v[None, :], out=b)
-    np.add(b, u[:, None], out=b)
+def _exp_tile(b):
+    """exp of the log-plan tile ``b`` in place, entries below ``EXP_FLOOR``
+    set to 0; returns the mask of those entries, or None when there are none.
+
+    A tile with no entry below the floor skips the mask, the clamp and the
+    flush, which would leave it as it is."""
     top = b.max()
     if top > LOG_OVERFLOW:
         raise PlanOverflowError(
             f"log-plan entry {top:.3g} would overflow exp(); warm start is broken")
+    if not b.min() < EXP_FLOOR:
+        np.exp(b, out=b)
+        return None
     low = b < EXP_FLOOR
     np.maximum(b, EXP_FLOOR, out=b)
     np.exp(b, out=b)
@@ -114,11 +127,25 @@ def _plan_tile(C, gamma, u, v, b):
     return low
 
 
+def _plan_tile(C, gamma, u, v, b):
+    """Write exp((-gamma C + u 1^T) + 1 v^T) into the tile ``b`` (rows of ``C``
+    and ``u`` alike); return ``_exp_tile``'s mask."""
+    np.multiply(C, -gamma, out=b)
+    np.add(b, u[:, None], out=b)
+    np.add(b, v[None, :], out=b)
+    return _exp_tile(b)
+
+
+def _nonzeros(low, b):
+    return b.size if low is None else low.size - np.count_nonzero(low)
+
+
 def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
     """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected;
     returns ``(plan, nnz)``, nnz its count of nonzero entries.
 
-    ``-gamma C`` is formed tile by tile, never stored.  Entries whose log
+    ``-gamma C`` is formed tile by tile, never stored, and each log entry is
+    rounded as ``(-gamma C_ij + u_i) + v_j``.  Entries whose log
     is below ``EXP_FLOOR`` come out as exactly 0.  The plan is dense
     (written into ``out`` when given) unless ``max_nnz`` is given: then it
     is a ``SparsePlan`` built tile by tile, with no n-by-n array, and the
@@ -133,14 +160,15 @@ def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
             out = np.empty((n, m))
         nnz = 0
         for lo in range(0, n, rows):
-            low = _plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, out[lo:lo + rows])
-            nnz += low.size - np.count_nonzero(low)
+            b = out[lo:lo + rows]
+            nnz += _nonzeros(_plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, b), b)
         return out, nnz
     col = np.broadcast_to(np.arange(m, dtype=np.int32), (min(rows, n), m)).copy()
     indptr = np.zeros(n + 1, dtype=np.int32)
     data, indices, nnz = [], [], 0
     for lo, hi, b in row_tiles(n, m):
-        keep = ~_plan_tile(C[lo:hi], gamma, u[lo:hi], v, b)
+        low = _plan_tile(C[lo:hi], gamma, u[lo:hi], v, b)
+        keep = np.ones(b.shape, dtype=bool) if low is None else np.logical_not(low, out=low)
         data.append(b[keep])
         nnz += len(data[-1])
         if nnz > max_nnz:
@@ -149,6 +177,35 @@ def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
         indptr[lo + 1:hi + 1] = np.count_nonzero(keep, axis=1)
     np.cumsum(indptr, out=indptr)
     return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), nnz
+
+
+def materialize_col_anchor(C, gamma, u, out):
+    """The dense plan anchored at the column maxima: ``(plan, v0, nnz)`` with
+    ``v0 = -log_plan_max(C, gamma, u, 0)`` and ``plan, nnz =
+    materialize_plan(C, gamma, u, v0)``, bit for bit, from one read of ``C``.
+
+    The first pass over row tiles writes the log plan ``-gamma C + u 1^T``
+    into the plan itself, ``out``, and reduces its column maxima
+    ``m``; the second adds ``-m`` in place and exponentiates.  Each column's
+    largest entry is exactly 1.  Counted as the passes it replaces, maxima 1
+    and plan 4.
+    """
+    opcount.add(5)
+    n, m = C.shape
+    rows = tile_rows(m)
+    col_max = np.full(m, -np.inf)
+    for lo in range(0, n, rows):
+        b = out[lo:lo + rows]
+        np.multiply(C[lo:lo + rows], -gamma, out=b)
+        np.add(b, u[lo:lo + rows, None], out=b)
+        np.maximum(col_max, b.max(axis=0), out=col_max)
+    v0 = -col_max
+    nnz = 0
+    for lo in range(0, n, rows):
+        b = out[lo:lo + rows]
+        np.add(b, v0[None, :], out=b)
+        nnz += _nonzeros(_exp_tile(b), b)
+    return out, v0, nnz
 
 
 class SparsePlan:

@@ -13,10 +13,11 @@ could add.
 
 Every anchor is taken by one rule (``_serving_anchor``): a sum at
 potentials no anchor covers anchors at the maxima of the axis it sums,
-found in one pass without exp: column sums at ``(u, -m)``, ``m`` the column
+found without exp: column sums at ``(u, -m)``, ``m`` the column
 maxima of ``u 1^T - gamma C``, row sums at ``(-m', v)``, ``m'`` the row
 maxima of ``1 v^T - gamma C``.  Each summed line's largest entry is then 1
-(up to rounding), so nothing overflows whatever the potentials; the summed
+(exactly 1 for column sums, up to rounding for row sums, as the kernels
+add u before v), so nothing overflows whatever the potentials; the summed
 side's offset is 0 and the other side's stays outside the log, so the sum
 is log-sum-exp's own computation, with entries below e^-700 dropped, at any
 offset size.  ``anchored_plan``, which serves the Newton system and the
@@ -57,7 +58,7 @@ import math
 import numpy as np
 
 from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, fixed_order, log_plan_matvec,
-                       log_plan_max, materialize_plan, scale_plan)
+                       log_plan_max, materialize_col_anchor, materialize_plan, scale_plan)
 from .errors import DomainError
 
 # Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
@@ -164,27 +165,35 @@ class DualState:
 
     # -- the anchored plan ---------------------------------------------------
 
-    def _materialize_into_buffer(self, u, v):
-        """The dense plan at (u, v) in the state's buffer, and its nonzeros."""
+    def _buffer(self):
+        """The state's dense plan buffer, made if the state holds none; the
+        anchor is dropped first, as its plan is about to be overwritten."""
         self._anchor = None  # not a valid plan if materialization raises
         if not isinstance(self._plan, np.ndarray):
             self._plan = None  # a sparse plan is let go before the buffer is made
             self._plan = np.empty_like(self.problem.C)
-        return materialize_plan(self.problem.C, self.gamma, u, v, out=self._plan)
+        return self._plan
 
-    def _anchor_plan(self, u, v):
-        """Materialize the plan at potentials (u, v) and make it the anchor:
-        a ``SparsePlan`` when ``sparse_anchor`` says so and the plan has at
-        most ``sparse_limit`` nonzeros, else the state's dense buffer."""
-        n = self.n
+    def _anchor_plan(self, u, v=None):
+        """Materialize the plan at potentials (u, v) and make it the anchor;
+        with ``v`` None, at the column maxima, ``v = -m``.  The plan is a
+        ``SparsePlan`` when ``sparse_anchor`` says so and it has at most
+        ``sparse_limit`` nonzeros, else the state's dense buffer, which a
+        column-maxima anchor fills from one read of the cost
+        (``materialize_col_anchor``)."""
+        n, C, gamma = self.n, self.problem.C, self.gamma
         plan = None
         if sparse_anchor(n, self._anchor_nnz):
             self._anchor = None
             self._plan = None  # the CSR replaces the dense buffer, never sits beside it
-            plan, nnz = materialize_plan(self.problem.C, self.gamma, u, v,
-                                         max_nnz=sparse_limit(n))
+            if v is None:
+                v = -log_plan_max(C, gamma, u, 0)
+            plan, nnz = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n))
         if plan is None:
-            plan, nnz = self._materialize_into_buffer(u, v)
+            if v is None:
+                plan, v, nnz = materialize_col_anchor(C, gamma, u, out=self._buffer())
+            else:
+                plan, nnz = materialize_plan(C, gamma, u, v, out=self._buffer())
         self._plan, self._anchor_nnz = plan, nnz
         self._anchor = (u, v)
         self._fixed_order = fixed_order()
@@ -211,13 +220,13 @@ class DualState:
         column maxima of ``u 1^T - gamma C``, or ``(-m', v)`` with ``m'`` the
         row maxima of ``1 v^T - gamma C``.  Each summed line of a new anchor
         has largest entry 1, so nothing overflows whatever the potentials;
-        the maxima take one pass and no exp."""
+        the maxima take no exp, and a dense column anchor takes them from
+        the log plan it writes into its buffer (``_anchor_plan``)."""
         if self._plan_offsets(u, v) is None:
-            C, gamma = self.problem.C, self.gamma
             if axis == 0:
-                self._anchor_plan(u, -log_plan_max(C, gamma, u, 0))
+                self._anchor_plan(u)
             else:
-                self._anchor_plan(-log_plan_max(C, gamma, v, 1), v)
+                self._anchor_plan(-log_plan_max(self.problem.C, self.gamma, v, 1), v)
         return self._anchor
 
     def anchored_plan(self):
@@ -246,7 +255,8 @@ class DualState:
         """
         off = self._plan_offsets(self.u, self.v)
         if off is None or isinstance(self._plan, SparsePlan):
-            P = self._materialize_into_buffer(self.u, self.v)[0]
+            P = materialize_plan(self.problem.C, self.gamma, self.u, self.v,
+                                 out=self._buffer())[0]
         else:
             P = scale_plan(self._plan, np.exp(off[0]), np.exp(off[1]))
         self._plan = None

@@ -13,6 +13,12 @@ def plan_at(state):
     return materialize_plan(state.problem.C, state.gamma, state.u, state.v)[0]
 
 
+def log_plan(C, gamma, u, v):
+    """The log plan at (u, v), untiled, rounded as the kernels round it:
+    ``(-gamma C + u 1^T) + 1 v^T``."""
+    return (-gamma * C + u[:, None]) + v[None, :]
+
+
 def lse_row_sums(C, gamma, u, v):
     """u + log-sum-exp over the rows of ``1 v^T - gamma C``: the log row sums
     of the plan at (u, v), untiled.

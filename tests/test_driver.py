@@ -347,16 +347,19 @@ class TestMdot:
     @pytest.mark.parametrize("projector", ["newton", "sinkhorn"])
     def test_one_anchored_plan_per_temperature(self, projector, monkeypatch):
         # True for a plan materialized into the state's buffer, False for a
-        # fresh array.  Either projector anchors once per projection, and the
-        # driver rounds the last anchored plan, scaled in place.
+        # fresh array.  Either projector anchors once per projection, at the
+        # column maxima, and the driver rounds the last anchored plan, scaled
+        # in place.
         calls = []
-        real = dual.materialize_plan
 
-        def spy(*args, out=None):
-            calls.append(out is not None)
-            return real(*args, out=out)
+        def spy(real):
+            def materialize(*args, out=None):
+                calls.append(out is not None)
+                return real(*args, out=out)
+            return materialize
 
-        monkeypatch.setattr(dual, "materialize_plan", spy)
+        for name in ("materialize_plan", "materialize_col_anchor"):
+            monkeypatch.setattr(dual, name, spy(getattr(dual, name)))
         sol = mdot(grid_problem(16, seed=4), 2.0 ** 4, 2.0 ** 12,
                    opts=MdotOptions(projector=projector))
         assert calls == [True] * sol.report.outer_iterations

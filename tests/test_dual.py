@@ -265,25 +265,31 @@ class TestAnchoredPlan:
                 state.rebalance_columns(*args)
         assert state.u.tobytes() == u.tobytes() and state.v.tobytes() == v.tobytes()
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_anchored_plan_anchors_at_the_column_maxima(self, sparse, monkeypatch):
+    @pytest.mark.parametrize("build, passes", [("dense", 5), ("sparse", 5),
+                                               ("sparse-fallback", 9)])
+    def test_anchored_plan_anchors_at_the_column_maxima(self, build, passes, monkeypatch):
+        # A dense anchor takes the maxima in its own first pass; a sparse one
+        # takes them first (1), then builds the CSR (4), and falls back to a
+        # dense plan at the same potentials (4) past its limit.
+        sparse = build != "dense"
         monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: sparse)
-        monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
+        monkeypatch.setattr(dual, "sparse_limit",
+                            lambda n: 0 if build == "sparse-fallback" else n * n)
         state = random_state(12, seed=6, gamma=8.0)
         m = (state.u[:, None] - state.gamma * state.problem.C).max(axis=0)
         with opcount.category("t"):
             before = opcount.snapshot().get("t", 0)
             P0 = state.anchored_plan()[0]
-            assert opcount.snapshot()["t"] - before == 5  # column maxima 1, plan 4
-            assert isinstance(P0, SparsePlan) == sparse
-            if sparse:
+            assert opcount.snapshot()["t"] - before == passes
+            assert isinstance(P0, SparsePlan) == (build == "sparse")
+            if build == "sparse":
                 _, _, indptr, indices, data = P0.rows
                 P0 = scipy.sparse.csr_array((data, indices, indptr), shape=P0.shape).toarray()
             np.testing.assert_array_equal(state._anchor[1], -m)
-            np.testing.assert_allclose(P0.max(axis=0), 1.0, rtol=1e-14)
+            assert (P0.max(axis=0) == 1.0).all()
             # covered now: no pass
             state.anchored_plan()
-            assert opcount.snapshot()["t"] - before == 5
+            assert opcount.snapshot()["t"] - before == passes
 
     def test_overflowing_warm_start_anchors_at_the_column_maxima(self):
         # Log plan entries above 700 would overflow a plan materialized at

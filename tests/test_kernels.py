@@ -6,16 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import (assert_no_less_accurate_than_lse, long_double_sums,
+from dense_reference import (assert_no_less_accurate_than_lse, log_plan, long_double_sums,
                              lse_col_sums, lse_row_sums, plan_at)
 from scipy.special import logsumexp
 
 from otnewton import _kernels, dual, opcount
-from otnewton._kernels import (BLOCK, EXP_FLOOR, PLAN_FLOOR, SparsePlan, log_plan_max,
-                               materialize_plan, plan_cost, plan_matvec, scale_plan,
-                               square_matvec, tile_rows)
+from otnewton._kernels import (BLOCK, EXP_FLOOR, LOG_OVERFLOW, PLAN_FLOOR, SparsePlan,
+                               log_plan_max, materialize_col_anchor, materialize_plan,
+                               plan_cost, plan_matvec, scale_plan, square_matvec, tile_rows)
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.errors import PlanOverflowError
 from otnewton.newton import DiscountedSystem
 from otnewton.problems import Problem, gen_marginal
 
@@ -47,7 +48,7 @@ class TestBlockedKernels:
         K = -gamma * C
         plan = materialize_plan(C, gamma, u, v)[0]
         col_max, row_max = log_plan_max(C, gamma, u, 0), log_plan_max(C, gamma, v, 1)
-        np.testing.assert_array_equal(plan, np.exp((K + v[None, :]) + u[:, None]))
+        np.testing.assert_array_equal(plan, np.exp(log_plan(C, gamma, u, v)))
         np.testing.assert_array_equal(col_max, (K + u[:, None]).max(axis=0))
         np.testing.assert_array_equal(row_max, (K + v[None, :]).max(axis=1))
         for block in (8, n + 1):  # many small tiles, then one tile
@@ -98,6 +99,53 @@ class TestBlockedKernels:
         np.testing.assert_allclose(materialize_plan(-K, 1.0, u, v)[0], ref, rtol=1e-15)
 
 
+def col_anchor_case(n, deep):
+    """A cost and row potentials whose plan at the column maxima has no
+    entry below ``EXP_FLOOR`` (``deep`` False) or, when ``deep``, entries
+    below it in the rows of the first half only, so that with more than one
+    tile some tiles are flushed and some are not."""
+    rng = np.random.default_rng(n)
+    C = rng.uniform(size=(n, n))
+    if deep:
+        C[n // 2:] *= 0.01
+    return C, 2000.0 if deep else 37.3, 3.0 * rng.normal(size=n)
+
+
+class TestColumnAnchor:
+    """The dense anchor at the column maxima, built from one read of the cost."""
+
+    @pytest.mark.parametrize("deep", [False, True])
+    @pytest.mark.parametrize("n", [64, BLOCK, BLOCK + 17, 4 * BLOCK])
+    def test_equals_the_two_pass_build(self, n, deep):
+        C, gamma, u = col_anchor_case(n, deep)
+        v0 = -log_plan_max(C, gamma, u, 0)
+        ref, ref_nnz = materialize_plan(C, gamma, u, v0)
+        low = log_plan(C, gamma, u, v0) < EXP_FLOOR
+        assert low.any() == deep
+        rows = tile_rows(n)
+        if deep and n > rows:
+            assert not low[(n - 1) // rows * rows:].any()  # a last tile with nothing to flush
+        with opcount.category("t"):
+            before = opcount.snapshot().get("t", 0)
+            P, v, nnz = materialize_col_anchor(C, gamma, u, out=np.empty((n, n)))
+            assert opcount.snapshot()["t"] - before == 5  # maxima 1, plan 4
+        assert P.tobytes() == ref.tobytes()
+        assert v.tobytes() == v0.tobytes()
+        assert nnz == ref_nnz == low.size - np.count_nonzero(low)
+        assert (P.max(axis=0) == 1.0).all()
+
+    @pytest.mark.parametrize("max_nnz", [None, 10 ** 9])
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_materialize_rejects_overflow(self, deep, max_nnz):
+        # The overflow check comes before the flush, whether or not the tile
+        # holds an entry below the floor.
+        C, gamma, u = col_anchor_case(BLOCK + 17, deep)
+        v = -log_plan_max(C, gamma, u, 0)
+        v[5] += LOG_OVERFLOW + 1.0
+        with pytest.raises(PlanOverflowError):
+            materialize_plan(C, gamma, u, v, max_nnz=max_nnz)
+
+
 def deep_log_kernel(seed=12):
     """Log kernel spread down to -1e4, with -inf entries and an all -inf row.
 
@@ -126,7 +174,7 @@ class TestExpFloor:
 
     def test_plan_is_exp_above_floor_and_zero_below(self):
         K, u, v = deep_log_kernel()
-        logs = K + v[None, :] + u[:, None]
+        logs = log_plan(-K, 1.0, u, v)
         low = logs < EXP_FLOOR
         assert low.any() and not low.all()
         P = materialize_plan(-K, 1.0, u, v)[0]

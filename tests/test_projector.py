@@ -300,17 +300,23 @@ class TestArmijoEquivalence:
         assert checked >= 40
 
 
-def spy_materializations(monkeypatch):
+def spy_materializations(monkeypatch, maxima=None):
     """Record each plan materialization: True when it anchors (fills the
-    state's plan buffer), False for a fresh plan."""
+    state's plan buffer), False for a fresh plan.  Each axis whose maxima
+    are taken goes into ``maxima``: 0 for a dense anchor at the column
+    maxima, which takes them in its own first pass."""
     calls = []
-    real = dual.materialize_plan
 
-    def spy(*args, out=None):
-        calls.append(out is not None)
-        return real(*args, out=out)
+    def spy(real, axis=None):
+        def materialize(*args, out=None):
+            calls.append(out is not None)
+            if axis is not None and maxima is not None:
+                maxima.append(axis)
+            return real(*args, out=out)
+        return materialize
 
-    monkeypatch.setattr(dual, "materialize_plan", spy)
+    monkeypatch.setattr(dual, "materialize_plan", spy(dual.materialize_plan))
+    monkeypatch.setattr(dual, "materialize_col_anchor", spy(dual.materialize_col_anchor, 0))
     return calls
 
 
@@ -321,8 +327,8 @@ class TestAnchoring:
         # The entry column rebalance anchors at the column maxima, and every
         # later sum and system comes from that plan while the offsets stay
         # within the guard: no sum takes maxima to anchor again.
-        calls = spy_materializations(monkeypatch)
         maxima = []
+        calls = spy_materializations(monkeypatch, maxima)
         real_max = dual.log_plan_max
         monkeypatch.setattr(dual, "log_plan_max",
                             lambda *args: maxima.append(args[-1]) or real_max(*args))
