@@ -20,12 +20,12 @@ a subnormal).  A plan tile with no log entry below the floor is
 exponentiated as it is, with no mask, clamp or flush, which would not
 change it.
 
-``materialize_col_anchor`` builds the dense plan anchored at the column
-maxima, ``materialize_plan(C, gamma, u, -log_plan_max(C, gamma, u, 0))`` bit
-for bit, with one read of ``C``: its first pass writes the log plan
-``-gamma C + u 1^T`` into the plan itself and reduces its column maxima
-``m``, the second adds ``-m`` in place and exponentiates.  In that rounding
-order each column's largest entry is exactly 1.
+``materialize_plan`` is the one plan builder.  Given no column potential,
+it anchors the plan at the column maxima ``m``, ``v = -m``, and a dense
+anchor reads ``C`` once: ``log_plan_max``, which holds the only maxima
+loop, writes the log plan ``-gamma C + u 1^T`` into the plan itself while it
+reduces ``m``, and the plan pass adds ``-m`` in place and exponentiates.
+In that rounding order each column's largest entry is exactly 1.
 
 ``plan_matvec`` is the one matrix-vector product with a materialized plan,
 used by the Newton system (which applies a diagonally rescaled plan as the
@@ -75,36 +75,40 @@ def tile_rows(m):
     return max(1, BLOCK * BLOCK // m)
 
 
-def row_tiles(n, m):
+def row_tiles(n, m, out=None):
     """``(lo, hi, tile)`` for each span of ``tile_rows(m)`` rows of an n-by-m
-    matrix, ``tile`` the first ``hi - lo`` rows of one reusable buffer."""
+    matrix, ``tile`` those rows of ``out`` when given, else the first
+    ``hi - lo`` rows of one reusable buffer."""
     rows = tile_rows(m)
-    buf = np.empty((min(rows, n), m))
+    buf = np.empty((min(rows, n), m)) if out is None else None
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        yield lo, hi, buf[: hi - lo]
+        yield lo, hi, out[lo:hi] if buf is None else buf[: hi - lo]
 
 
-def log_plan_max(C, gamma, x, axis):
+def log_plan_max(C, gamma, x, axis, out=None):
     """The largest log entry of each column (``axis`` 0) or row (``axis`` 1)
     of the plan at potentials ``(x, 0)`` or ``(0, x)``: max over i of
     ``x_i - gamma C_ij`` for each column j, or max over j of
     ``x_j - gamma C_ij`` for each row i.
 
     One pass over row tiles of ``C``, with no exp and no transposed cost.
+    Given an n-by-m ``out``, the tiles are its rows, so the log plan
+    ``-gamma C + x 1^T`` (``-gamma C + 1 x^T`` for rows) is left there and
+    no tile is allocated.
     """
     opcount.add(1)
     n, m = C.shape
-    out = np.full(m, -np.inf) if axis == 0 else np.empty(n)
-    for lo, hi, b in row_tiles(n, m):
+    top = np.full(m, -np.inf) if axis == 0 else np.empty(n)
+    for lo, hi, b in row_tiles(n, m, out):
         np.multiply(C[lo:hi], -gamma, out=b)
         if axis == 0:
             np.add(b, x[lo:hi, None], out=b)
-            np.maximum(out, b.max(axis=0), out=out)
+            np.maximum(top, b.max(axis=0), out=top)
         else:
             np.add(b, x[None, :], out=b)
-            b.max(axis=1, out=out[lo:hi])
-    return out
+            b.max(axis=1, out=top[lo:hi])
+    return top
 
 
 def _exp_tile(b):
@@ -129,9 +133,11 @@ def _exp_tile(b):
 
 def _plan_tile(C, gamma, u, v, b):
     """Write exp((-gamma C + u 1^T) + 1 v^T) into the tile ``b`` (rows of ``C``
-    and ``u`` alike); return ``_exp_tile``'s mask."""
-    np.multiply(C, -gamma, out=b)
-    np.add(b, u[:, None], out=b)
+    and ``u`` alike), or with ``C`` None exp(b + 1 v^T), ``b`` holding the
+    log plan ``-gamma C + u 1^T`` already; return ``_exp_tile``'s mask."""
+    if C is not None:
+        np.multiply(C, -gamma, out=b)
+        np.add(b, u[:, None], out=b)
     np.add(b, v[None, :], out=b)
     return _exp_tile(b)
 
@@ -140,29 +146,40 @@ def _nonzeros(low, b):
     return b.size if low is None else low.size - np.count_nonzero(low)
 
 
-def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
+def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None):
     """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected;
-    returns ``(plan, nnz)``, nnz its count of nonzero entries.
+    returns ``(plan, v, nnz)``, nnz its count of nonzero entries.
+
+    With ``v`` None the plan is anchored at the column maxima,
+    ``v = -log_plan_max(C, gamma, u, 0)``, so each column's largest entry
+    is exactly 1; counted as maxima 1 and plan 4.  A dense one is built
+    from one read of ``C``: the maxima pass leaves the log plan
+    ``-gamma C + u 1^T`` in the plan, and the plan pass adds ``v`` in place
+    and exponentiates.
 
     ``-gamma C`` is formed tile by tile, never stored, and each log entry is
     rounded as ``(-gamma C_ij + u_i) + v_j``.  Entries whose log
     is below ``EXP_FLOOR`` come out as exactly 0.  The plan is dense
     (written into ``out`` when given) unless ``max_nnz`` is given: then it
     is a ``SparsePlan`` built tile by tile, with no n-by-n array, and the
-    build stops with ``(None, nnz)`` once the count passes ``max_nnz``.
+    build stops with ``(None, v, nnz)`` once the count passes ``max_nnz``.
     Its entries are those of the dense plan, bit for bit.
     """
     opcount.add(4)
     n, m = C.shape
-    rows = tile_rows(m)
     if max_nnz is None:
         if out is None:
             out = np.empty((n, m))
+        anchored = v is None
+        if anchored:  # the maxima pass leaves the log plan in out
+            v = -log_plan_max(C, gamma, u, 0, out)
         nnz = 0
-        for lo in range(0, n, rows):
-            b = out[lo:lo + rows]
-            nnz += _nonzeros(_plan_tile(C[lo:lo + rows], gamma, u[lo:lo + rows], v, b), b)
-        return out, nnz
+        for lo, hi, b in row_tiles(n, m, out):
+            nnz += _nonzeros(_plan_tile(None if anchored else C[lo:hi], gamma, u[lo:hi], v, b), b)
+        return out, v, nnz
+    if v is None:
+        v = -log_plan_max(C, gamma, u, 0)
+    rows = tile_rows(m)
     col = np.broadcast_to(np.arange(m, dtype=np.int32), (min(rows, n), m)).copy()
     indptr = np.zeros(n + 1, dtype=np.int32)
     data, indices, nnz = [], [], 0
@@ -172,40 +189,11 @@ def materialize_plan(C, gamma, u, v, out=None, max_nnz=None):
         data.append(b[keep])
         nnz += len(data[-1])
         if nnz > max_nnz:
-            return None, nnz
+            return None, v, nnz
         indices.append(col[: hi - lo][keep])
         indptr[lo + 1:hi + 1] = np.count_nonzero(keep, axis=1)
     np.cumsum(indptr, out=indptr)
-    return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), nnz
-
-
-def materialize_col_anchor(C, gamma, u, out):
-    """The dense plan anchored at the column maxima: ``(plan, v0, nnz)`` with
-    ``v0 = -log_plan_max(C, gamma, u, 0)`` and ``plan, nnz =
-    materialize_plan(C, gamma, u, v0)``, bit for bit, from one read of ``C``.
-
-    The first pass over row tiles writes the log plan ``-gamma C + u 1^T``
-    into the plan itself, ``out``, and reduces its column maxima
-    ``m``; the second adds ``-m`` in place and exponentiates.  Each column's
-    largest entry is exactly 1.  Counted as the passes it replaces, maxima 1
-    and plan 4.
-    """
-    opcount.add(5)
-    n, m = C.shape
-    rows = tile_rows(m)
-    col_max = np.full(m, -np.inf)
-    for lo in range(0, n, rows):
-        b = out[lo:lo + rows]
-        np.multiply(C[lo:lo + rows], -gamma, out=b)
-        np.add(b, u[lo:lo + rows, None], out=b)
-        np.maximum(col_max, b.max(axis=0), out=col_max)
-    v0 = -col_max
-    nnz = 0
-    for lo in range(0, n, rows):
-        b = out[lo:lo + rows]
-        np.add(b, v0[None, :], out=b)
-        nnz += _nonzeros(_exp_tile(b), b)
-    return out, v0, nnz
+    return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), v, nnz
 
 
 class SparsePlan:

@@ -227,6 +227,9 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     projection's worst reduction ratio, decay the temperature, and
     extrapolate the duals.  Wall time covers solve plus rounding, no I/O.
     """
+    for name, x in (("gamma_i", gamma_i), ("gamma_f", gamma_f), ("p", p), ("q_init", q_init)):
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x}")
     if gamma_i <= 0.0 or gamma_f <= 0.0:
         raise DomainError("gamma_i and gamma_f must be positive")
     if p < 1.0:

@@ -20,7 +20,9 @@ maxima of ``1 v^T - gamma C``.  Each summed line's largest entry is then 1
 add u before v), so nothing overflows whatever the potentials; the summed
 side's offset is 0 and the other side's stays outside the log, so the sum
 is log-sum-exp's own computation, with entries below e^-700 dropped, at any
-offset size.  ``anchored_plan``, which serves the Newton system and the
+offset size.  Every anchor is one ``_kernels.materialize_plan`` call
+(``_anchor_plan``), which takes the column maxima itself; only a row
+anchor takes its maxima here.  ``anchored_plan``, which serves the Newton system and the
 Sinkhorn projector's gradient checks (``oracles.sinkhorn_project``),
 anchors as the column sums do.  The one exact column scaling,
 ``rebalance_columns``, at a Newton projection's entry takes v from the
@@ -58,7 +60,7 @@ import math
 import numpy as np
 
 from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, fixed_order, log_plan_matvec,
-                       log_plan_max, materialize_col_anchor, materialize_plan, scale_plan)
+                       log_plan_max, materialize_plan, scale_plan)
 from .errors import DomainError
 
 # Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
@@ -176,24 +178,19 @@ class DualState:
 
     def _anchor_plan(self, u, v=None):
         """Materialize the plan at potentials (u, v) and make it the anchor;
-        with ``v`` None, at the column maxima, ``v = -m``.  The plan is a
-        ``SparsePlan`` when ``sparse_anchor`` says so and it has at most
-        ``sparse_limit`` nonzeros, else the state's dense buffer, which a
-        column-maxima anchor fills from one read of the cost
-        (``materialize_col_anchor``)."""
+        with ``v`` None, at the column maxima, ``v = -m``.  One
+        ``materialize_plan`` call per representation: a ``SparsePlan`` when
+        ``sparse_anchor`` says so and it has at most ``sparse_limit``
+        nonzeros, else the state's dense buffer, built at the ``v`` that a
+        sparse build past the limit returned."""
         n, C, gamma = self.n, self.problem.C, self.gamma
         plan = None
         if sparse_anchor(n, self._anchor_nnz):
             self._anchor = None
             self._plan = None  # the CSR replaces the dense buffer, never sits beside it
-            if v is None:
-                v = -log_plan_max(C, gamma, u, 0)
-            plan, nnz = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n))
+            plan, v, nnz = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n))
         if plan is None:
-            if v is None:
-                plan, v, nnz = materialize_col_anchor(C, gamma, u, out=self._buffer())
-            else:
-                plan, nnz = materialize_plan(C, gamma, u, v, out=self._buffer())
+            plan, v, nnz = materialize_plan(C, gamma, u, v, out=self._buffer())
         self._plan, self._anchor_nnz = plan, nnz
         self._anchor = (u, v)
         self._fixed_order = fixed_order()
@@ -220,8 +217,9 @@ class DualState:
         column maxima of ``u 1^T - gamma C``, or ``(-m', v)`` with ``m'`` the
         row maxima of ``1 v^T - gamma C``.  Each summed line of a new anchor
         has largest entry 1, so nothing overflows whatever the potentials;
-        the maxima take no exp, and a dense column anchor takes them from
-        the log plan it writes into its buffer (``_anchor_plan``)."""
+        the maxima take no exp.  ``materialize_plan`` takes the column
+        maxima itself, a dense anchor from the log plan it writes into its
+        buffer (``_anchor_plan``)."""
         if self._plan_offsets(u, v) is None:
             if axis == 0:
                 self._anchor_plan(u)

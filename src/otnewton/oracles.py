@@ -14,6 +14,7 @@ import numpy as np
 
 from . import opcount
 from .errors import DimensionError, DomainError, NonconvergenceError, RefusalError
+from .problems import SIMPLEX_TOL
 
 EXACT_MAX_N = 256
 # HiGHS primal and dual feasibility tolerances for the exact LP.
@@ -47,7 +48,7 @@ def exact_ot_small(C, r, c):
         raise RefusalError(f"exact LP is guarded to n <= {EXACT_MAX_N}, got {n}")
     if np.any(r < 0.0) or np.any(c < 0.0):
         raise DomainError("marginals must be nonnegative")
-    if abs(r.sum() - c.sum()) > 1e-12:
+    if not abs(r.sum() - c.sum()) <= SIMPLEX_TOL:  # NaN fails too
         raise DomainError(f"marginal sums differ: {r.sum():.17g} vs {c.sum():.17g}")
 
     # Imported here: scipy.optimize would add a quarter second to importing

@@ -68,7 +68,7 @@ class Problem:
         for name, m in (("r", self.r), ("c", self.c)):
             if np.any(m < 0.0):
                 raise DomainError(f"marginal {name} has negative entries")
-            if abs(m.sum() - 1.0) > SIMPLEX_TOL:
+            if not abs(m.sum() - 1.0) <= SIMPLEX_TOL:  # NaN fails too
                 raise DomainError(f"marginal {name} sums to {m.sum():.17g}, not 1")
 
 
@@ -215,7 +215,7 @@ def load_problem(path):
         C[i] = _parse_floats(lines[3 + i], n, 4 + i, f"cost row {i}")
     for lineno, name, m in ((2, "row marginal", r), (3, "column marginal", c)):
         s = m.sum()
-        if abs(s - 1.0) > PARSE_SIMPLEX_TOL:
+        if not abs(s - 1.0) <= PARSE_SIMPLEX_TOL:  # NaN fails too
             raise ParseError(f"line {lineno}: {name} sums to {s:.17g}, outside tolerance")
         if abs(s - 1.0) > SIMPLEX_TOL:
             m /= s

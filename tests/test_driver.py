@@ -24,7 +24,7 @@ from otnewton.driver import (
     round_plan,
     smooth_marginals,
 )
-from otnewton import driver, dual, newton
+from otnewton import driver, dual, newton, opcount
 from otnewton.errors import (ConditioningError, DegenerateInputError, DomainError,
                              PlanOverflowError, StagnationError)
 from otnewton.oracles import exact_ot_small
@@ -351,15 +351,13 @@ class TestMdot:
         # column maxima, and the driver rounds the last anchored plan, scaled
         # in place.
         calls = []
+        real = dual.materialize_plan
 
-        def spy(real):
-            def materialize(*args, out=None):
-                calls.append(out is not None)
-                return real(*args, out=out)
-            return materialize
+        def materialize(*args, out=None):
+            calls.append(out is not None)
+            return real(*args, out=out)
 
-        for name in ("materialize_plan", "materialize_col_anchor"):
-            monkeypatch.setattr(dual, name, spy(getattr(dual, name)))
+        monkeypatch.setattr(dual, "materialize_plan", materialize)
         sol = mdot(grid_problem(16, seed=4), 2.0 ** 4, 2.0 ** 12,
                    opts=MdotOptions(projector=projector))
         assert calls == [True] * sol.report.outer_iterations
@@ -429,6 +427,18 @@ class TestMdot:
             mdot(prob, 4.0, 8.0, p=0.5)
         with pytest.raises(DomainError):
             mdot(prob, 4.0, 8.0, q_init=1.0)
+
+    @pytest.mark.parametrize("name,bad", [("gamma_i", math.nan), ("gamma_f", math.inf),
+                                          ("p", math.nan), ("q_init", math.inf)])
+    def test_non_finite_parameter_rejected_before_any_work(self, name, bad):
+        # Unchecked, each surfaces later as an error about something else:
+        # an infinite gamma_f as a CG breakdown near gamma ~ 1e7, an infinite
+        # q_init as a line-search failure, a NaN gamma_i or p through eps_d.
+        args = {"gamma_i": 32.0, "gamma_f": 2.0 ** 10, "p": 1.5, "q_init": 2.0, name: bad}
+        ops = opcount.total()
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad}$"):
+            mdot(grid_problem(16, seed=4), **args)
+        assert opcount.total() == ops
 
 
 class TestLpGap:

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from otnewton import _kernels, dual, opcount
 from otnewton._kernels import (BLOCK, EXP_FLOOR, LOG_OVERFLOW, PLAN_FLOOR, SparsePlan,
-                               log_plan_max, materialize_col_anchor, materialize_plan,
+                               log_plan_max, materialize_plan,
                                plan_cost, plan_matvec, scale_plan, square_matvec, tile_rows)
 from otnewton.driver import round_plan
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
@@ -119,7 +119,7 @@ class TestColumnAnchor:
     def test_equals_the_two_pass_build(self, n, deep):
         C, gamma, u = col_anchor_case(n, deep)
         v0 = -log_plan_max(C, gamma, u, 0)
-        ref, ref_nnz = materialize_plan(C, gamma, u, v0)
+        ref, _, ref_nnz = materialize_plan(C, gamma, u, v0)
         low = log_plan(C, gamma, u, v0) < EXP_FLOOR
         assert low.any() == deep
         rows = tile_rows(n)
@@ -127,12 +127,27 @@ class TestColumnAnchor:
             assert not low[(n - 1) // rows * rows:].any()  # a last tile with nothing to flush
         with opcount.category("t"):
             before = opcount.snapshot().get("t", 0)
-            P, v, nnz = materialize_col_anchor(C, gamma, u, out=np.empty((n, n)))
+            P, v, nnz = materialize_plan(C, gamma, u, out=np.empty((n, n)))
             assert opcount.snapshot()["t"] - before == 5  # maxima 1, plan 4
         assert P.tobytes() == ref.tobytes()
         assert v.tobytes() == v0.tobytes()
         assert nnz == ref_nnz == low.size - np.count_nonzero(low)
         assert (P.max(axis=0) == 1.0).all()
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_dense_anchor_allocates_no_tile(self, deep):
+        # The maxima pass works in the plan's own rows, so besides O(n)
+        # vectors and a tile's mask the anchor allocates well under a tile.
+        n = 4 * BLOCK
+        C, gamma, u = col_anchor_case(n, deep)
+        out = np.empty((n, n))
+        tracemalloc.start()
+        try:
+            materialize_plan(C, gamma, u, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK * BLOCK * 8 // 4
 
     @pytest.mark.parametrize("max_nnz", [None, 10 ** 9])
     @pytest.mark.parametrize("deep", [False, True])
@@ -571,8 +586,8 @@ class TestSparseAnchor:
 
     def test_entries_bitwise_equal_to_dense(self):
         K, u, v = deep_log_kernel()
-        P, nnz = materialize_plan(-K, 1.0, u, v)
-        S, sparse_nnz = materialize_plan(-K, 1.0, u, v, max_nnz=P.size)
+        P, _, nnz = materialize_plan(-K, 1.0, u, v)
+        S, _, sparse_nnz = materialize_plan(-K, 1.0, u, v, max_nnz=P.size)
         assert nnz == sparse_nnz == len(S.rows[4]) == np.count_nonzero(P) < P.size
         assert csr_dense(S.rows).tobytes() == P.tobytes()
         assert csr_dense(S.cols).tobytes() == np.ascontiguousarray(P.T).tobytes()

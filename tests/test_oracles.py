@@ -94,6 +94,8 @@ class TestExactOtSmall:
                            np.full(257, 1 / 257))
         with pytest.raises(DomainError):
             exact_ot_small(np.zeros((2, 2)), np.array([0.6, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="marginal sums differ: nan"):
+            exact_ot_small(np.zeros((2, 2)), np.array([0.5, np.nan]), np.array([0.5, 0.5]))
 
     def test_failed_solve_raises(self, monkeypatch):
         import scipy.optimize

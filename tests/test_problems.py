@@ -147,6 +147,11 @@ class TestValidate:
         with pytest.raises(DomainError, match="finite"):
             self._problem(C)
 
+    def test_nan_marginal(self):
+        r = np.array([0.5, np.nan, 0.5])
+        with pytest.raises(DomainError, match="^marginal r sums to nan, not 1$"):
+            Problem(C=grid_points_cost(3, "l1"), r=r, c=np.full(3, 1 / 3))
+
 
 class TestProblemIO:
     def _problem(self, n=4, seed=1):
@@ -181,6 +186,12 @@ class TestProblemIO:
         path = tmp_path / "bad.otp"
         path.write_text("OTP 2\n0.5 0.4\n0.5 0.5\n0 1\n1 0\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_problem(path)
+
+    def test_nan_marginal(self, tmp_path):
+        path = tmp_path / "bad.otp"
+        path.write_text("OTP 2\n0.5 nan\n0.5 0.5\n0 1\n1 0\n")
+        with pytest.raises(ParseError, match="^line 2: row marginal sums to nan"):
             load_problem(path)
 
     def test_near_simplex_renormalized(self, tmp_path):

@@ -302,21 +302,19 @@ class TestArmijoEquivalence:
 
 def spy_materializations(monkeypatch, maxima=None):
     """Record each plan materialization: True when it anchors (fills the
-    state's plan buffer), False for a fresh plan.  Each axis whose maxima
-    are taken goes into ``maxima``: 0 for a dense anchor at the column
-    maxima, which takes them in its own first pass."""
+    state's plan buffer), False for a fresh plan.  An anchor at the column
+    maxima, a materialization given no column potential, which takes the
+    maxima itself, puts 0 into ``maxima``."""
     calls = []
+    real = dual.materialize_plan
 
-    def spy(real, axis=None):
-        def materialize(*args, out=None):
-            calls.append(out is not None)
-            if axis is not None and maxima is not None:
-                maxima.append(axis)
-            return real(*args, out=out)
-        return materialize
+    def materialize(C, gamma, u, v=None, out=None):
+        calls.append(out is not None)
+        if v is None and maxima is not None:
+            maxima.append(0)
+        return real(C, gamma, u, v, out=out)
 
-    monkeypatch.setattr(dual, "materialize_plan", spy(dual.materialize_plan))
-    monkeypatch.setattr(dual, "materialize_col_anchor", spy(dual.materialize_col_anchor, 0))
+    monkeypatch.setattr(dual, "materialize_plan", materialize)
     return calls
 
 
@@ -326,7 +324,8 @@ class TestAnchoring:
     def test_one_anchor_per_projection(self, monkeypatch):
         # The entry column rebalance anchors at the column maxima, and every
         # later sum and system comes from that plan while the offsets stay
-        # within the guard: no sum takes maxima to anchor again.
+        # within the guard: no sum takes maxima to anchor again.  Row
+        # anchors would take theirs through dual.log_plan_max.
         maxima = []
         calls = spy_materializations(monkeypatch, maxima)
         real_max = dual.log_plan_max
