@@ -12,13 +12,16 @@ order, so results are bit-identical to the unblocked expressions over
 
 The kernels never exponentiate below ``EXP_FLOOR`` = -700.  Two slow
 paths sit just below it: numpy's SIMD ``exp`` falls back to a scalar loop,
-about 20x slower, for any vector holding an argument below about -707.7, and
-BLAS products on subnormal operands run several times slower than on normal
-ones.  So ``materialize_plan`` and ``scale_plan`` write exactly 0 for every
-entry below ``PLAN_FLOOR`` = e^-700 (a normal number, so a plan never holds
-a subnormal).  A plan tile with no log entry below the floor is
+about 18x slower, for any vector holding an argument below about -707.7
+(about 120x where its output is subnormal), and BLAS products on subnormal
+operands run several times slower than on normal ones.  So
+``materialize_plan`` and ``scale_plan`` write exactly 0 for every entry
+below ``PLAN_FLOOR`` = e^-700 (a normal number, so a plan never holds a
+subnormal).  A plan tile with no log entry below the floor is
 exponentiated as it is, with no mask, clamp or flush, which would not
-change it.
+change it.  The square of an entry below 2^-511 is still subnormal, so
+``square_matvec`` scales the entries by an exact power of two, chosen from
+a bound on them, before it squares them, and scales the result back.
 
 ``materialize_plan`` is the one plan builder.  Given no column potential,
 it anchors the plan at the column maxima ``m``, ``v = -m``, and a dense
@@ -217,14 +220,15 @@ class SparsePlan:
         _sparsetools.csr_tocsc(*self.rows, *self.cols[2:])
 
 
-# Binary exponent that the largest term of a scaled CSR product stays below:
+# Binary exponent that the largest term of a scaled product stays below:
 # a row sum of fewer than 2^31 such terms stays below 2^1022.
 _SCALED_EXP = 990
 
 
-def _csr_matvec(csr, top, x):
-    """A @ x for ``csr`` = (rows, columns, indptr, indices, data) of a matrix
-    whose entries are at most ``top``, in scipy's compiled CSR loop.
+def _csr_matvec(csr, top, x, shift=0):
+    """A @ x, times 2^-shift, for ``csr`` = (rows, columns, indptr, indices,
+    data) of a matrix whose entries are at most ``top``, in scipy's compiled
+    CSR loop.
 
     The loop is called directly: the checks of a ``scipy.sparse`` array cost
     about 4 us a product, a third of one at n = 1024 and 1% density.  It has
@@ -232,9 +236,10 @@ def _csr_matvec(csr, top, x):
     entry near 1e-9 is rounded to a subnormal, and every such term costs
     several times a normal one.  So the input is scaled up by an exact power
     of two 2^k, chosen so that no term can exceed 2^_SCALED_EXP, and the
-    result scaled back: wherever the unscaled product has no subnormal term
-    or result, the two are equal bit for bit.  k >= 0 (nothing is scaled
-    down), so the scaling cannot add a subnormal.
+    result scaled back with the caller's ``shift`` in one step: wherever the
+    unscaled product has no subnormal term or result, the two are equal bit
+    for bit.  k >= 0 (nothing is scaled down), so the scaling cannot add a
+    subnormal.
     """
     from scipy.sparse import _sparsetools
 
@@ -247,7 +252,7 @@ def _csr_matvec(csr, top, x):
         k = max(0, _SCALED_EXP - math.frexp(top)[1] - math.frexp(x_max)[1])
     y = np.zeros(csr[0])
     _sparsetools.csr_matvec(*csr, np.ldexp(x, k) if k else x, y)
-    return np.ldexp(y, -k) if k else y
+    return np.ldexp(y, -(k + shift), out=y) if k + shift else y
 
 
 def scale_plan(P, x, y):
@@ -268,18 +273,47 @@ def scale_plan(P, x, y):
     return P
 
 
-def square_matvec(P, w):
+def _square_exp(top, w):
+    """The k that ``square_matvec`` scales the entries by, for entries at most
+    ``top`` and weights ``w``: the largest with every square and every
+    weighted term below 2^_SCALED_EXP, so the squares and the row sums stay
+    finite whatever ``w`` is.  At most 1023, so that 2^k is finite."""
+    if not top > 0.0:
+        return 0
+    w_max = float(np.abs(w).max()) if w.size else 0.0
+    k = (_SCALED_EXP - 2 * math.frexp(top)[1] - max(0, math.frexp(w_max)[1])) // 2
+    return min(k, 1023)
+
+
+def square_matvec(P, w, top=None):
     """(P * P) @ w without materializing the squared matrix (for a
-    ``SparsePlan``, the squared entries are one length-nnz array)."""
+    ``SparsePlan``, the squared entries are one length-nnz array).
+
+    The square of an entry below 2^-511 is subnormal, and so slow to form
+    and to multiply.  So the entries are scaled by an exact power of two
+    2^k before they are squared (``_square_exp``) and the result by 2^-2k
+    in place: wherever the unscaled product has no subnormal square, term
+    or result, the two are equal bit for bit.  With entries at most 1 and
+    weights below 1, k = 494, so the squares of all entries above 2^-1005
+    are normal.  k comes from ``top``, a bound on the entries: a
+    ``SparsePlan``'s own ``top`` (the argument is ignored), else the given
+    one, else the plan's largest entry (one more read).
+    """
     opcount.add(2)
     if isinstance(P, SparsePlan):
+        k = _square_exp(P.top, w)
+        scale = math.ldexp(1.0, k)
         *shape, data = P.rows
-        return _csr_matvec((*shape, data * data), P.top * P.top, w)
+        sq = np.multiply(data, scale)
+        np.square(sq, out=sq)
+        return _csr_matvec((*shape, sq), (P.top * scale) ** 2, w, 2 * k)
+    k = _square_exp(float(P.max()) if top is None else top, w)
+    scale = math.ldexp(1.0, k)
     out = np.empty(P.shape[0])
     for lo, hi, b in row_tiles(*P.shape):
-        np.multiply(P[lo:hi], P[lo:hi], out=b)
+        np.square(np.multiply(P[lo:hi], scale, out=b), out=b)
         out[lo:hi] = b @ w
-    return out
+    return np.ldexp(out, -2 * k, out=out)
 
 
 def fixed_order():

@@ -32,7 +32,18 @@ temperature, when it has just anchored.  After a row scaling
 (``sinkhorn_sweep``) or an accepted Newton step it takes the column sums
 that step computed.  Only ``release_plan`` materializes a plan at the
 potentials themselves.  ``set_gamma`` drops the anchor (the buffer is kept
-for the next one).
+for the next one).  Every anchor is taken at maxima, so a dense anchor's
+entries are at most 1 (exactly for a column anchor, up to rounding for a
+row anchor), the bound ``newton.DiscountedSystem`` gives its squared
+product.
+
+The state keeps the last transposed product taken from the anchor,
+``log(P0^T e^a)``, with the row offsets ``a = u - u0`` it was taken at: two
+n-vectors, dropped with the anchor (``set_gamma``, a new anchor,
+``release_plan``).  Only ``base_log_col_sums`` reads it, when its offsets
+are those bit for bit.  So a line search's alpha = 0 sums after an accepted
+step, a chi-square sweep or the entry rebalance cost no pass, and come from
+the same evaluation path as a new product would.
 
 As gamma grows, most anchored entries fall below e^-700 and are stored as
 exact zeros.  An anchor is then built as a ``_kernels.SparsePlan`` (CSR),
@@ -115,6 +126,7 @@ class DualState:
         self._plan = None  # the anchored plan, or the dense buffer kept for the next
         self._anchor = None  # (u0, v0) that _plan is the plan of
         self._anchor_nnz = None  # nonzeros of the last anchored plan
+        self._col_product = None  # (a, log(P0^T e^a)) last taken from the anchor
         self._fixed_order = False
         self.problem = problem
         n = problem.n
@@ -157,7 +169,7 @@ class DualState:
         if not np.isfinite(gamma) or gamma <= 0.0:
             raise DomainError(f"gamma must be positive and finite, got {gamma}")
         self._gamma = float(gamma)
-        self._anchor = None
+        self._drop_anchor()
         self._set(self.u, self.v)
 
     def set_targets(self, r, c):
@@ -167,10 +179,15 @@ class DualState:
 
     # -- the anchored plan ---------------------------------------------------
 
+    def _drop_anchor(self):
+        """Forget the anchor and the column product kept from it."""
+        self._anchor = None
+        self._col_product = None
+
     def _buffer(self):
         """The state's dense plan buffer, made if the state holds none; the
         anchor is dropped first, as its plan is about to be overwritten."""
-        self._anchor = None  # not a valid plan if materialization raises
+        self._drop_anchor()  # not a valid plan if materialization raises
         if not isinstance(self._plan, np.ndarray):
             self._plan = None  # a sparse plan is let go before the buffer is made
             self._plan = np.empty_like(self.problem.C)
@@ -186,7 +203,7 @@ class DualState:
         n, C, gamma = self.n, self.problem.C, self.gamma
         plan = None
         if sparse_anchor(n, self._anchor_nnz):
-            self._anchor = None
+            self._drop_anchor()
             self._plan = None  # the CSR replaces the dense buffer, never sits beside it
             plan, v, nnz = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n))
         if plan is None:
@@ -216,10 +233,11 @@ class DualState:
         else a new one at that axis's maxima, ``(u, -m)`` with ``m`` the
         column maxima of ``u 1^T - gamma C``, or ``(-m', v)`` with ``m'`` the
         row maxima of ``1 v^T - gamma C``.  Each summed line of a new anchor
-        has largest entry 1, so nothing overflows whatever the potentials;
-        the maxima take no exp.  ``materialize_plan`` takes the column
-        maxima itself, a dense anchor from the log plan it writes into its
-        buffer (``_anchor_plan``)."""
+        has largest entry 1, so nothing overflows whatever the potentials,
+        and no entry exceeds 1 (up to rounding at the row maxima, as u is
+        added before v); the maxima take no exp.  ``materialize_plan`` takes
+        the column maxima itself, a dense anchor from the log plan it writes
+        into its buffer (``_anchor_plan``)."""
         if self._plan_offsets(u, v) is None:
             if axis == 0:
                 self._anchor_plan(u)
@@ -258,7 +276,7 @@ class DualState:
         else:
             P = scale_plan(self._plan, np.exp(off[0]), np.exp(off[1]))
         self._plan = None
-        self._anchor = None
+        self._drop_anchor()
         return P
 
     # -- log row/column sums: one product with the anchored plan -------------
@@ -269,8 +287,14 @@ class DualState:
 
     def _log_col_sums(self, u, v):
         u0, v0 = self._serving_anchor(u, v, 0)
-        return (v - v0) + log_plan_matvec(self._plan, u - u0, self._fixed_order,
-                                          transpose=True)
+        return (v - v0) + self._log_col_product(u - u0)
+
+    def _log_col_product(self, a):
+        """log(P0^T e^a), one transposed product with the anchored plan, kept
+        with ``a`` for ``base_log_col_sums``; neither array is written to."""
+        log_cols = log_plan_matvec(self._plan, a, self._fixed_order, transpose=True)
+        self._col_product = (a, log_cols)
+        return log_cols
 
     def refresh(self):
         """Recompute the cached log row/column sums of the implied plan."""
@@ -324,11 +348,20 @@ class DualState:
 
     def base_log_col_sums(self, d_u, d_v):
         """Log column sums at alpha = 0 for a line search along (d_u, d_v):
-        one product with the anchored plan when it covers the full step,
-        else the cache."""
-        if self._step_on_plan(d_u, d_v):
-            return self._log_col_sums(self.u, self.v)
-        return self.log_cP
+        from the anchored plan when it covers the full step, else the cache.
+
+        On the plan, the last transposed product taken from the anchor serves
+        them when it was taken at these row offsets, bit for bit, as after an
+        accepted step or a chi-square sweep: the same evaluation path with no
+        pass.  Otherwise they take one product."""
+        if not self._step_on_plan(d_u, d_v):
+            return self.log_cP
+        u0, v0 = self._anchor
+        a = self.u - u0
+        kept = self._col_product
+        if kept is not None and np.array_equal(kept[0].view(np.int64), a.view(np.int64)):
+            return (self.v - v0) + kept[1]
+        return (self.v - v0) + self._log_col_product(a)
 
     def _step_on_plan(self, d_u, d_v):
         off = self._plan_offsets(self.u, self.v)
@@ -354,7 +387,7 @@ class DualState:
         if log_cols is None:
             u = self.u
             u0, v = self._serving_anchor(u, self.v, 0)
-            log_cols = log_plan_matvec(self._plan, u - u0, self._fixed_order, transpose=True)
+            log_cols = self._log_col_product(u - u0)
         v = v + (log_c - log_cols)
         self._set(u, v, self._log_row_sums(u, v), log_c)
 

@@ -71,11 +71,14 @@ class DiscountedSystem:
     The plan is ``D(e^a) P D(e^b)``, ``P`` a dense array or a
     ``_kernels.SparsePlan``; the offsets ``a`` and ``b`` default to 0, a
     system of the plan ``P`` itself.  Each product costs the passes of
-    the unscaled one plus length-n multiplies.
+    the unscaled one plus length-n multiplies.  ``top`` bounds the entries
+    of a dense ``P`` for ``diag_prc``'s squared product; left None, it is
+    the plan's largest entry.
     """
 
-    def __init__(self, P, rP, cP, a=0.0, b=0.0):
+    def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None):
         self.P = P
+        self._top = top
         self.rP = np.asarray(rP, dtype=np.float64)
         self.cP = np.asarray(cP, dtype=np.float64)
         if np.any(self.rP <= 0.0) or np.any(self.cP <= 0.0):
@@ -102,7 +105,9 @@ class DiscountedSystem:
         the system (a line search trial that re-anchors comes after it).
         """
         P0, a, b = state.anchored_plan()
-        return cls(P0, state.row_sums(), state.col_sums(), a, b)
+        # Every anchor is taken at maxima, so its entries are at most 1
+        # (up to rounding for a row anchor: all below 2, as the bound needs).
+        return cls(P0, state.row_sums(), state.col_sums(), a, b, top=1.0)
 
     def transposed(self, d):
         """P0^T (e^a d), the unscaled half of ``round_trip`` and ``apply_pc``; one pass."""
@@ -132,7 +137,8 @@ class DiscountedSystem:
     def diag_prc(self):
         """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1]."""
         if self._mu is None:
-            self._mu = self._e_a ** 2 * square_matvec(self.P, self._w) / self.rP
+            # square_matvec runs first, so no n-vector temporary sits beside its tile.
+            self._mu = square_matvec(self.P, self._w, self._top) * self._e_a ** 2 / self.rP
         return self._mu
 
 
@@ -219,8 +225,7 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
         # start, and its transposed half gives the returned d_v.
         pt = sys.transposed(d)
         Q = sys.round_trip(d, pt)
-        residual = (sys.rP * d - Q) + grad_u
-        res_norm = float(np.abs(residual).sum())
+        res_norm = float(np.abs((sys.rP * d - Q) + grad_u).sum())
         if res_norm <= eta * grad_norm:
             return NewtonResult(d, rho_used, total_cg, res_norm, d_v=-sys.apply_pc(d, pt))
         if 1.0 - rho < RHO_CAP:

@@ -46,6 +46,8 @@ def exact_ot_small(C, r, c):
         raise DimensionError("marginal lengths must match the cost matrix")
     if n > EXACT_MAX_N:
         raise RefusalError(f"exact LP is guarded to n <= {EXACT_MAX_N}, got {n}")
+    if not np.isfinite(C).all():
+        raise DomainError("cost matrix must be finite")
     if np.any(r < 0.0) or np.any(c < 0.0):
         raise DomainError("marginals must be nonnegative")
     if not abs(r.sum() - c.sum()) <= SIMPLEX_TOL:  # NaN fails too

@@ -181,9 +181,12 @@ def _parse_floats(text, n, lineno, what):
     if len(parts) != n:
         raise ParseError(f"line {lineno}: expected {n} values for {what}, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad float in {what}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ParseError(f"line {lineno}: non-finite value in {what}")
+    return values
 
 
 def load_problem(path):

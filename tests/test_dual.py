@@ -6,8 +6,9 @@ import scipy.sparse
 
 from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad, plan_at
 
-from otnewton import dual, opcount
-from otnewton._kernels import SparsePlan, log_plan_max
+from otnewton import _kernels, dual, opcount
+from otnewton._kernels import SparsePlan, log_plan_matvec, log_plan_max
+from otnewton.driver import mdot
 from otnewton.dual import PLAN_OFFSET_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
@@ -330,3 +331,102 @@ class TestAnchoredPlan:
                                       -log_plan_max(state.problem.C, 9.0, state.v, 1))
         assert_no_less_accurate_than_lse(state.problem.C, 9.0, state.u, state.v,
                                          state.log_rP, state.log_cP)
+
+    def test_anchor_entries_at_most_one(self):
+        # Every anchor is taken at maxima, which the Newton system's squared
+        # product relies on: a column anchor's column maxima are exactly 1, a
+        # row anchor's row maxima are 1 up to the rounding of the log entries
+        # (u is added before v), and no entry reaches 2.
+        state = random_state(40, seed=3, gamma=50.0, spread=30.0)
+        P0 = state.anchored_plan()[0]
+        assert (P0.max(axis=0) == 1.0).all() and P0.max() == 1.0
+        state.set_gamma(60.0)
+        state._serving_anchor(state.u, state.v, 1)  # as the row sums anchor
+        P0 = state._plan
+        np.testing.assert_array_equal(state._anchor[0],
+                                      -log_plan_max(state.problem.C, 60.0, state.v, 1))
+        np.testing.assert_allclose(P0.max(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert P0.max() < 2.0
+
+
+def spy_products(monkeypatch):
+    """Count the plan products: every sum and Newton product is one."""
+    products = []
+    real = _kernels.plan_matvec
+    monkeypatch.setattr(_kernels, "plan_matvec",
+                        lambda *args, **kw: products.append(1) or real(*args, **kw))
+    return products
+
+
+def fresh_base(state):
+    """The line-search base sums from a new transposed product."""
+    u0, v0 = state._anchor
+    return (state.v - v0) + log_plan_matvec(state._plan, state.u - u0, state._fixed_order,
+                                           transpose=True)
+
+
+class TestKeptColumnProduct:
+    """The last transposed product taken from the anchor serves a line
+    search's base sums when they are at its row offsets, and goes with the
+    anchor."""
+
+    def test_base_after_a_column_product_takes_none(self, monkeypatch):
+        products = spy_products(monkeypatch)
+        state = anchored()
+        d_u = np.random.default_rng(3).standard_normal(12)
+        d_v = np.zeros(12)
+        before = len(products)
+        base = state.base_log_col_sums(d_u, d_v)
+        assert len(products) == before
+        assert base.tobytes() == fresh_base(state).tobytes()
+        # At other offsets it takes one, and keeps that one.
+        state.trial_log_col_sums(d_u, d_v, 0.5)
+        state.set_potentials(state.u + 0.25 * d_u, state.v)
+        before = len(products)
+        base = state.base_log_col_sums(d_u, d_v)
+        assert len(products) == before + 1
+        assert base.tobytes() == fresh_base(state).tobytes()
+
+    def test_dropped_with_the_anchor(self):
+        # set_gamma, a new anchor and release_plan each let it go.  A new
+        # anchor at the column maxima of the same u has offsets 0 again, as
+        # the last, so a kept product would match them bit for bit.
+        state = anchored()
+        assert state._col_product is not None
+        state.set_gamma(9.0)
+        assert state._col_product is None
+        state = anchored()
+        assert not (state.u - state._anchor[0]).any()
+        state.set_potentials(state.u + 0.5, state.v - 2.0 * PLAN_OFFSET_MAX)
+        state.anchored_plan()  # beyond the guard: a new anchor at the column maxima
+        assert state._col_product is None
+        d = np.zeros(12)
+        assert state.base_log_col_sums(d, d).tobytes() == fresh_base(state).tobytes()
+        state = anchored()
+        state.release_plan()
+        assert state._col_product is None
+
+    def test_line_search_bases_in_a_solve_take_no_product(self, monkeypatch):
+        # Each line search's base sums come from the last transposed product
+        # taken from the anchor (the entry rebalance's, a chi-square sweep's
+        # or the accepted trial's), byte for byte equal to a new one.  Most
+        # of these projections take no chi-square sweep.
+        products = spy_products(monkeypatch)
+        bases = []
+        real_base = DualState.base_log_col_sums
+
+        def base(state, d_u, d_v):
+            before = len(products)
+            got = real_base(state, d_u, d_v)
+            bases.append((len(products) - before, got.tobytes() == fresh_base(state).tobytes()))
+            return got
+
+        monkeypatch.setattr(DualState, "base_log_col_sums", base)
+        prob = Problem(C=grid_points_cost(64, "l1"), r=gen_marginal(64, "smooth-random", 0),
+                       c=gen_marginal(64, "smooth-random", 1))
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 10)
+        unswept = [it.stats.newton_steps for it in sol.iterations
+                   if it.stats.sinkhorn_steps == 0]
+        assert len(unswept) >= 5 and min(unswept) >= 1
+        assert bases == [(0, True)] * sum(it.stats.newton_steps for it in sol.iterations)
+

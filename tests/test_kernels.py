@@ -3,6 +3,7 @@ Newton systems served from the anchored plan."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,52 @@ class TestScaledNewtonSystem:
         state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 8, monkeypatch,
                                deterministic)
         assert_system_no_less_accurate_than_materialized(state, size)
+
+
+class TestScaledSquare:
+    """``square_matvec`` scales the entries by a power of two before it
+    squares them, from a bound on the entries.  Over the widest entries a
+    plan holds and weights far from 1 it stays finite and meets
+    ``TestScaledNewtonSystem``'s criterion against the unscaled product,
+    both measured against long double."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_wide_entries_and_weights(self, sparse):
+        rng = np.random.default_rng(24)
+        n = BLOCK + 17
+        P = np.exp(EXP_FLOOR * rng.random((n, n)))  # entries in [PLAN_FLOOR, 1]
+        P[0, :2] = 1.0, PLAN_FLOOR
+        if sparse:
+            P *= (rng.random((n, n)) < 0.1) | np.eye(n, dtype=bool)
+        w = 10.0 ** rng.uniform(-250.0, 250.0, n)
+        w[:2] = 1e-250, 1e250
+        got = square_matvec(sparse_of(P) if sparse else P, w, top=1.0)
+        assert np.all(np.isfinite(got))
+        ld = np.longdouble
+        ref = (P.astype(ld) ** 2) @ w.astype(ld)  # all terms positive: its own scale
+        err = (np.abs(got - ref) / ref).astype(float)
+        base_err = (np.abs((P * P) @ w - ref) / ref).astype(float)
+        u = np.finfo(float).eps / 2
+        assert err.max() <= base_err.max() + 4.0 * u
+        assert np.median(err) <= np.median(base_err) + u
+
+    @pytest.mark.parametrize("log_top", [300.0, 600.0])
+    def test_bare_plan_above_one_with_tiny_weights(self, log_top):
+        # A system of a bare plan bounds its entries by their largest, here
+        # e^300 (squares finite unscaled) or e^600 (squares past float64,
+        # scaled down), with weights 1 / cP near e^-log_top.  Any bound of 1
+        # would overflow the squares.
+        rng = np.random.default_rng(25)
+        n = BLOCK + 17
+        P = np.exp(log_top * rng.random((n, n)))
+        sys = DiscountedSystem(P, P.sum(axis=1), P.sum(axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = sys.diag_prc()
+        ld = np.longdouble
+        P_ld = P.astype(ld)
+        ref = ((P_ld * P_ld) @ (1 / sys.cP.astype(ld))) / sys.rP.astype(ld)
+        np.testing.assert_allclose(mu, ref.astype(float), rtol=1e-13, atol=0)
 
 
 def assert_sums_no_less_accurate_than_lse(state, size, passes=2):

@@ -97,6 +97,12 @@ class TestExactOtSmall:
         with pytest.raises(DomainError, match="marginal sums differ: nan"):
             exact_ot_small(np.zeros((2, 2)), np.array([0.5, np.nan]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost(self, bad):
+        # Rejected before scipy sees it, which would raise its own ValueError.
+        with pytest.raises(DomainError, match="cost matrix must be finite"):
+            exact_ot_small(np.array([[0.0, bad], [1.0, 0.0]]), np.full(2, 0.5), np.full(2, 0.5))
+
     def test_failed_solve_raises(self, monkeypatch):
         import scipy.optimize
 

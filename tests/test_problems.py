@@ -191,7 +191,14 @@ class TestProblemIO:
     def test_nan_marginal(self, tmp_path):
         path = tmp_path / "bad.otp"
         path.write_text("OTP 2\n0.5 nan\n0.5 0.5\n0 1\n1 0\n")
-        with pytest.raises(ParseError, match="^line 2: row marginal sums to nan"):
+        with pytest.raises(ParseError, match="^line 2: non-finite value in row marginal"):
+            load_problem(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cost(self, tmp_path, bad):
+        path = tmp_path / "bad.otp"
+        path.write_text(f"OTP 2\n0.5 0.5\n0.5 0.5\n0 {bad}\n1 0\n")
+        with pytest.raises(ParseError, match="^line 4: non-finite value in cost row 0"):
             load_problem(path)
 
     def test_near_simplex_renormalized(self, tmp_path):
