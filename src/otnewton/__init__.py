@@ -31,7 +31,6 @@ from .oracles import (
 from .problems import (
     Problem,
     TraceRow,
-    gen_grid_cost,
     gen_marginal,
     grid_points_cost,
     load_problem,
@@ -58,7 +57,7 @@ __all__ = [
     "DualState",
     "DiscountedSystem", "NewtonResult", "newton_solve", "next_rho0", "pcg_solve",
     "ExactSolution", "exact_ot_small", "sinkhorn_project",
-    "Problem", "TraceRow", "gen_grid_cost", "gen_marginal", "grid_points_cost",
+    "Problem", "TraceRow", "gen_marginal", "grid_points_cost",
     "load_problem", "read_trace", "save_problem", "write_trace",
     "ProjStats", "StepRecord", "armijo_accept", "chi_sinkhorn", "delta_ratio",
     "eta_rule", "project",

@@ -1,8 +1,10 @@
 """Command-line entry point: problem generation, single solves, benchmark sweeps.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 I/O error, 4 solver error
-(with a diagnostic JSON object printed to stdout).  ``OTN_DETERMINISTIC=1``
-forces fixed-order reductions so repeated runs are bit-identical.
+A ``BenchSetting`` is one solve; a ``bench`` config holds ``BenchConfig``'s
+keys and rejects unknown ones.  Exit codes: 0 success, 2 usage (argparse), 3
+input, config or output error (one ``error:`` line on stderr), 4 solver error
+(a diagnostic JSON object on stdout).  ``OTN_DETERMINISTIC=1`` forces
+fixed-order reductions so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,16 +15,17 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import opcount
-from .driver import MdotOptions, mdot
-from .errors import OTNError, ParseError
+from .driver import DEFAULT_W_R, SOLVER_NAMES, MdotOptions, mdot
+from .errors import DimensionError, DomainError, OTNError, ParseError
 from .oracles import EXACT_MAX_N, exact_ot_small
-from .problems import Problem, gen_grid_cost, gen_marginal, load_problem, save_problem, write_trace
+from .problems import (Problem, gen_marginal, grid_points_cost, load_problem, save_problem,
+                       write_trace)
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -33,10 +36,13 @@ COL_SEED_OFFSET = 1
 
 REFERENCE_GAMMA_FACTOR = 16.0
 
+# The projector of each solver name that settings and flags accept.
+PROJECTORS = {solver: projector for projector, solver in SOLVER_NAMES.items()}
+
 
 @dataclass
 class BenchSetting:
-    """One solver configuration of a sweep; defaults are the benchmarked setup."""
+    """One solve: a solver and its annealing settings; defaults are the benchmarked setup."""
 
     name: str
     solver: str = "mdot-tn"
@@ -46,7 +52,19 @@ class BenchSetting:
     q_init: float = 2.0
     adaptive_q: bool = True
     adaptive_rho0: bool = True
-    w_r: float = 0.45
+    w_r: float = DEFAULT_W_R
+
+    def solve(self, problem):
+        """``mdot`` on ``problem`` with this setting, after resetting the op
+        counts; an unknown solver name is a ``ParseError``."""
+        if self.solver not in PROJECTORS:
+            raise ParseError(f"unknown solver {self.solver!r}; use one of {sorted(PROJECTORS)}")
+        opts = MdotOptions(w_r=self.w_r, adaptive_q=self.adaptive_q,
+                           adaptive_rho0=self.adaptive_rho0,
+                           projector=PROJECTORS[self.solver])
+        opcount.reset()
+        return mdot(problem, self.gamma_i, self.gamma_f, p=self.p, q_init=self.q_init,
+                    opts=opts)
 
 
 @dataclass
@@ -54,7 +72,7 @@ class BenchConfig:
     """Benchmark axes: problems x settings, repeated over seeds."""
 
     problems: list = field(default_factory=list)
-    settings: list = field(default_factory=list)
+    settings: list = field(default_factory=lambda: [BenchSetting("default")])
     seeds: list = field(default_factory=lambda: [0])
     repeats: int = 1
     output_dir: str = "bench_out"
@@ -62,64 +80,48 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, data):
-        settings = [BenchSetting(**s) for s in data.pop("settings", [])]
-        if not settings:
-            keys = ("solver", "gamma_i", "gamma_f", "p", "q_init", "adaptive_q",
-                    "adaptive_rho0", "w_r")
-            settings = [BenchSetting(name="default",
-                                     **{k: data.pop(k) for k in keys if k in data})]
-        known = {f: data[f] for f in ("problems", "seeds", "repeats", "output_dir", "jobs")
-                 if f in data}
-        cfg = cls(settings=settings, **known)
+        """The config of a parsed JSON object, which is left as it was; an
+        unknown key, or a setting without a name, is a ``ParseError``."""
+        try:
+            cfg = cls(**data)
+            if "settings" in data:
+                cfg.settings = [BenchSetting(**s) for s in data["settings"]]
+        except TypeError as exc:
+            raise ParseError(f"bad bench config: {exc}") from exc
         return cfg
 
-    def to_dict(self):
-        d = asdict(self)
-        return d
 
-
-def _mdot_options(solver, adaptive_q, adaptive_rho0, w_r):
-    return MdotOptions(
-        w_r=w_r,
-        adaptive_q=adaptive_q, adaptive_rho0=adaptive_rho0,
-        projector="newton" if solver == "mdot-tn" else "sinkhorn",
-    )
-
-
-def _gen_problem(kind, metric, side, marginal, seed, label=None):
+def _gen_problem(side, seed, kind="grid", metric="l1", marginal="smooth-random"):
+    """A problem on a side-by-side grid, its marginals drawn from ``seed``."""
     if kind != "grid":
         raise ParseError(f"unknown generator kind {kind!r}")
-    C = gen_grid_cost(side, metric)
+    if side < 1:
+        raise DimensionError("grid side must be >= 1")
     n = side * side
+    C = grid_points_cost(n, metric)
     r = gen_marginal(n, marginal, seed)
     c = gen_marginal(n, marginal, seed + COL_SEED_OFFSET)
-    if label is None:
-        label = f"grid-{metric}-s{side}-{marginal}-seed{seed}"
-    return Problem(C=C, r=r, c=c, label=label)
+    return Problem(C=C, r=r, c=c, label=f"grid-{metric}-s{side}-{marginal}-seed{seed}")
 
 
 def cmd_gen(args):
-    problem = _gen_problem(args.kind, args.metric, args.side, args.marginal,
-                           args.seed, args.label)
+    given = {k: getattr(args, k) for k in ("kind", "metric", "marginal") if getattr(args, k)}
+    problem = _gen_problem(args.side, args.seed, **given)
+    if args.label is not None:
+        problem.label = args.label
     save_problem(problem, args.out)
     print(f"wrote {args.out}: n={problem.n} label={problem.label}")
     return EXIT_OK
 
 
 def cmd_solve(args):
+    problem = load_problem(args.problem)
+    setting = BenchSetting("solve", solver=args.solver, gamma_i=args.gamma_init,
+                           gamma_f=args.gamma_final, p=args.p, q_init=args.q_init,
+                           adaptive_q=args.adaptive_q, adaptive_rho0=args.adaptive_rho0,
+                           w_r=args.w_r)
     try:
-        problem = load_problem(args.problem)
-    except FileNotFoundError:
-        print(f"error: problem file not found: {args.problem}", file=sys.stderr)
-        return EXIT_IO
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    opts = _mdot_options(args.solver, args.adaptive_q, args.adaptive_rho0, args.w_r)
-    opcount.reset()
-    try:
-        sol = mdot(problem, args.gamma_init, args.gamma_final, p=args.p,
-                   q_init=args.q_init, opts=opts)
+        sol = setting.solve(problem)
     except OTNError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc),
                 "diagnostics": exc.diagnostics}
@@ -133,33 +135,31 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _bench_problem(spec, index):
-    if isinstance(spec, str) or "path" in spec:
-        path = spec if isinstance(spec, str) else spec["path"]
-        return load_problem(path)
-    return _gen_problem(spec.get("kind", "grid"), spec.get("metric", "l1"),
-                        spec["side"], spec.get("marginal", "smooth-random"),
-                        spec.get("seed", index))
+def _bench_problem(spec, seed):
+    """The problem of a config entry: a path, ``{"path": ...}``, or
+    ``_gen_problem``'s arguments, the seed defaulting to the run's."""
+    if isinstance(spec, str):
+        spec = {"path": spec}
+    try:
+        return load_problem(**spec) if "path" in spec else _gen_problem(**{"seed": seed, **spec})
+    except TypeError as exc:
+        raise ParseError(f"bad problem spec {spec!r}: {exc}") from exc
 
 
 def _run_one(task):
     """One (problem, setting, seed, repeat) cell; runs in a worker process."""
     spec, setting, seed, repeat, out_dir = task
-    setting = BenchSetting(**setting)
     problem = _bench_problem(spec, seed)
-    opts = _mdot_options(setting.solver, setting.adaptive_q,
-                         setting.adaptive_rho0, setting.w_r)
-    opcount.reset()
     run_id = f"{setting.name}__{problem.label}__seed{seed}__rep{repeat}"
     try:
-        sol = mdot(problem, setting.gamma_i, setting.gamma_f, p=setting.p,
-                   q_init=setting.q_init, opts=opts)
+        sol = setting.solve(problem)
+    except ParseError:
+        raise  # a bad setting ends the sweep, as a bad problem does
     except OTNError as exc:
         return {"run_id": run_id, "setting": setting.name, "label": problem.label,
                 "ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    out = Path(out_dir)
-    Path(out / f"{run_id}.json").write_text(sol.report.to_json() + "\n")
-    write_trace(sol.trace, out / f"{run_id}.csv")
+    (out_dir / f"{run_id}.json").write_text(sol.report.to_json() + "\n")
+    write_trace(sol.trace, out_dir / f"{run_id}.csv")
 
     gap, gap_basis = _optimality_gap(problem, setting, sol.primal_cost)
     return {"run_id": run_id, "setting": setting.name, "label": problem.label,
@@ -173,11 +173,9 @@ def _optimality_gap(problem, setting, primal_cost):
     if problem.n <= EXACT_MAX_N:
         exact = exact_ot_small(problem.C, problem.r, problem.c)
         return primal_cost - exact.cost, "exact"
-    ref_opts = _mdot_options("mdot-tn", True, True, 0.45)
-    ref = mdot(problem, setting.gamma_i,
-               setting.gamma_f * REFERENCE_GAMMA_FACTOR, p=setting.p,
-               q_init=2.0, opts=ref_opts)
-    return primal_cost - ref.primal_cost, "reference"
+    ref = BenchSetting("reference", gamma_i=setting.gamma_i,
+                       gamma_f=setting.gamma_f * REFERENCE_GAMMA_FACTOR, p=setting.p)
+    return primal_cost - ref.solve(problem).primal_cost, "reference"
 
 
 def _percentiles(values):
@@ -190,12 +188,7 @@ def _percentiles(values):
 
 
 def cmd_bench(args):
-    try:
-        cfg_data = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"error: config not found: {args.config}", file=sys.stderr)
-        return EXIT_IO
-    cfg = BenchConfig.from_dict(cfg_data)
+    cfg = BenchConfig.from_dict(json.loads(Path(args.config).read_text()))
     if args.output_dir:
         cfg.output_dir = args.output_dir
     if args.jobs:
@@ -205,11 +198,11 @@ def cmd_bench(args):
     if args.repeats is not None:
         cfg.repeats = args.repeats
     # solver-setting flags apply across every setting of the sweep
-    for flag in ("solver", "gamma_i", "gamma_f", "p", "q_init", "adaptive_q", "w_r"):
-        value = getattr(args, flag)
+    for f in fields(BenchSetting):
+        value = getattr(args, f.name, None)
         if value is not None:
             for setting in cfg.settings:
-                setattr(setting, flag, value)
+                setattr(setting, f.name, value)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -218,7 +211,7 @@ def cmd_bench(args):
         for setting in cfg.settings:
             for seed in cfg.seeds:
                 for rep in range(cfg.repeats):
-                    tasks.append((spec, asdict(setting), seed, rep, str(out)))
+                    tasks.append((spec, setting, seed, rep, out))
     t0 = time.monotonic()
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -266,26 +259,27 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a problem file")
-    g.add_argument("--kind", default="grid", choices=["grid"])
-    g.add_argument("--metric", default="l1", choices=["l1", "l2sq"])
+    g.add_argument("--kind", choices=["grid"])
+    g.add_argument("--metric", choices=["l1", "l2sq"])
     g.add_argument("--side", type=int, required=True)
-    g.add_argument("--marginal", default="smooth-random",
-                   choices=["uniform", "smooth-random", "spiky-random"])
+    g.add_argument("--marginal", choices=["uniform", "smooth-random", "spiky-random"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--label", default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
+    d = BenchSetting("default")
     s = sub.add_parser("solve", help="solve one problem file")
     s.add_argument("--problem", required=True)
-    s.add_argument("--solver", default="mdot-tn", choices=["mdot-tn", "mdot-sinkhorn"])
-    s.add_argument("--gamma-init", type=float, default=2.0 ** 5)
-    s.add_argument("--gamma-final", type=float, default=2.0 ** 18)
-    s.add_argument("--p", type=float, default=1.5)
-    s.add_argument("--q-init", type=float, default=2.0)
-    s.add_argument("--adaptive-q", action=argparse.BooleanOptionalAction, default=True)
-    s.add_argument("--adaptive-rho0", action=argparse.BooleanOptionalAction, default=True)
-    s.add_argument("--w-r", type=float, default=0.45)
+    s.add_argument("--solver", default=d.solver, choices=PROJECTORS)
+    s.add_argument("--gamma-init", type=float, default=d.gamma_i)
+    s.add_argument("--gamma-final", type=float, default=d.gamma_f)
+    s.add_argument("--p", type=float, default=d.p)
+    s.add_argument("--q-init", type=float, default=d.q_init)
+    s.add_argument("--adaptive-q", action=argparse.BooleanOptionalAction, default=d.adaptive_q)
+    s.add_argument("--adaptive-rho0", action=argparse.BooleanOptionalAction,
+                   default=d.adaptive_rho0)
+    s.add_argument("--w-r", type=float, default=d.w_r)
     s.add_argument("--report", default=None, help="write the JSON report here")
     s.add_argument("--trace", default=None, help="write the CSV trace here")
     s.set_defaults(func=cmd_solve)
@@ -296,7 +290,7 @@ def build_parser():
     b.add_argument("--jobs", type=int, default=None)
     b.add_argument("--seeds", default=None, help="comma-separated, overrides config")
     b.add_argument("--repeats", type=int, default=None)
-    b.add_argument("--solver", default=None, choices=["mdot-tn", "mdot-sinkhorn"])
+    b.add_argument("--solver", default=None, choices=PROJECTORS)
     b.add_argument("--gamma-init", dest="gamma_i", type=float, default=None)
     b.add_argument("--gamma-final", dest="gamma_f", type=float, default=None)
     b.add_argument("--p", type=float, default=None)
@@ -308,9 +302,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; an input, config or output failure is exit 3."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError, DomainError,
+            DimensionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

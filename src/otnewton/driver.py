@@ -34,6 +34,9 @@ Q_MAX = 2.0
 # Floor for the decay rate: repeated square roots would otherwise collapse q
 # to 1.0 in floating point and freeze the temperature schedule.
 Q_MIN = 2.0 ** (1.0 / 16.0)
+# The solver name of each projector, as ``RunReport.solver`` and the command
+# line give it.
+SOLVER_NAMES = {"newton": "mdot-tn", "sinkhorn": "mdot-sinkhorn"}
 
 
 @dataclass
@@ -78,6 +81,7 @@ class RunReport:
     p: float
     q_init: float
     adaptive_q: bool
+    adaptive_rho0: bool
     w_r: float
     solver: str
     primal_cost_rounded: float
@@ -226,6 +230,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     the tolerance on the smoothed marginals, adapt the decay rate from the
     projection's worst reduction ratio, decay the temperature, and
     extrapolate the duals.  Wall time covers solve plus rounding, no I/O.
+    A point-mass marginal raises ``DegenerateInputError`` before any pass.
     """
     for name, x in (("gamma_i", gamma_i), ("gamma_f", gamma_f), ("p", p), ("q_init", q_init)):
         if not math.isfinite(x):
@@ -237,8 +242,14 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     if q_init <= 1.0:
         raise DomainError(f"q_init must exceed 1, got {q_init}")
     opts = opts or MdotOptions()
-    if opts.projector not in ("newton", "sinkhorn"):
+    if opts.projector not in SOLVER_NAMES:
         raise DomainError(f"unknown projector {opts.projector!r}")
+    for name, m in (("r", problem.r), ("c", problem.c)):
+        if np.count_nonzero(m) == 1:
+            # Its entropy, and so every tolerance eps_rule gives, is 0.
+            raise DegenerateInputError(
+                f"marginal {name} is a point mass, so the only feasible plan is r c^T",
+                diagnostics={f"nonzeros_{name}": 1})
 
     t0 = time.monotonic()
     ops_start = opcount.total()
@@ -317,8 +328,9 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     bound = error_bound(gamma_f, problem.r, problem.c)
     report = RunReport(
         label=problem.label, n=problem.n, gamma_i=gamma_i, gamma_f=gamma_f,
-        p=p, q_init=q_init, adaptive_q=opts.adaptive_q, w_r=opts.w_r,
-        solver="mdot-tn" if opts.projector == "newton" else "mdot-sinkhorn",
+        p=p, q_init=q_init, adaptive_q=opts.adaptive_q,
+        adaptive_rho0=opts.adaptive_rho0, w_r=opts.w_r,
+        solver=SOLVER_NAMES[opts.projector],
         primal_cost_rounded=primal,
         dual_value_final=dual_final,
         grad_norm_final=iterations[-1].stats.grad_norm_final,

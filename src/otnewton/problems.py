@@ -128,13 +128,6 @@ def grid_points_cost(n, metric, side=None):
     return C
 
 
-def gen_grid_cost(side, metric):
-    """Normalized pairwise-distance cost over a side-by-side pixel grid (n = side^2)."""
-    if side < 1:
-        raise DimensionError("grid side must be >= 1")
-    return grid_points_cost(side * side, metric, side=side)
-
-
 def gen_marginal(n, kind, seed):
     """Seeded simplex vector of length ``n``.
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otnewton
 from otnewton.cli import main
 from otnewton.problems import load_problem, read_trace
 
@@ -66,6 +71,24 @@ class TestSolve:
         code = run(["solve", "--problem", str(tmp_path / "nope.otp")])
         assert code == 3
         assert not list(tmp_path.iterdir())  # no partial outputs
+
+    def test_report_records_adaptive_rho0(self, tmp_path):
+        prob = self._fixture(tmp_path)
+        for flag, expected in (("--adaptive-rho0", True), ("--no-adaptive-rho0", False)):
+            report_path = tmp_path / f"{flag}.json"
+            assert run(["solve", "--problem", str(prob), "--gamma-init", "32",
+                        "--gamma-final", "256", flag, "--report", str(report_path)]) == 0
+            assert json.loads(report_path.read_text())["adaptive_rho0"] is expected
+
+    def test_point_mass_problem_is_solver_error(self, tmp_path, capsys):
+        # gen --side 1 writes n = 1, whose marginals are point masses.
+        prob = tmp_path / "p1.otp"
+        assert run(["gen", "--side", "1", "--out", str(prob)]) == 0
+        capsys.readouterr()
+        assert run(["solve", "--problem", str(prob)]) == 4
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["error"] == "DegenerateInputError"
+        assert "point mass" in diag["message"]
 
 
 class TestBench:
@@ -176,6 +199,92 @@ class TestBench:
         assert len(list((tmp_path / "out").glob("*.json"))) == 2
 
 
+class TestInputErrors:
+    """Each input, config or output failure exits 3 with one ``error:`` line."""
+
+    def _exits_3(self, argv, capsys):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg", [
+        {"settings": [{"name": "s", "gama_f": 256}]},
+        {"settings": [{"gamma_f": 256}]},
+        {"settings": [{"name": "s", "solver": "mdot-newton"}],
+         "problems": [{"side": 2}]},
+        {"problems": [{"side": 2, "metric": "l3"}]},
+        {"problems": [{"side": 2, "metrc": "l2sq"}]},
+        {"problems": [{"metric": "l1"}]},
+        {"problems": [{"path": "missing.otp"}]},
+        {"gamma_f": 4096.0},
+    ], ids=["setting-key", "setting-name", "solver", "metric", "spec-key", "spec-side",
+            "problem-file", "flat-setting"])
+    def test_bad_config(self, tmp_path, capsys, cfg):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **cfg}))
+        self._exits_3(["bench", "--config", str(path)], capsys)
+        assert not list(tmp_path.glob("out/*.json"))
+
+    @pytest.mark.parametrize("text", ['{"problems": [}', '["not", "an", "object"]'])
+    def test_malformed_json(self, tmp_path, capsys, text):
+        path = tmp_path / "bench.json"
+        path.write_text(text)
+        self._exits_3(["bench", "--config", str(path)], capsys)
+
+    @pytest.mark.parametrize("side", ["0", "-2"])
+    def test_nonpositive_side(self, tmp_path, capsys, side):
+        self._exits_3(["gen", "--side", side, "--out", str(tmp_path / "p.otp")], capsys)
+        assert not list(tmp_path.iterdir())
+
+    def test_gen_into_missing_directory(self, tmp_path, capsys):
+        self._exits_3(["gen", "--side", "2", "--out", str(tmp_path / "no" / "p.otp")], capsys)
+
+    def test_report_into_missing_directory(self, tmp_path, capsys):
+        prob = tmp_path / "p.otp"
+        assert run(["gen", "--side", "2", "--out", str(prob)]) == 0
+        capsys.readouterr()
+        self._exits_3(["solve", "--problem", str(prob), "--gamma-final", "256",
+                       "--report", str(tmp_path / "no" / "r.json")], capsys)
+
+    def test_cost_outside_unit_interval(self, tmp_path, capsys):
+        prob = tmp_path / "p.otp"
+        prob.write_text("OTP 2\n0.5 0.5\n0.5 0.5\n0 2\n2 0\n")
+        self._exits_3(["solve", "--problem", str(prob)], capsys)
+
+    def test_config_dict_left_as_it_was(self):
+        from otnewton.cli import BenchConfig
+        data = {"problems": [{"side": 2}], "settings": [{"name": "s", "gamma_f": 256.0}],
+                "seeds": [1]}
+        copy = json.loads(json.dumps(data))
+        cfg = BenchConfig.from_dict(data)
+        assert data == copy
+        assert cfg.settings[0].gamma_f == 256.0 and cfg.settings[0].p == 1.5
+
+
+class TestExitCodesEndToEnd:
+    """``python -m otnewton`` in a subprocess ends with each documented code."""
+
+    def _cli(self, tmp_path, *argv):
+        env = dict(os.environ)
+        src = str(Path(otnewton.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "otnewton", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_exit_codes(self, tmp_path):
+        ok = self._cli(tmp_path, "gen", "--side", "1", "--out", "p1.otp")
+        assert ok.returncode == 0, ok.stderr
+        usage = self._cli(tmp_path, "solve")
+        assert usage.returncode == 2 and "--problem" in usage.stderr
+        (tmp_path / "bad.json").write_text('{"settings": [')
+        bad_config = self._cli(tmp_path, "bench", "--config", "bad.json")
+        assert bad_config.returncode == 3
+        assert bad_config.stderr.startswith("error: ") and bad_config.stderr.count("\n") == 1
+        solver = self._cli(tmp_path, "solve", "--problem", "p1.otp")
+        assert solver.returncode == 4, solver.stderr
+        assert json.loads(solver.stdout)["error"] == "DegenerateInputError"
+
+
 class TestDefaults:
     def test_solver_defaults_match_benchmark_setup(self):
         from otnewton.cli import build_parser
@@ -186,21 +295,10 @@ class TestDefaults:
         assert args.q_init == 2.0
         assert args.adaptive_q is True
 
-    def test_bench_config_round_trips(self):
-        from otnewton.cli import BenchConfig
-        cfg = BenchConfig.from_dict({
-            "problems": [{"kind": "grid", "side": 4}],
-            "settings": [{"name": "a", "gamma_f": 1024.0, "q_init": 1.5}],
-            "seeds": [3, 4],
-            "repeats": 2,
-            "output_dir": "x",
-        })
-        again = BenchConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again == cfg
-
     def test_bench_flag_overrides(self, tmp_path):
         from otnewton.cli import build_parser, BenchConfig
-        cfg = BenchConfig.from_dict({"problems": [], "gamma_f": 4096.0})
+        cfg = BenchConfig.from_dict({"problems": [],
+                                     "settings": [{"name": "s", "gamma_f": 4096.0}]})
         args = build_parser().parse_args(
             ["bench", "--config", "c.json", "--gamma-final", "256",
              "--seeds", "5,6", "--no-adaptive-q"])

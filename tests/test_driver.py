@@ -419,6 +419,29 @@ class TestMdot:
         back = RunReport.from_json(sol.report.to_json())
         assert back == sol.report
 
+    def test_report_records_the_options(self):
+        opts = MdotOptions(adaptive_q=False, adaptive_rho0=False, projector="sinkhorn")
+        report = mdot(grid_problem(16, seed=8), 2.0 ** 4, 2.0 ** 6, opts=opts).report
+        assert (report.adaptive_q, report.adaptive_rho0, report.solver) == (
+            False, False, "mdot-sinkhorn")
+        assert mdot(grid_problem(16, seed=8), 2.0 ** 4, 2.0 ** 6).report.adaptive_rho0 is True
+
+    @pytest.mark.parametrize("r,c,name", [
+        ([1.0], [1.0], "r"),
+        ([0.0, 1.0, 0.0], [0.25, 0.25, 0.5], "r"),
+        ([0.25, 0.25, 0.5], [0.0, 0.0, 1.0], "c"),
+    ], ids=["n1", "point-mass-r", "point-mass-c"])
+    def test_point_mass_marginal_rejected_before_any_pass(self, r, c, name):
+        # Its entropy is 0, so every tolerance would be 0; r c^T is the only plan.
+        n = len(r)
+        prob = Problem(C=grid_points_cost(n, "l1"), r=np.array(r), c=np.array(c))
+        ops = opcount.total()
+        with pytest.raises(DegenerateInputError,
+                           match=f"^marginal {name} is a point mass") as excinfo:
+            mdot(prob, 32.0, 1024.0)
+        assert opcount.total() == ops
+        assert excinfo.value.diagnostics == {f"nonzeros_{name}": 1}
+
     def test_parameter_validation(self):
         prob = fixture_problem()
         with pytest.raises(DomainError):

@@ -2,13 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from otnewton._kernels import BLOCK
 from otnewton.errors import DimensionError, DomainError, ParseError
 from otnewton.problems import (
     Problem,
     TraceRow,
-    gen_grid_cost,
     gen_marginal,
     grid_points_cost,
     load_problem,
@@ -18,14 +18,14 @@ from otnewton.problems import (
 )
 
 
-def broadcast_grid_cost(n, metric, side=None):
-    """The (n, n, 2) broadcast formula that grid_points_cost's tiles replace."""
+def cdist_grid_cost(n, metric, side=None):
+    """scipy's pairwise distances of the grid points, normalized to max 1:
+    the matrix that grid_points_cost's tiles must equal bit for bit."""
     if side is None:
         side = int(np.ceil(np.sqrt(n)))
     k = np.arange(n)
     pts = np.stack([k // side, k % side], axis=1).astype(np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    C = np.abs(diff).sum(axis=2) if metric.lower() == "l1" else (diff ** 2).sum(axis=2)
+    C = cdist(pts, pts, "cityblock" if metric.lower() == "l1" else "sqeuclidean")
     m = C.max()
     if m > 0.0:
         C /= m
@@ -44,10 +44,10 @@ def traced_peak(fn, *args):
 
 class TestGridCost:
     def test_single_point(self):
-        np.testing.assert_array_equal(gen_grid_cost(1, "l1"), [[0.0]])
+        np.testing.assert_array_equal(grid_points_cost(1, "l1"), [[0.0]])
 
     def test_two_by_two_l1(self):
-        C = gen_grid_cost(2, "l1")
+        C = grid_points_cost(2 * 2, "l1")
         # points (0,0),(0,1),(1,0),(1,1); corner-to-corner distance 2 is the max
         assert C[0, 3] == 1.0
         assert C[0, 1] == 0.5
@@ -55,18 +55,18 @@ class TestGridCost:
         np.testing.assert_array_equal(np.diag(C), np.zeros(4))
 
     def test_two_by_two_l2sq(self):
-        C = gen_grid_cost(2, "l2sq")
+        C = grid_points_cost(2 * 2, "l2sq")
         assert C[0, 3] == 1.0
         assert C[0, 1] == 0.5
 
     def test_zero_side_rejected(self):
         with pytest.raises(DimensionError):
-            gen_grid_cost(0, "l1")
+            grid_points_cost(0 * 0, "l1")
 
     @pytest.mark.parametrize("side", [2, 3, 4, 5])
     @pytest.mark.parametrize("metric", ["l1", "l2sq"])
     def test_symmetric_zero_diag_unit_max(self, side, metric):
-        C = gen_grid_cost(side, metric)
+        C = grid_points_cost(side * side, metric)
         np.testing.assert_array_equal(C, C.T)
         np.testing.assert_array_equal(np.diag(C), np.zeros(side * side))
         assert C.max() == 1.0
@@ -84,7 +84,7 @@ class TestGridCost:
     @pytest.mark.parametrize("metric", ["l1", "l2sq", "L2SQ"])
     def test_tiles_match_broadcast_formula_bitwise(self, n, side, metric):
         got = grid_points_cost(n, metric, side=side)
-        assert got.tobytes() == broadcast_grid_cost(n, metric, side).tobytes()
+        assert got.tobytes() == cdist_grid_cost(n, metric, side).tobytes()
 
     def test_unknown_metric_rejected_before_allocation(self):
         n = 4 * BLOCK
