@@ -1,10 +1,14 @@
 """Command-line entry point: problem generation, single solves, benchmark sweeps.
 
 A ``BenchSetting`` is one solve; a ``bench`` config holds ``BenchConfig``'s
-keys and rejects unknown ones.  Exit codes: 0 success, 2 usage (argparse), 3
-input, config or output error (one ``error:`` line on stderr), 4 solver error
-(a diagnostic JSON object on stdout).  ``OTN_DETERMINISTIC=1`` forces
-fixed-order reductions so repeated runs are bit-identical.
+keys, rejects unknown ones and checks every value against its field's type.
+Each ``bench`` cell makes one solve.  Its gap is taken against the exact
+HiGHS LP for n <= ``EXACT_MAX_N`` (``gap_basis=exact``); above that it is
+the solve's own ``certified_gap`` (``gap_basis=certificate``), the rounded
+cost minus a weak-duality lower bound.  Exit codes: 0 success, 2 usage
+(argparse), 3 input, config or output error (one ``error:`` line on stderr),
+4 solver error (a diagnostic JSON object on stdout).  ``OTN_DETERMINISTIC=1``
+forces fixed-order reductions so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,10 +38,33 @@ EXIT_SOLVER = 4
 # Column marginals draw from an offset seed stream so r and c differ.
 COL_SEED_OFFSET = 1
 
-REFERENCE_GAMMA_FACTOR = 16.0
-
 # The projector of each solver name that settings and flags accept.
 PROJECTORS = {solver: projector for projector, solver in SOLVER_NAMES.items()}
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# The JSON values each field annotation of the config dataclasses accepts.
+_ACCEPTS = {
+    "str": lambda x: isinstance(x, str),
+    "bool": lambda x: isinstance(x, bool),
+    "int": _is_int,
+    "float": lambda x: _is_int(x) or isinstance(x, float),
+    "list": lambda x: isinstance(x, list),
+    "list[int]": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+}
+
+
+def _checked(obj):
+    """``obj``, once each of its fields holds a value of the field's type;
+    otherwise a ``ParseError`` naming the field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _ACCEPTS[f.type](value):
+            raise ParseError(f"bad bench config: {f.name} must be {f.type}, got {value!r}")
+    return obj
 
 
 @dataclass
@@ -73,7 +100,7 @@ class BenchConfig:
 
     problems: list = field(default_factory=list)
     settings: list = field(default_factory=lambda: [BenchSetting("default")])
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     repeats: int = 1
     output_dir: str = "bench_out"
     jobs: int = 1
@@ -81,11 +108,12 @@ class BenchConfig:
     @classmethod
     def from_dict(cls, data):
         """The config of a parsed JSON object, which is left as it was; an
-        unknown key, or a setting without a name, is a ``ParseError``."""
+        unknown key, a setting without a name, or a value not of its field's
+        type is a ``ParseError``."""
         try:
-            cfg = cls(**data)
+            cfg = _checked(cls(**data))
             if "settings" in data:
-                cfg.settings = [BenchSetting(**s) for s in data["settings"]]
+                cfg.settings = [_checked(BenchSetting(**s)) for s in data["settings"]]
         except TypeError as exc:
             raise ParseError(f"bad bench config: {exc}") from exc
         return cfg
@@ -120,6 +148,9 @@ def cmd_solve(args):
                            gamma_f=args.gamma_final, p=args.p, q_init=args.q_init,
                            adaptive_q=args.adaptive_q, adaptive_rho0=args.adaptive_rho0,
                            w_r=args.w_r)
+    for path in filter(None, (args.report, args.trace)):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
     try:
         sol = setting.solve(problem)
     except OTNError as exc:
@@ -161,7 +192,7 @@ def _run_one(task):
     (out_dir / f"{run_id}.json").write_text(sol.report.to_json() + "\n")
     write_trace(sol.trace, out_dir / f"{run_id}.csv")
 
-    gap, gap_basis = _optimality_gap(problem, setting, sol.primal_cost)
+    gap, gap_basis = _optimality_gap(problem, sol)
     return {"run_id": run_id, "setting": setting.name, "label": problem.label,
             "ok": True, "wall_ms": sol.report.wall_ms,
             "ops_total": sol.report.ops.get("total", 0),
@@ -169,13 +200,12 @@ def _run_one(task):
             "gap": gap, "gap_basis": gap_basis}
 
 
-def _optimality_gap(problem, setting, primal_cost):
+def _optimality_gap(problem, sol):
+    """The solution's gap and its basis: exact up to ``EXACT_MAX_N``, else certified."""
     if problem.n <= EXACT_MAX_N:
         exact = exact_ot_small(problem.C, problem.r, problem.c)
-        return primal_cost - exact.cost, "exact"
-    ref = BenchSetting("reference", gamma_i=setting.gamma_i,
-                       gamma_f=setting.gamma_f * REFERENCE_GAMMA_FACTOR, p=setting.p)
-    return primal_cost - ref.solve(problem).primal_cost, "reference"
+        return sol.primal_cost - exact.cost, "exact"
+    return sol.report.certified_gap, "certificate"
 
 
 def _percentiles(values):
@@ -194,7 +224,10 @@ def cmd_bench(args):
     if args.jobs:
         cfg.jobs = args.jobs
     if args.seeds is not None:
-        cfg.seeds = [int(s) for s in args.seeds.split(",")]
+        try:
+            cfg.seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"bad --seeds {args.seeds!r}: {exc}") from exc
     if args.repeats is not None:
         cfg.repeats = args.repeats
     # solver-setting flags apply across every setting of the sweep

@@ -25,12 +25,6 @@ PARSE_SIMPLEX_TOL = 1e-9
 # The one-dimensional term f of each separable grid metric.
 _GRID_METRICS = {"l1": np.abs, "l2sq": np.square}
 
-TRACE_HEADER = [
-    "t", "gamma", "eps_d", "newton_steps", "cg_iters", "sinkhorn_steps",
-    "linesearch_backtracks", "grad_norm_l1", "rho_final", "delta_min", "q",
-    "ops_n2", "wall_ms",
-]
-
 
 @dataclass
 class Problem:
@@ -89,6 +83,9 @@ class TraceRow:
     q: float
     ops_n2: int
     wall_ms: float
+
+
+TRACE_HEADER = [f.name for f in fields(TraceRow)]
 
 
 def grid_points_cost(n, metric, side=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import otnewton
-from otnewton.cli import main
+from otnewton.cli import BenchSetting, main
 from otnewton.problems import load_problem, read_trace
 
 
@@ -123,7 +123,7 @@ class TestBench:
         assert all(line.endswith("exact") for line in summary[1:])
 
     def test_exact_gap_at_side_eight(self, tmp_path):
-        # n = 64 is inside the exact LP's guard, so no reference run is needed
+        # n = 64 is inside the exact LP's guard, so the gap is exact
         cfg = {
             "problems": [{"kind": "grid", "metric": "l1", "side": 8, "seed": 1}],
             "settings": [{"name": "s", "gamma_i": 32, "gamma_f": 1024}],
@@ -138,11 +138,18 @@ class TestBench:
         assert cols["gap_basis"] == "exact"
         assert float(cols["gap_med"]) >= -1e-10
 
-    def test_reference_gap_above_the_exact_guard(self, tmp_path):
-        # n = 289 is past the exact LP's guard, so the gap is taken against
-        # a solve at 16 x gamma_f.  Both rounded plans are feasible and each
-        # is within its own error bound of the optimum, so the gap lies in
-        # [-bound / 16, bound].
+    def test_certificate_gap_above_the_exact_guard(self, tmp_path, monkeypatch):
+        # n = 289 is past the exact LP's guard, so the gap is the solve's own
+        # certified gap: the rounded cost minus a lower bound on the optimum,
+        # so it lies in [0, bound] up to roundoff.  Each cell makes one solve.
+        solves = []
+        real_solve = BenchSetting.solve
+
+        def solve(setting, problem):
+            solves.append(setting.name)
+            return real_solve(setting, problem)
+
+        monkeypatch.setattr(BenchSetting, "solve", solve)
         cfg = {
             "problems": [{"kind": "grid", "metric": "l1", "side": 17, "seed": 1}],
             "settings": [{"name": "s", "gamma_i": 16, "gamma_f": 256}],
@@ -152,14 +159,16 @@ class TestBench:
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run(["bench", "--config", str(cfg_path)]) == 0
+        assert solves == ["s"]
         out = tmp_path / "out"
         header, summary = (out / "summary.csv").read_text().strip().split("\n")
         cols = dict(zip(header.split(","), summary.split(",")))
         (report,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
         assert report["n"] == 289
         bound = report["error_bound"]
-        assert cols["gap_basis"] == "reference"
-        assert -bound / 16.0 <= float(cols["gap_med"]) <= bound
+        assert cols["gap_basis"] == "certificate"
+        assert float(cols["gap_med"]) == float(f"{report['certified_gap']:.3e}")
+        assert -1e-12 <= float(cols["gap_med"]) <= bound
 
     def test_summary_percentiles_are_order_stats(self, tmp_path):
         cfg = {
@@ -217,13 +226,25 @@ class TestInputErrors:
         {"problems": [{"metric": "l1"}]},
         {"problems": [{"path": "missing.otp"}]},
         {"gamma_f": 4096.0},
+        {"repeats": "2"},
+        {"settings": [{"name": "s", "gamma_i": "32"}]},
+        {"seeds": [0, "1"]},
+        {"settings": [{"name": "s", "adaptive_q": 1}]},
     ], ids=["setting-key", "setting-name", "solver", "metric", "spec-key", "spec-side",
-            "problem-file", "flat-setting"])
+            "problem-file", "flat-setting", "repeats-type", "gamma-type", "seed-type",
+            "flag-type"])
     def test_bad_config(self, tmp_path, capsys, cfg):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **cfg}))
         self._exits_3(["bench", "--config", str(path)], capsys)
         assert not list(tmp_path.glob("out/*.json"))
+
+    def test_bad_seeds_flag(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                    "problems": [{"side": 2}]}))
+        self._exits_3(["bench", "--config", str(path), "--seeds", "5,x"], capsys)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ['{"problems": [}', '["not", "an", "object"]'])
     def test_malformed_json(self, tmp_path, capsys, text):
@@ -239,12 +260,17 @@ class TestInputErrors:
     def test_gen_into_missing_directory(self, tmp_path, capsys):
         self._exits_3(["gen", "--side", "2", "--out", str(tmp_path / "no" / "p.otp")], capsys)
 
-    def test_report_into_missing_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--report", "--trace"])
+    def test_report_into_missing_directory(self, tmp_path, capsys, monkeypatch, flag):
+        # The output paths are checked before the solve, not after it.
         prob = tmp_path / "p.otp"
         assert run(["gen", "--side", "2", "--out", str(prob)]) == 0
         capsys.readouterr()
+        solves = []
+        monkeypatch.setattr(BenchSetting, "solve", lambda *args: solves.append(args))
         self._exits_3(["solve", "--problem", str(prob), "--gamma-final", "256",
-                       "--report", str(tmp_path / "no" / "r.json")], capsys)
+                       flag, str(tmp_path / "no" / "out")], capsys)
+        assert solves == []
 
     def test_cost_outside_unit_interval(self, tmp_path, capsys):
         prob = tmp_path / "p.otp"

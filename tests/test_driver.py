@@ -465,7 +465,9 @@ class TestMdot:
 
 
 class TestLpGap:
-    """0 <= primal - LP optimum <= error_bound, each side with 1e-10 slack."""
+    """0 <= primal - LP optimum <= error_bound, each side with 1e-10 slack;
+    the certificate's lower bound is below the LP optimum and within
+    error_bound of the primal cost."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [16, 64, 121])
@@ -478,8 +480,27 @@ class TestLpGap:
         prob = Problem(C=C, r=gen_marginal(n, "smooth-random", seed),
                        c=gen_marginal(n, "smooth-random", seed + 1000))
         sol = mdot(prob, 2.0 ** 5, 2.0 ** 14)
-        gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
+        lp = exact_ot_small(prob.C, prob.r, prob.c).cost
+        gap = sol.primal_cost - lp
         assert -1e-10 <= gap <= sol.error_bound + 1e-10, (gap, sol.error_bound)
+        assert sol.lower_bound <= lp + 1e-10, (sol.lower_bound, lp)
+        assert sol.primal_cost - sol.lower_bound <= sol.error_bound
+
+
+class TestCertificate:
+    """The certified gap of a solve on the 32 x 32 l2sq grid (the
+    benchmark's instance k = 1) is nonnegative up to roundoff and within
+    error_bound."""
+
+    @pytest.mark.parametrize("projector,gamma_f", [("newton", 2.0 ** 18),
+                                                   ("sinkhorn", 2.0 ** 11)])
+    def test_certified_gap_within_bound(self, projector, gamma_f):
+        prob = Problem(C=grid_points_cost(1024, "l2sq"), r=gen_marginal(1024, "smooth-random", 2),
+                       c=gen_marginal(1024, "smooth-random", 3))
+        sol = mdot(prob, 2.0 ** 5, gamma_f, opts=MdotOptions(projector=projector))
+        gap = sol.report.certified_gap
+        assert gap == sol.primal_cost - sol.lower_bound
+        assert -1e-12 <= gap <= sol.error_bound, (gap, sol.error_bound)
 
 
 def batch_instance(i, n=64):

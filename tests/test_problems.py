@@ -219,8 +219,9 @@ class TestTraceIO:
     def test_empty_run_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trace([], path)
-        assert path.read_text().strip().count("\n") == 0
-        assert path.read_text().startswith("t,gamma,eps_d,")
+        assert path.read_bytes() == (
+            b"t,gamma,eps_d,newton_steps,cg_iters,sinkhorn_steps,linesearch_backtracks,"
+            b"grad_norm_l1,rho_final,delta_min,q,ops_n2,wall_ms\r\n")
 
     def test_three_rows_four_lines(self, tmp_path):
         path = tmp_path / "t.csv"
