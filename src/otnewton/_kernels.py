@@ -21,7 +21,9 @@ subnormal).  A plan tile with no log entry below the floor is
 exponentiated as it is, with no mask, clamp or flush, which would not
 change it.  The square of an entry below 2^-511 is still subnormal, so
 ``square_matvec`` scales the entries by an exact power of two, chosen from
-a bound on them, before it squares them, and scales the result back.
+a bound on them, before it squares them, and scales the result back,
+unless a bound below the entries shows that no square or term would be
+subnormal.
 
 ``materialize_plan`` is the one plan builder.  Given no column potential,
 it anchors the plan at the column maxima ``m``, ``v = -m``, and a dense
@@ -40,17 +42,22 @@ BLAS threading; ``plan_cost``, the final plan's cost, always is one.
 ``log_plan_max`` finds the row or column maxima of the log plan, where a
 plan is anchored so that no entry of the summed lines exceeds 1.
 
-A plan whose entries are mostly exact zeros can be materialized as a
+A plan whose entries are mostly negligible can be materialized as a
 ``SparsePlan`` instead (``materialize_plan`` with ``max_nnz``): compressed
 sparse rows, built tile by tile with no n-by-n array, plus the rows of its
-transpose, so each product is one pass over its nonzeros (sparse scaling,
-Schmitzer, SIAM J. Sci. Comput. 2019).  Only exact zeros are dropped, so
-nothing is lost.  ``plan_matvec``, ``log_plan_matvec`` and
-``square_matvec`` serve it in place of the dense plan; its products are
-sequential sums in scipy's compiled CSR loop, in a fixed order whatever
-``OTN_DETERMINISTIC`` says, with the input scaled by a power of two so
-that no term is subnormal (``_csr_matvec``).  scipy is imported only when
-a sparse plan is first built.
+transpose, so each product is one pass over its nonzeros (sparse scaling
+and kernel truncation, Schmitzer, SIAM J. Sci. Comput. 2019).  It holds
+the entries whose log is at or above the caller's ``floor`` (at least
+``EXP_FLOOR``), bit for bit, and drops the rest: ``dual.flush_floor`` sets
+the floor from the targets, so that what is dropped stays below half an ulp
+of every sum the plan serves.  A dense build still flushes only below
+``EXP_FLOOR``, and counts the entries at or above the floor, so that the
+choice between the two reads one count.  ``plan_matvec``,
+``log_plan_matvec`` and ``square_matvec`` serve it in place of the dense
+plan; its products are sequential sums in scipy's compiled CSR loop, in a
+fixed order whatever ``OTN_DETERMINISTIC`` says, with the input scaled by
+a power of two so that no term is subnormal (``_csr_matvec``).  scipy is
+imported only when a sparse plan is first built.
 """
 
 from __future__ import annotations
@@ -114,44 +121,55 @@ def log_plan_max(C, gamma, x, axis, out=None):
     return top
 
 
-def _exp_tile(b):
-    """exp of the log-plan tile ``b`` in place, entries below ``EXP_FLOOR``
-    set to 0; returns the mask of those entries, or None when there are none.
-
-    A tile with no entry below the floor skips the mask, the clamp and the
-    flush, which would leave it as it is."""
+def _tile_min(b):
+    """The smallest entry of the log-plan tile ``b``, once no entry would
+    overflow exp()."""
     top = b.max()
     if top > LOG_OVERFLOW:
         raise PlanOverflowError(
             f"log-plan entry {top:.3g} would overflow exp(); warm start is broken")
-    if not b.min() < EXP_FLOOR:
+    return b.min()
+
+
+def _exp_tile(b, floor=EXP_FLOOR):
+    """exp of the log-plan tile ``b`` in place, entries below ``EXP_FLOOR``
+    set to 0; returns ``(nnz, low)``: the count of log entries at or above
+    ``floor`` (at least ``EXP_FLOOR``) and the smallest log entry.
+
+    A tile with no entry below ``floor`` counts whole, with no compare, and
+    one with none below ``EXP_FLOOR`` skips the mask, the clamp and the
+    flush, which would leave it as it is."""
+    low = _tile_min(b)
+    nnz = b.size
+    if low < floor and floor > EXP_FLOOR:
+        nnz = np.count_nonzero(b >= floor)
+    if not low < EXP_FLOOR:
         np.exp(b, out=b)
-        return None
-    low = b < EXP_FLOOR
+        return nnz, low
+    flushed = b < EXP_FLOOR
+    if floor == EXP_FLOOR:
+        nnz -= np.count_nonzero(flushed)
     np.maximum(b, EXP_FLOOR, out=b)
     np.exp(b, out=b)
-    np.copyto(b, 0.0, where=low)
-    return low
+    np.copyto(b, 0.0, where=flushed)
+    return nnz, low
 
 
-def _plan_tile(C, gamma, u, v, b):
-    """Write exp((-gamma C + u 1^T) + 1 v^T) into the tile ``b`` (rows of ``C``
-    and ``u`` alike), or with ``C`` None exp(b + 1 v^T), ``b`` holding the
-    log plan ``-gamma C + u 1^T`` already; return ``_exp_tile``'s mask."""
+def _log_tile(C, gamma, u, v, b):
+    """Write the log plan (-gamma C + u 1^T) + 1 v^T into the tile ``b`` (rows
+    of ``C`` and ``u`` alike), or with ``C`` None add 1 v^T to ``b``, which
+    holds ``-gamma C + u 1^T`` already."""
     if C is not None:
         np.multiply(C, -gamma, out=b)
         np.add(b, u[:, None], out=b)
     np.add(b, v[None, :], out=b)
-    return _exp_tile(b)
 
 
-def _nonzeros(low, b):
-    return b.size if low is None else low.size - np.count_nonzero(low)
-
-
-def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None):
+def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOOR):
     """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected;
-    returns ``(plan, v, nnz)``, nnz its count of nonzero entries.
+    returns ``(plan, v, nnz, low)``: nnz the count of log entries at or above
+    the log ``floor`` (raised to ``EXP_FLOOR`` if below it), and ``low`` the
+    log of a bound below every nonzero entry.
 
     With ``v`` None the plan is anchored at the column maxima,
     ``v = -log_plan_max(C, gamma, u, 0)``, so each column's largest entry
@@ -161,15 +179,18 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None):
     and exponentiates.
 
     ``-gamma C`` is formed tile by tile, never stored, and each log entry is
-    rounded as ``(-gamma C_ij + u_i) + v_j``.  Entries whose log
-    is below ``EXP_FLOOR`` come out as exactly 0.  The plan is dense
-    (written into ``out`` when given) unless ``max_nnz`` is given: then it
-    is a ``SparsePlan`` built tile by tile, with no n-by-n array, and the
-    build stops with ``(None, v, nnz)`` once the count passes ``max_nnz``.
-    Its entries are those of the dense plan, bit for bit.
+    rounded as ``(-gamma C_ij + u_i) + v_j``.  The plan is dense (written
+    into ``out`` when given) unless ``max_nnz`` is given: then it is a
+    ``SparsePlan`` built tile by tile, with no n-by-n array, and the build
+    stops with ``(None, v, nnz, low)`` once the count passes ``max_nnz``.
+    A dense plan's entries whose log is below ``EXP_FLOOR`` come out as
+    exactly 0, whatever ``floor`` is; a sparse plan holds the dense plan's
+    entries whose log is at or above ``floor``, bit for bit, and nothing
+    else.
     """
     opcount.add(4)
     n, m = C.shape
+    floor, low = max(floor, EXP_FLOOR), math.inf
     if max_nnz is None:
         if out is None:
             out = np.empty((n, m))
@@ -178,8 +199,10 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None):
             v = -log_plan_max(C, gamma, u, 0, out)
         nnz = 0
         for lo, hi, b in row_tiles(n, m, out):
-            nnz += _nonzeros(_plan_tile(None if anchored else C[lo:hi], gamma, u[lo:hi], v, b), b)
-        return out, v, nnz
+            _log_tile(None if anchored else C[lo:hi], gamma, u[lo:hi], v, b)
+            kept, tile_low = _exp_tile(b, floor)
+            nnz, low = nnz + kept, min(low, tile_low)
+        return out, v, nnz, max(low, EXP_FLOOR)
     if v is None:
         v = -log_plan_max(C, gamma, u, 0)
     rows = tile_rows(m)
@@ -187,16 +210,27 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None):
     indptr = np.zeros(n + 1, dtype=np.int32)
     data, indices, nnz = [], [], 0
     for lo, hi, b in row_tiles(n, m):
-        low = _plan_tile(C[lo:hi], gamma, u[lo:hi], v, b)
-        keep = np.ones(b.shape, dtype=bool) if low is None else np.logical_not(low, out=low)
-        data.append(b[keep])
+        _log_tile(C[lo:hi], gamma, u[lo:hi], v, b)
+        tile_low = _tile_min(b)
+        low = min(low, tile_low)
+        if tile_low < floor:  # the entries below the floor are clamped, then dropped
+            keep = b >= floor
+            np.maximum(b, floor, out=b)
+            np.exp(b, out=b)
+            data.append(b[keep])
+            indices.append(col[: hi - lo][keep])
+            indptr[lo + 1:hi + 1] = np.count_nonzero(keep, axis=1)
+        else:
+            np.exp(b, out=b)
+            data.append(b.flatten())
+            indices.append(col[: hi - lo].ravel())
+            indptr[lo + 1:hi + 1] = m
         nnz += len(data[-1])
         if nnz > max_nnz:
-            return None, v, nnz
-        indices.append(col[: hi - lo][keep])
-        indptr[lo + 1:hi + 1] = np.count_nonzero(keep, axis=1)
+            return None, v, nnz, max(low, floor)
     np.cumsum(indptr, out=indptr)
-    return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), v, nnz
+    return (SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), v,
+            nnz, max(low, floor))
 
 
 class SparsePlan:
@@ -273,19 +307,28 @@ def scale_plan(P, x, y):
     return P
 
 
-def _square_exp(top, w):
+def _square_exp(top, w, log_low=None):
     """The k that ``square_matvec`` scales the entries by, for entries at most
     ``top`` and weights ``w``: the largest with every square and every
     weighted term below 2^_SCALED_EXP, so the squares and the row sums stay
-    finite whatever ``w`` is.  At most 1023, so that 2^k is finite."""
+    finite whatever ``w`` is.  At most 1023, so that 2^k is finite.
+
+    0 instead of a positive k when ``log_low`` bounds the log of every
+    nonzero entry from below, the weights are all positive, and the bound
+    keeps every unscaled square and term at least 2^-1021: then nothing is
+    subnormal and the scaling would change no bit."""
     if not top > 0.0:
         return 0
     w_max = float(np.abs(w).max()) if w.size else 0.0
     k = (_SCALED_EXP - 2 * math.frexp(top)[1] - max(0, math.frexp(w_max)[1])) // 2
+    if k > 0 and log_low is not None and w.size:
+        w_min = float(w.min())
+        if w_min > 0.0 and 2.0 * log_low + min(0.0, math.log(w_min)) >= -1021 * math.log(2.0):
+            return 0
     return min(k, 1023)
 
 
-def square_matvec(P, w, top=None):
+def square_matvec(P, w, top=None, log_low=None):
     """(P * P) @ w without materializing the squared matrix (for a
     ``SparsePlan``, the squared entries are one length-nnz array).
 
@@ -297,23 +340,25 @@ def square_matvec(P, w, top=None):
     weights below 1, k = 494, so the squares of all entries above 2^-1005
     are normal.  k comes from ``top``, a bound on the entries: a
     ``SparsePlan``'s own ``top`` (the argument is ignored), else the given
-    one, else the plan's largest entry (one more read).
+    one, else the plan's largest entry (one more read).  Given ``log_low``,
+    a bound below the log of every nonzero entry (``materialize_plan``'s
+    ``low``), the scaling pass is skipped where it would change no bit.
     """
     opcount.add(2)
     if isinstance(P, SparsePlan):
-        k = _square_exp(P.top, w)
+        k = _square_exp(P.top, w, log_low)
         scale = math.ldexp(1.0, k)
         *shape, data = P.rows
-        sq = np.multiply(data, scale)
-        np.square(sq, out=sq)
+        sq = np.multiply(data, scale) if k else np.empty_like(data)
+        np.square(sq if k else data, out=sq)
         return _csr_matvec((*shape, sq), (P.top * scale) ** 2, w, 2 * k)
-    k = _square_exp(float(P.max()) if top is None else top, w)
+    k = _square_exp(float(P.max()) if top is None else top, w, log_low)
     scale = math.ldexp(1.0, k)
     out = np.empty(P.shape[0])
     for lo, hi, b in row_tiles(*P.shape):
-        np.square(np.multiply(P[lo:hi], scale, out=b), out=b)
+        np.square(np.multiply(P[lo:hi], scale, out=b) if k else P[lo:hi], out=b)
         out[lo:hi] = b @ w
-    return np.ldexp(out, -2 * k, out=out)
+    return np.ldexp(out, -2 * k, out=out) if k else out
 
 
 def fixed_order():

@@ -62,8 +62,9 @@ class MdotOptions:
 class OuterIteration:
     """One annealing step: the temperature, tolerance, and projection stats.
 
-    ``plan_density`` is nnz / n^2 of the projection's anchored plan (the
-    last one, should the projection anchor again), so a run shows which
+    ``plan_density`` is the share of entries at or above the floor of the
+    projection's anchored plan (``dual.flush_floor``; the last anchor,
+    should the projection anchor again), so a run shows which
     temperatures were served sparse (see ``dual.sparse_anchor``).  Both
     projectors anchor at every temperature; it is nan only when the state
     holds no anchor.

@@ -19,10 +19,10 @@ maxima of ``1 v^T - gamma C``.  Each summed line's largest entry is then 1
 (exactly 1 for column sums, up to rounding for row sums, as the kernels
 add u before v), so nothing overflows whatever the potentials; the summed
 side's offset is 0 and the other side's stays outside the log, so the sum
-is log-sum-exp's own computation, with entries below e^-700 dropped, at any
-offset size.  Every anchor is one ``_kernels.materialize_plan`` call
-(``_anchor_plan``), which takes the column maxima itself; only a row
-anchor takes its maxima here.  ``anchored_plan``, which serves the Newton system and the
+is log-sum-exp's own computation, with entries below e^-700 dropped (below
+the floor, for a sparse anchor), at any offset size.  Every anchor is one
+``_kernels.materialize_plan`` call (``_anchor_plan``), which takes the
+column maxima itself; only a row anchor takes its maxima here.  ``anchored_plan``, which serves the Newton system and the
 Sinkhorn projector's gradient checks (``oracles.sinkhorn_project``),
 anchors as the column sums do.  The one exact column scaling,
 ``rebalance_columns``, at a Newton projection's entry takes v from the
@@ -45,15 +45,22 @@ are those bit for bit.  So a line search's alpha = 0 sums after an accepted
 step, a chi-square sweep or the entry rebalance cost no pass, and come from
 the same evaluation path as a new product would.
 
-As gamma grows, most anchored entries fall below e^-700 and are stored as
-exact zeros.  An anchor is then built as a ``_kernels.SparsePlan`` (CSR),
-which replaces the dense buffer and never sits beside it, and every sum and
-Newton product at that temperature runs over its nonzeros.  The rule reads
-only the input (``sparse_anchor``): the plan spans more than one tile
-(n > ``BLOCK``; below that dense wins), and the previous anchor of the solve
-had at most n^2 / 4 nonzeros, since a plan's count is known only after its
-pass; a sparse build falls back to dense once its count passes n^2 / 8
-(``sparse_limit``).  ``plan_density`` reports the anchor's nnz / n^2.
+As gamma grows, most anchored entries become too small to change any sum
+the anchor serves.  An anchor is then built as a ``_kernels.SparsePlan``
+(CSR) of its entries at or above e^F, ``F = flush_floor(n, r, c)`` from the
+current targets, which the projectors install before a temperature's first
+anchor.  It replaces the dense buffer and never sits beside it, and every
+sum and Newton product at that temperature runs over its nonzeros.  Within
+the guard each dropped entry is scaled by at most e^PLAN_OFFSET_MAX, so the
+n that one sum or product drops stay below half an ulp of the smallest
+target (kernel truncation, Schmitzer, SIAM J. Sci. Comput. 2019, with the
+threshold set by rounding).  The rule reads only the input
+(``sparse_anchor``): the plan spans more than one tile (n > ``BLOCK``;
+below that dense wins), and the previous anchor of the solve had at most
+n^2 / 4 entries at or above its floor, since a plan's count is known only
+after its pass; a sparse build falls back to dense once its count passes
+n^2 / 8 (``sparse_limit``).  A dense anchor flushes only below e^-700 but
+counts at the floor.  ``plan_density`` reports the anchor's count / n^2.
 
 At the end of a solve, ``release_plan`` scales a dense anchored plan in
 place to the plan at the current potentials, or drops a sparse one and
@@ -83,6 +90,10 @@ from .errors import DomainError
 # w_c * eps_d / n, is about 1e-11 on an n = 64 batch instance at
 # gamma = 2^18.  The weights e^(a - max a) stay above e^(-2B) = e^-200, and
 # the Newton system's scalings e^a and e^2b within e^(+-2B), normal numbers.
+# A sparse anchor drops more: entries below e^F, F = flush_floor(n, r, c),
+# which puts n e^(F + B) at 2^-54 t_min, half an ulp of the smallest target.
+# That needs both offsets bounded, as a dropped entry of column j at a
+# column anchor enters a column sum scaled by e^(a_i + b_j).
 # The entry anchor at (u, -m) puts its column offset b = log c - log(P0^T 1)
 # in [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
 # unless a target is below e^-100 / n; then the row sums at the rebalanced
@@ -100,8 +111,9 @@ def _within_guard(a, b):
 def sparse_anchor(n, prev_nnz):
     """Whether to build an anchor as a ``SparsePlan``: the plan spans more
     than one tile, and the previous anchor of the solve, ``prev_nnz``
-    nonzeros or None, had at most a quarter of its entries nonzero.  The
-    build falls back to dense past an eighth (``sparse_limit``).
+    entries at or above its floor or None, had at most a quarter of its
+    entries there.  The build falls back to dense past an eighth
+    (``sparse_limit``).
 
     A product and its transpose at density 1/8 take 20 us dense against
     41 us sparse at n = 256, 130 against 88 us at n = 512 and 354 against
@@ -110,8 +122,27 @@ def sparse_anchor(n, prev_nnz):
 
 
 def sparse_limit(n):
-    """Most nonzeros a sparse anchor may have before it falls back to dense."""
+    """Most entries a sparse anchor may keep before it falls back to dense."""
     return n * n // 8
+
+
+def flush_floor(n, r, c):
+    """The log floor F below which a sparse anchor drops entries, from the
+    targets ``r`` and ``c``: ``log t_min - 54 log 2 - log n - PLAN_OFFSET_MAX``,
+    ``t_min`` the smallest target, and at least ``EXP_FLOOR``.
+
+    An offset within the guard scales a dropped entry by at most
+    e^PLAN_OFFSET_MAX, so the n that one sum or product drops stay below
+    2^-54 t_min, half an ulp of every target.  ``EXP_FLOOR`` for a plan of
+    one tile (n <= ``BLOCK``), which is never sparse, and for a zero target.
+    """
+    if n <= BLOCK:
+        return EXP_FLOOR
+    t_min = min(float(np.min(r)), float(np.min(c)))
+    if not t_min > 0.0:
+        return EXP_FLOOR
+    return max(EXP_FLOOR, math.log(t_min) - 54.0 * math.log(2.0) - math.log(n)
+               - PLAN_OFFSET_MAX)
 
 
 class DualState:
@@ -125,7 +156,8 @@ class DualState:
     def __init__(self, problem, gamma, u=None, v=None, r=None, c=None):
         self._plan = None  # the anchored plan, or the dense buffer kept for the next
         self._anchor = None  # (u0, v0) that _plan is the plan of
-        self._anchor_nnz = None  # nonzeros of the last anchored plan
+        self._anchor_nnz = None  # entries of the last anchored plan at or above its floor
+        self._anchor_low = None  # log of a bound below its nonzero entries
         self._col_product = None  # (a, log(P0^T e^a)) last taken from the anchor
         self._fixed_order = False
         self.problem = problem
@@ -196,28 +228,40 @@ class DualState:
     def _anchor_plan(self, u, v=None):
         """Materialize the plan at potentials (u, v) and make it the anchor;
         with ``v`` None, at the column maxima, ``v = -m``.  One
-        ``materialize_plan`` call per representation: a ``SparsePlan`` when
-        ``sparse_anchor`` says so and it has at most ``sparse_limit``
-        nonzeros, else the state's dense buffer, built at the ``v`` that a
-        sparse build past the limit returned."""
+        ``materialize_plan`` call per representation: a ``SparsePlan`` of
+        the entries at or above ``flush_floor`` when ``sparse_anchor`` says
+        so and there are at most ``sparse_limit`` of them, else the state's
+        dense buffer, built at the ``v`` that a sparse build past the limit
+        returned.  Either build counts the entries at or above the floor."""
         n, C, gamma = self.n, self.problem.C, self.gamma
+        floor = flush_floor(n, self.r, self.c)
         plan = None
         if sparse_anchor(n, self._anchor_nnz):
             self._drop_anchor()
             self._plan = None  # the CSR replaces the dense buffer, never sits beside it
-            plan, v, nnz = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n))
+            plan, v, nnz, low = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n),
+                                                 floor=floor)
         if plan is None:
-            plan, v, nnz = materialize_plan(C, gamma, u, v, out=self._buffer())
-        self._plan, self._anchor_nnz = plan, nnz
+            plan, v, nnz, low = materialize_plan(C, gamma, u, v, out=self._buffer(),
+                                                 floor=floor)
+        self._plan, self._anchor_nnz, self._anchor_low = plan, nnz, low
         self._anchor = (u, v)
         self._fixed_order = fixed_order()
 
     @property
     def plan_density(self):
-        """nnz / n^2 of the anchored plan; nan when the state holds none."""
+        """The share of the anchored plan's entries at or above its floor
+        (``flush_floor``), nnz / n^2; nan when the state holds none."""
         if self._anchor is None:
             return math.nan
         return self._anchor_nnz / self.n ** 2
+
+    @property
+    def anchor_log_low(self):
+        """The log of a bound below every nonzero entry of the anchored plan,
+        for ``newton.DiscountedSystem``'s squared product; None when the
+        state holds none."""
+        return None if self._anchor is None else self._anchor_low
 
     def _plan_offsets(self, u, v):
         """(u - u0, v - v0) when the anchored plan serves sums at (u, v), else None."""

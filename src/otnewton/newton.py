@@ -73,12 +73,15 @@ class DiscountedSystem:
     system of the plan ``P`` itself.  Each product costs the passes of
     the unscaled one plus length-n multiplies.  ``top`` bounds the entries
     of a dense ``P`` for ``diag_prc``'s squared product; left None, it is
-    the plan's largest entry.
+    the plan's largest entry.  ``log_low``, when given, bounds the log of
+    every nonzero entry of ``P`` from below, so that the squared product
+    can skip its scaling (``_kernels.square_matvec``).
     """
 
-    def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None):
+    def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None, log_low=None):
         self.P = P
         self._top = top
+        self._log_low = log_low
         self.rP = np.asarray(rP, dtype=np.float64)
         self.cP = np.asarray(cP, dtype=np.float64)
         if np.any(self.rP <= 0.0) or np.any(self.cP <= 0.0):
@@ -107,7 +110,8 @@ class DiscountedSystem:
         P0, a, b = state.anchored_plan()
         # Every anchor is taken at maxima, so its entries are at most 1
         # (up to rounding for a row anchor: all below 2, as the bound needs).
-        return cls(P0, state.row_sums(), state.col_sums(), a, b, top=1.0)
+        return cls(P0, state.row_sums(), state.col_sums(), a, b, top=1.0,
+                   log_low=state.anchor_log_low)
 
     def transposed(self, d):
         """P0^T (e^a d), the unscaled half of ``round_trip`` and ``apply_pc``; one pass."""
@@ -138,7 +142,8 @@ class DiscountedSystem:
         """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1]."""
         if self._mu is None:
             # square_matvec runs first, so no n-vector temporary sits beside its tile.
-            self._mu = square_matvec(self.P, self._w, self._top) * self._e_a ** 2 / self.rP
+            self._mu = (square_matvec(self.P, self._w, self._top, self._log_low)
+                        * self._e_a ** 2 / self.rP)
         return self._mu
 
 

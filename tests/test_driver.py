@@ -353,9 +353,9 @@ class TestMdot:
         calls = []
         real = dual.materialize_plan
 
-        def materialize(*args, out=None):
+        def materialize(*args, out=None, **kwargs):
             calls.append(out is not None)
-            return real(*args, out=out)
+            return real(*args, out=out, **kwargs)
 
         monkeypatch.setattr(dual, "materialize_plan", materialize)
         sol = mdot(grid_problem(16, seed=4), 2.0 ** 4, 2.0 ** 12,
@@ -501,6 +501,52 @@ class TestCertificate:
         gap = sol.report.certified_gap
         assert gap == sol.primal_cost - sol.lower_bound
         assert -1e-12 <= gap <= sol.error_bound, (gap, sol.error_bound)
+
+
+    def test_late_temperatures_anchor_sparse(self, monkeypatch):
+        # At the floor derived from the targets, the anchors at 2^12.5 and
+        # 2^13.5 keep about 8% and 4% of their entries and are CSR (at
+        # EXP_FLOOR they kept 30% and 17% and were dense); the gap stays
+        # certified.
+        anchors = []
+        real = dual.materialize_plan
+
+        def materialize(C, gamma, u, v=None, out=None, max_nnz=None, **kwargs):
+            result = real(C, gamma, u, v, out=out, max_nnz=max_nnz, **kwargs)
+            anchors.append((math.log2(gamma), isinstance(result[0], SparsePlan)))
+            return result
+
+        monkeypatch.setattr(dual, "materialize_plan", materialize)
+        prob = Problem(C=grid_points_cost(1024, "l2sq"), r=gen_marginal(1024, "smooth-random", 2),
+                       c=gen_marginal(1024, "smooth-random", 3))
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 18)
+        for log_gamma in (12.5, 13.5):
+            at = [sparse for g, sparse in anchors if g == pytest.approx(log_gamma)]
+            assert at and all(at), (log_gamma, anchors)
+        assert -1e-12 <= sol.report.certified_gap <= sol.error_bound
+
+
+@pytest.mark.parametrize("projector", ["newton", "sinkhorn"])
+def test_each_anchor_reads_its_temperatures_targets(projector, monkeypatch):
+    # The floor of a sparse anchor comes from the state's targets, so each
+    # projector installs the smoothed marginals of its temperature before
+    # its first anchor.  n = 289 spans two tiles, so the floor is derived.
+    seen = []
+    real = dual.DualState._anchor_plan
+
+    def anchor(state, u, v=None):
+        seen.append((state.gamma, state.r, state.c))
+        return real(state, u, v)
+
+    monkeypatch.setattr(dual.DualState, "_anchor_plan", anchor)
+    prob = Problem(C=grid_points_cost(289, "l2sq"), r=gen_marginal(289, "smooth-random", 4),
+                   c=gen_marginal(289, "smooth-random", 5))
+    sol = mdot(prob, 2.0 ** 5, 2.0 ** 10, opts=MdotOptions(projector=projector))
+    assert {gamma for gamma, _, _ in seen} == {it.gamma for it in sol.iterations}
+    for gamma, r, c in seen:
+        r_s, c_s = smooth_marginals(prob.r, prob.c, eps_rule(gamma, 1.5, prob.r, prob.c))
+        np.testing.assert_array_equal(r, r_s)
+        np.testing.assert_array_equal(c, c_s)
 
 
 def batch_instance(i, n=64):

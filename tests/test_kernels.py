@@ -121,7 +121,7 @@ class TestColumnAnchor:
     def test_equals_the_two_pass_build(self, n, deep):
         C, gamma, u = col_anchor_case(n, deep)
         v0 = -log_plan_max(C, gamma, u, 0)
-        ref, _, ref_nnz = materialize_plan(C, gamma, u, v0)
+        ref, _, ref_nnz, _ = materialize_plan(C, gamma, u, v0)
         low = log_plan(C, gamma, u, v0) < EXP_FLOOR
         assert low.any() == deep
         rows = tile_rows(n)
@@ -129,7 +129,7 @@ class TestColumnAnchor:
             assert not low[(n - 1) // rows * rows:].any()  # a last tile with nothing to flush
         with opcount.category("t"):
             before = opcount.snapshot().get("t", 0)
-            P, v, nnz = materialize_plan(C, gamma, u, out=np.empty((n, n)))
+            P, v, nnz, _ = materialize_plan(C, gamma, u, out=np.empty((n, n)))
             assert opcount.snapshot()["t"] - before == 5  # maxima 1, plan 4
         assert P.tobytes() == ref.tobytes()
         assert v.tobytes() == v0.tobytes()
@@ -414,6 +414,32 @@ class TestScaledSquare:
         np.testing.assert_allclose(mu, ref.astype(float), rtol=1e-13, atol=0)
 
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_scaling_skipped_only_where_it_changes_no_bit(self, sparse):
+        # Entries in [2^-300, 1] and positive weights: given the entries' log
+        # bound, the squares and terms are normal unscaled, the scaling is
+        # skipped (k = 0) and the product is the scaled one, bit for bit.  A
+        # bound near EXP_FLOOR, or a weight that is not positive, scales.
+        rng = np.random.default_rng(26)
+        n = BLOCK + 17
+        log_low = -300.0 * math.log(2.0)
+        P = np.exp(log_low * rng.random((n, n)))
+        P[0, :2] = 1.0, math.exp(log_low)
+        if sparse:
+            P *= (rng.random((n, n)) < 0.1) | np.eye(n, dtype=bool)
+        plan = sparse_of(P) if sparse else P
+        w = 10.0 ** rng.uniform(-100.0, 100.0, n)
+        assert _kernels._square_exp(1.0, w, log_low) == 0
+        assert _kernels._square_exp(1.0, w) > 0
+        got = square_matvec(plan, w, 1.0, log_low)
+        assert got.tobytes() == square_matvec(plan, w, 1.0).tobytes()
+        assert _kernels._square_exp(1.0, w, EXP_FLOOR) > 0
+        for bad in (0.0, -1.0):
+            w_bad = w.copy()
+            w_bad[5] = bad
+            assert _kernels._square_exp(1.0, w_bad, log_low) > 0
+
+
 def assert_sums_no_less_accurate_than_lse(state, size, passes=2):
     """``TestAnchoredPlanSums``' criterion, at offsets of ``size`` from the
     anchor, whose refresh takes ``passes`` (by default one matvec per side)."""
@@ -629,8 +655,8 @@ class TestSparseAnchor:
 
     def test_entries_bitwise_equal_to_dense(self):
         K, u, v = deep_log_kernel()
-        P, _, nnz = materialize_plan(-K, 1.0, u, v)
-        S, _, sparse_nnz = materialize_plan(-K, 1.0, u, v, max_nnz=P.size)
+        P, _, nnz, _ = materialize_plan(-K, 1.0, u, v)
+        S, _, sparse_nnz, _ = materialize_plan(-K, 1.0, u, v, max_nnz=P.size)
         assert nnz == sparse_nnz == len(S.rows[4]) == np.count_nonzero(P) < P.size
         assert csr_dense(S.rows).tobytes() == P.tobytes()
         assert csr_dense(S.cols).tobytes() == np.ascontiguousarray(P.T).tobytes()
@@ -703,17 +729,19 @@ class TestSparseAnchor:
         assert state.plan_density == density
 
     def test_dense_after_a_dense_anchor(self, monkeypatch):
-        # At 2^12 about 31% of the entries are kept, above the quarter.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch, "")
+        # At 2^9 about 48% of the entries are at or above the floor, above
+        # the quarter.
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 9, monkeypatch, "")
         assert state.plan_density > 0.25
         state.set_gamma(state.gamma)
         assert isinstance(state.anchored_plan()[0], np.ndarray)
 
     def test_falls_back_to_dense_past_an_eighth(self, monkeypatch):
-        # A gauge-free shift of 2 x 200 raises every entry by e^400: the
-        # sparse build passes n^2 / 8 nonzeros and the plan is made dense,
-        # bitwise equal to a fresh materialization.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch, "")
+        # At 2^12 about 7% of the entries are at or above the floor.  A
+        # gauge-free shift of 2 x 200 raises every entry by e^400: the
+        # sparse build passes n^2 / 8 and the plan is made dense, bitwise
+        # equal to a fresh materialization.
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch, "")
         state.set_potentials(state.u + 200.0, state.v + 200.0)
         state.set_gamma(state.gamma)
         with opcount.category("anchor"):
@@ -733,3 +761,113 @@ class TestSparseAnchor:
         P = state.release_plan()
         assert P.tobytes() == plan_at(state).tobytes()
         assert state._plan is None
+
+
+def targets_with_min(n, t_min):
+    """Row targets whose smallest entry is ``t_min``, and uniform columns."""
+    r = np.full(n, (1.0 - t_min) / (n - 1))
+    r[3] = t_min
+    return r, np.full(n, 1.0 / n)
+
+
+class TestFlushFloor:
+    """A sparse anchor drops the entries whose log is below a floor derived
+    from the targets (``dual.flush_floor``); a dense one flushes only below
+    ``EXP_FLOOR`` and counts the entries at or above the floor.
+
+    The deep log kernel spans both tiles of n = ``BLOCK + 17`` from about 0
+    to -inf."""
+
+    FLOORS = [EXP_FLOOR, -150.0, -20.0]
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    def test_dense_plan_ignores_the_floor(self, floor):
+        K, u, v = deep_log_kernel()
+        ref, _, _, ref_low = materialize_plan(-K, 1.0, u, v)
+        P, _, _, low = materialize_plan(-K, 1.0, u, v, floor=floor)
+        assert P.tobytes() == ref.tobytes()
+        assert low == ref_low == max(log_plan(-K, 1.0, u, v).min(), EXP_FLOOR)
+        C, gamma, u = col_anchor_case(BLOCK + 17, True)
+        ref, v0 = materialize_plan(C, gamma, u)[:2]
+        P, v = materialize_plan(C, gamma, u, out=np.empty_like(C), floor=floor)[:2]
+        assert P.tobytes() == ref.tobytes()
+        assert v.tobytes() == v0.tobytes()
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    def test_nnz_counts_log_entries_at_or_above_the_floor(self, floor):
+        K, u, v = deep_log_kernel()
+        count = np.count_nonzero(log_plan(-K, 1.0, u, v) >= floor)
+        assert materialize_plan(-K, 1.0, u, v, floor=floor)[2] == count
+        assert materialize_plan(-K, 1.0, u, v, max_nnz=K.size, floor=floor)[2] == count
+        # At the column maxima, the first tile reaches -2008 and the second
+        # (rows of small cost) only -31: at floors of -150 and below the
+        # second counts whole, with no compare.
+        C, gamma, u = col_anchor_case(BLOCK + 17, True)
+        P, v, nnz, _ = materialize_plan(C, gamma, u, out=np.empty_like(C), floor=floor)
+        count = np.count_nonzero(log_plan(C, gamma, u, v) >= floor)
+        assert nnz == materialize_plan(C, gamma, u, max_nnz=C.size, floor=floor)[2] == count
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    def test_sparse_entries_are_the_dense_entries_at_or_above_the_floor(self, floor):
+        K, u, v = deep_log_kernel()
+        L = log_plan(-K, 1.0, u, v)
+        P = materialize_plan(-K, 1.0, u, v)[0]
+        S, _, nnz, low = materialize_plan(-K, 1.0, u, v, max_nnz=L.size, floor=floor)
+        kept = np.where(L >= floor, P, 0.0)
+        assert nnz == len(S.rows[4]) == np.count_nonzero(kept)
+        assert csr_dense(S.rows).tobytes() == kept.tobytes()
+        assert csr_dense(S.cols).tobytes() == np.ascontiguousarray(kept.T).tobytes()
+        assert low == max(L.min(), floor)
+
+    def test_floor_formula(self):
+        n = BLOCK + 1
+        r, c = targets_with_min(n, 1e-6)
+        F = math.log(1e-6) - 54.0 * math.log(2.0) - math.log(n) - PLAN_OFFSET_MAX
+        assert dual.flush_floor(n, r, c) == F
+        assert dual.flush_floor(n, c, r) == F  # the smallest of both
+        # n * e^(F + PLAN_OFFSET_MAX) is within half an ulp of the target.
+        assert n * math.exp(F + PLAN_OFFSET_MAX) <= np.spacing(1e-6) / 2
+        # The l2sq grid at n = 1024, whose smallest target late in a solve
+        # is about 9e-9.
+        late = dual.flush_floor(1024, *targets_with_min(1024, 9e-9))
+        assert late == pytest.approx(-163.0, abs=0.5)
+        assert dual.flush_floor(BLOCK, *targets_with_min(BLOCK, 1e-6)) == EXP_FLOOR
+        assert dual.flush_floor(n, *targets_with_min(n, 1e-250)) == EXP_FLOOR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dual.flush_floor(n, *targets_with_min(n, 0.0)) == EXP_FLOOR
+
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
+    @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    def test_sums_lose_at_most_half_an_ulp_of_the_smallest_target(self, cost, gamma, kind, size,
+                                                                  monkeypatch):
+        # The same sparse anchor built at the derived floor and at EXP_FLOOR:
+        # at offsets within the guard, each log row and column sum of the
+        # first is off its long-double value, in the linear domain, by at
+        # most the second's error plus half an ulp of the smallest target.
+        # The mass the floor drops from each sum is within that half ulp.
+        state = anchored_state(cost, kind, gamma, monkeypatch, "", sparse=True)
+        floor = dual.flush_floor(state.n, state.r, state.c)
+        assert floor > EXP_FLOOR + 500.0
+        monkeypatch.setattr(dual, "flush_floor", lambda n, r, c: EXP_FLOOR)
+        base = anchored_state(cost, kind, gamma, monkeypatch, "", sparse=True)
+        assert base.plan_density > state.plan_density
+        u0, v0 = state.u, state.v
+        a, b = offsets(state.n, size)
+        for s in (state, base):
+            s.set_potentials(u0 + a, v0 + b)
+            s.refresh()
+        ld = np.longdouble
+        half_ulp = np.spacing(min(state.r.min(), state.c.min())) / 2
+        ref_rows, ref_cols = long_double_sums(state.problem.C, gamma, state.u, state.v)
+        for got, got_base, ref in ((state.log_rP, base.log_rP, ref_rows),
+                                   (state.log_cP, base.log_cP, ref_cols)):
+            err = np.abs(np.exp(got.astype(ld)) - np.exp(ref))
+            base_err = np.abs(np.exp(got_base.astype(ld)) - np.exp(ref))
+            assert np.all(err <= base_err + half_ulp)
+        L = log_plan(state.problem.C, gamma, u0, v0)
+        dropped = np.where(L < floor, np.exp(a.astype(ld)[:, None] + L + b.astype(ld)[None, :]),
+                           0.0)
+        assert dropped.sum(axis=1).max() <= half_ulp
+        assert dropped.sum(axis=0).max() <= half_ulp

@@ -308,11 +308,11 @@ def spy_materializations(monkeypatch, maxima=None):
     calls = []
     real = dual.materialize_plan
 
-    def materialize(C, gamma, u, v=None, out=None):
+    def materialize(C, gamma, u, v=None, out=None, **kwargs):
         calls.append(out is not None)
         if v is None and maxima is not None:
             maxima.append(0)
-        return real(C, gamma, u, v, out=out)
+        return real(C, gamma, u, v, out=out, **kwargs)
 
     monkeypatch.setattr(dual, "materialize_plan", materialize)
     return calls
