@@ -36,9 +36,10 @@ In that rounding order each column's largest entry is exactly 1.
 used by the Newton system (which applies a diagonally rescaled plan as the
 product with the plan between two length-n scalings) and by
 ``log_plan_matvec``, which serves row or column log sums of a diagonally
-rescaled plan from one product.  With ``OTN_DETERMINISTIC=1`` (see
-``fixed_order``) it is a fixed-order summation, bit-identical whatever the
-BLAS threading; ``plan_cost``, the final plan's cost, always is one.
+rescaled plan from one product.  A dense product is BLAS ``gemv``, whose
+reduction order per output entry does not depend on the thread count;
+``plan_cost``, the final plan's cost, is numpy's fixed-order summation
+(its BLAS form, a dot over n^2 entries, would vary with the threads).
 ``log_plan_max`` finds the row or column maxima of the log plan, where a
 plan is anchored so that no entry of the summed lines exceeds 1.
 
@@ -55,15 +56,14 @@ of every sum the plan serves.  A dense build still flushes only below
 choice between the two reads one count.  ``plan_matvec``,
 ``log_plan_matvec`` and ``square_matvec`` serve it in place of the dense
 plan; its products are sequential sums in scipy's compiled CSR loop, in a
-fixed order whatever ``OTN_DETERMINISTIC`` says, with the input scaled by
-a power of two so that no term is subnormal (``_csr_matvec``).  scipy is
-imported only when a sparse plan is first built.
+fixed order, with the input scaled by a power of two so that no term is
+subnormal (``_csr_matvec``).  scipy is imported only when a sparse plan is
+first built.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -361,39 +361,13 @@ def square_matvec(P, w, top=None, log_low=None):
     return np.ldexp(out, -2 * k, out=out) if k else out
 
 
-def fixed_order():
-    """Whether ``OTN_DETERMINISTIC=1`` asks for fixed-order products; callers
-    read it once, when they take hold of a plan."""
-    return os.environ.get("OTN_DETERMINISTIC", "") == "1"
-
-
-def plan_matvec(P, x, fixed, transpose=False):
+def plan_matvec(P, x, transpose=False):
     """P @ x, or P.T @ x with ``transpose``; one pass (over the nonzeros of a
-    ``SparsePlan``, which ignores ``fixed``: its order is always fixed).
-
-    With ``fixed`` the product is numpy's summation of the elementwise
-    products (pairwise along each row, in row order down the columns), whose
-    order does not depend on BLAS threading.  It runs over row tiles in one
-    reusable tile; down the columns, the running total is added into each
-    tile's first row before the tile is reduced, so the order, and so every
-    bit, is that of the untiled sum.
-    """
+    ``SparsePlan``)."""
     opcount.add(1)
     if isinstance(P, SparsePlan):
         return _csr_matvec(P.cols if transpose else P.rows, P.top, x)
-    if not fixed:
-        return P.T @ x if transpose else P @ x
-    out = None if transpose else np.empty(P.shape[0])
-    for lo, hi, b in row_tiles(*P.shape):
-        if transpose:
-            np.multiply(P[lo:hi], x[lo:hi, None], out=b)
-            if out is not None:
-                b[0] += out
-            out = b.sum(axis=0)
-        else:
-            np.multiply(P[lo:hi], x[None, :], out=b)
-            out[lo:hi] = b.sum(axis=1)
-    return out
+    return P.T @ x if transpose else P @ x
 
 
 def plan_cost(P, C):
@@ -408,7 +382,7 @@ def plan_cost(P, C):
     return float(out.sum())
 
 
-def log_plan_matvec(P, x, fixed, transpose=False):
+def log_plan_matvec(P, x, transpose=False):
     """log(P e^x) (log(P.T e^x) with ``transpose``) for a linear-domain plan.
 
     Computed as ``max x + log(P e^(x - max x))``, so no weight exceeds 1 and
@@ -417,4 +391,4 @@ def log_plan_matvec(P, x, fixed, transpose=False):
     """
     m = x.max()
     with np.errstate(divide="ignore"):
-        return m + np.log(plan_matvec(P, np.exp(x - m), fixed, transpose))
+        return m + np.log(plan_matvec(P, np.exp(x - m), transpose))

@@ -7,8 +7,7 @@ HiGHS LP for n <= ``EXACT_MAX_N`` (``gap_basis=exact``); above that it is
 the solve's own ``certified_gap`` (``gap_basis=certificate``), the rounded
 cost minus a weak-duality lower bound.  Exit codes: 0 success, 2 usage
 (argparse), 3 input, config or output error (one ``error:`` line on stderr),
-4 solver error (a diagnostic JSON object on stdout).  ``OTN_DETERMINISTIC=1``
-forces fixed-order reductions so repeated runs are bit-identical.
+4 solver error (a diagnostic JSON object on stdout).
 """
 
 from __future__ import annotations
@@ -94,6 +93,10 @@ class BenchSetting:
                     opts=opts)
 
 
+# The fields that ``solve`` and ``bench`` take as flags: all but the name.
+SETTING_FIELDS = fields(BenchSetting)[1:]
+
+
 @dataclass
 class BenchConfig:
     """Benchmark axes: problems x settings, repeated over seeds."""
@@ -117,6 +120,15 @@ class BenchConfig:
         except TypeError as exc:
             raise ParseError(f"bad bench config: {exc}") from exc
         return cfg
+
+    def check_sweep(self):
+        """A ``ParseError`` unless the sweep has a seed, a repeat and a job."""
+        if not self.seeds:
+            raise ParseError("bad bench config: seeds must not be empty")
+        for name in ("repeats", "jobs"):
+            if getattr(self, name) < 1:
+                raise ParseError(f"bad bench config: {name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
 
 def _gen_problem(side, seed, kind="grid", metric="l1", marginal="smooth-random"):
@@ -144,10 +156,7 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     problem = load_problem(args.problem)
-    setting = BenchSetting("solve", solver=args.solver, gamma_i=args.gamma_init,
-                           gamma_f=args.gamma_final, p=args.p, q_init=args.q_init,
-                           adaptive_q=args.adaptive_q, adaptive_rho0=args.adaptive_rho0,
-                           w_r=args.w_r)
+    setting = BenchSetting("solve", **{f.name: getattr(args, f.name) for f in SETTING_FIELDS})
     for path in filter(None, (args.report, args.trace)):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
@@ -221,7 +230,7 @@ def cmd_bench(args):
     cfg = BenchConfig.from_dict(json.loads(Path(args.config).read_text()))
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    if args.jobs:
+    if args.jobs is not None:
         cfg.jobs = args.jobs
     if args.seeds is not None:
         try:
@@ -230,9 +239,10 @@ def cmd_bench(args):
             raise ParseError(f"bad --seeds {args.seeds!r}: {exc}") from exc
     if args.repeats is not None:
         cfg.repeats = args.repeats
+    cfg.check_sweep()
     # solver-setting flags apply across every setting of the sweep
-    for f in fields(BenchSetting):
-        value = getattr(args, f.name, None)
+    for f in SETTING_FIELDS:
+        value = getattr(args, f.name)
         if value is not None:
             for setting in cfg.settings:
                 setattr(setting, f.name, value)
@@ -286,6 +296,18 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+def _add_setting_flags(parser, default):
+    """One flag per ``SETTING_FIELDS`` entry, its dest the field's name and its
+    default the ``default`` setting's value, or None (an unset flag) without one."""
+    spelled = {"gamma_i": "--gamma-init", "gamma_f": "--gamma-final"}
+    kinds = {"str": {"choices": PROJECTORS}, "float": {"type": float},
+             "bool": {"action": argparse.BooleanOptionalAction}}
+    for f in SETTING_FIELDS:
+        flag = spelled.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, **kinds[f.type],
+                            default=None if default is None else getattr(default, f.name))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="otnewton",
                                      description="Entropic OT solver and benchmark harness")
@@ -301,18 +323,9 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
-    d = BenchSetting("default")
     s = sub.add_parser("solve", help="solve one problem file")
     s.add_argument("--problem", required=True)
-    s.add_argument("--solver", default=d.solver, choices=PROJECTORS)
-    s.add_argument("--gamma-init", type=float, default=d.gamma_i)
-    s.add_argument("--gamma-final", type=float, default=d.gamma_f)
-    s.add_argument("--p", type=float, default=d.p)
-    s.add_argument("--q-init", type=float, default=d.q_init)
-    s.add_argument("--adaptive-q", action=argparse.BooleanOptionalAction, default=d.adaptive_q)
-    s.add_argument("--adaptive-rho0", action=argparse.BooleanOptionalAction,
-                   default=d.adaptive_rho0)
-    s.add_argument("--w-r", type=float, default=d.w_r)
+    _add_setting_flags(s, BenchSetting("default"))
     s.add_argument("--report", default=None, help="write the JSON report here")
     s.add_argument("--trace", default=None, help="write the CSV trace here")
     s.set_defaults(func=cmd_solve)
@@ -323,13 +336,7 @@ def build_parser():
     b.add_argument("--jobs", type=int, default=None)
     b.add_argument("--seeds", default=None, help="comma-separated, overrides config")
     b.add_argument("--repeats", type=int, default=None)
-    b.add_argument("--solver", default=None, choices=PROJECTORS)
-    b.add_argument("--gamma-init", dest="gamma_i", type=float, default=None)
-    b.add_argument("--gamma-final", dest="gamma_f", type=float, default=None)
-    b.add_argument("--p", type=float, default=None)
-    b.add_argument("--q-init", dest="q_init", type=float, default=None)
-    b.add_argument("--adaptive-q", action=argparse.BooleanOptionalAction, default=None)
-    b.add_argument("--w-r", dest="w_r", type=float, default=None)
+    _add_setting_flags(b, None)
     b.set_defaults(func=cmd_bench)
     return parser
 

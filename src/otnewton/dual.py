@@ -77,8 +77,8 @@ import math
 
 import numpy as np
 
-from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, fixed_order, log_plan_matvec,
-                       log_plan_max, materialize_plan, scale_plan)
+from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, log_plan_matvec, log_plan_max,
+                       materialize_plan, scale_plan)
 from .errors import DomainError
 
 # Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
@@ -159,7 +159,6 @@ class DualState:
         self._anchor_nnz = None  # entries of the last anchored plan at or above its floor
         self._anchor_low = None  # log of a bound below its nonzero entries
         self._col_product = None  # (a, log(P0^T e^a)) last taken from the anchor
-        self._fixed_order = False
         self.problem = problem
         n = problem.n
         self.set_potentials(np.zeros(n) if u is None else u,
@@ -246,7 +245,6 @@ class DualState:
                                                  floor=floor)
         self._plan, self._anchor_nnz, self._anchor_low = plan, nnz, low
         self._anchor = (u, v)
-        self._fixed_order = fixed_order()
 
     @property
     def plan_density(self):
@@ -327,7 +325,7 @@ class DualState:
 
     def _log_row_sums(self, u, v):
         u0, v0 = self._serving_anchor(u, v, 1)
-        return (u - u0) + log_plan_matvec(self._plan, v - v0, self._fixed_order)
+        return (u - u0) + log_plan_matvec(self._plan, v - v0)
 
     def _log_col_sums(self, u, v):
         u0, v0 = self._serving_anchor(u, v, 0)
@@ -336,7 +334,7 @@ class DualState:
     def _log_col_product(self, a):
         """log(P0^T e^a), one transposed product with the anchored plan, kept
         with ``a`` for ``base_log_col_sums``; neither array is written to."""
-        log_cols = log_plan_matvec(self._plan, a, self._fixed_order, transpose=True)
+        log_cols = log_plan_matvec(self._plan, a, transpose=True)
         self._col_product = (a, log_cols)
         return log_cols
 

@@ -16,9 +16,7 @@ projection materializes one plan per temperature (the state's anchored plan,
 see ``dual``), not one per Newton step.  ``P0`` is dense or, at late
 temperatures where most of its entries are exact zeros, a
 ``_kernels.SparsePlan``; the kernels serve both, so the system is the same
-code either way.  ``OTN_DETERMINISTIC=1``, read when a system is built,
-makes its dense products fixed-order summations, bit-identical regardless
-of BLAS threading (sparse products always are).
+code either way.
 
 When annealing reaches ``RHO_CAP`` without meeting the forcing test,
 ``newton_solve`` accepts the direction under the relaxed forcing term
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fixed_order, plan_matvec, square_matvec
+from ._kernels import plan_matvec, square_matvec
 from .errors import ConditioningError, NonconvergenceError, StagnationError
 
 # Annealing stops once 1 - rho falls below this: with the relaxed exit, or
@@ -93,7 +91,6 @@ class DiscountedSystem:
         self._pc_scale = e_b / self.cP
         self._w = e_b * self._pc_scale
         self._mu = None
-        self._fixed_order = fixed_order()
 
     @classmethod
     def from_state(cls, state):
@@ -115,14 +112,14 @@ class DiscountedSystem:
 
     def transposed(self, d):
         """P0^T (e^a d), the unscaled half of ``round_trip`` and ``apply_pc``; one pass."""
-        return plan_matvec(self.P, self._e_a * d, self._fixed_order, transpose=True)
+        return plan_matvec(self.P, self._e_a * d, transpose=True)
 
     def round_trip(self, d, pt=None):
         """Q = P (P^T d / cP), the off-diagonal part of F(1) d; two passes,
         or one when the caller passes ``pt = transposed(d)``."""
         if pt is None:
             pt = self.transposed(d)
-        return self._e_a * plan_matvec(self.P, self._w * pt, self._fixed_order)
+        return self._e_a * plan_matvec(self.P, self._w * pt)
 
     def apply_pc(self, d, pt=None):
         """P_c @ d = D(cP)^-1 P^T d, so d_v = -apply_pc(d_u); one pass, or

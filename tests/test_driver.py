@@ -566,35 +566,30 @@ class TestBatchInstances:
     """Batch instances that used to fail, solved from 2^5 to 2^18."""
 
     @pytest.mark.parametrize("i", [62, 186, 230])
-    def test_former_line_search_failures_solve(self, i, monkeypatch):
-        # With fixed-order sums these raised LineSearchError: the mass excess
-        # was measured against 1 rather than against the mass at alpha = 0
-        # from the same evaluation path, and its noise exceeded the slope.
-        monkeypatch.setenv("OTN_DETERMINISTIC", "1")
+    def test_former_line_search_failures_solve(self, i):
+        # These once raised LineSearchError: the mass excess was measured
+        # against 1 rather than against the mass at alpha = 0 from the same
+        # evaluation path, and its noise exceeded the slope.
         prob = batch_instance(i)
         sol = mdot(prob, 2.0 ** 5, 2.0 ** 18)
         gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
         assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("i", [59, 131, 282])
-    def test_former_stagnation_failures_solve(self, i, deterministic, monkeypatch):
+    def test_former_stagnation_failures_solve(self, i):
         # At the discount cap each takes one direction that meets only the
         # relaxed forcing test, and the rounded plan stays within its bound.
-        monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
         prob = batch_instance(i)
         sol = mdot(prob, 2.0 ** 5, 2.0 ** 18)
         gap = sol.primal_cost - exact_ot_small(prob.C, prob.r, prob.c).cost
         assert 0.0 <= gap <= sol.error_bound, (gap, sol.error_bound)
         assert sum(s.relaxed for it in sol.iterations for s in it.stats.steps) == 1
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("i", [35, 111, 252, 281])
-    def test_uncovered_line_search_solves(self, i, deterministic, monkeypatch):
+    def test_uncovered_line_search_solves(self, i, monkeypatch):
         # Random costs (35, 281) and L1 grids (111, 252) whose Newton steps
         # leave the anchor: some trial re-anchors at its column maxima, and
         # the rounded plan stays within its bound.
-        monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
         reanchored = []
         trial = dual.DualState.trial_log_col_sums
 
@@ -636,22 +631,38 @@ def test_projection_errors_name_outer_iteration_and_gamma(error, monkeypatch):
 
 DETERMINISM_PROBE = """
 import hashlib, otnewton as ot
-prob = ot.Problem(C=ot.grid_points_cost(400, "l2sq"), r=ot.gen_marginal(400, "smooth-random", 2),
-                  c=ot.gen_marginal(400, "smooth-random", 3))
-sol = ot.mdot(prob, 2.0 ** 5, 2.0 ** 9)
-print(sol.primal_cost.hex(), sol.report.dual_value_final.hex(),
-      hashlib.sha256(sol.P.tobytes()).hexdigest())
+from otnewton import dual
+from otnewton._kernels import SparsePlan
+build, sparse = dual.materialize_plan, []
+
+def spy(*args, **kwargs):
+    out = build(*args, **kwargs)
+    sparse.append(isinstance(out[0], SparsePlan))
+    return out
+
+dual.materialize_plan = spy
+for n, log_gamma_f in ((400, 9), (289, 14)):
+    sparse.clear()
+    prob = ot.Problem(C=ot.grid_points_cost(n, "l2sq"), r=ot.gen_marginal(n, "smooth-random", 2),
+                      c=ot.gen_marginal(n, "smooth-random", 3))
+    sol = ot.mdot(prob, 2.0 ** 5, 2.0 ** log_gamma_f)
+    print(n, sum(sparse), sol.primal_cost.hex(), sol.report.dual_value_final.hex(),
+          hashlib.sha256(sol.P.tobytes()).hexdigest())
+assert any(sparse), "the n = 289 solve anchors sparse from 2^12.5"
 """
 
 
 def test_deterministic_solve_ignores_blas_threads():
-    # With OTN_DETERMINISTIC=1 the plan, the dual value and the final cost
-    # are bit-identical at one and two BLAS threads.  A threaded dot product
-    # for the cost gave 0x1.d97e71e4cddc5p-4 against 0x1.d97e71e4cddcfp-4.
+    # The plan, the dual value and the final cost are bit-identical at one
+    # and two BLAS threads, with dense and sparse anchors: BLAS gemv and
+    # scipy's CSR loop each sum an output entry in one order, and so do the
+    # dots at n < 10 000.  The cost is a fixed-order sum: a threaded dot
+    # product over the n^2 entries gave 0x1.d97e71e4cddc5p-4 against
+    # 0x1.d97e71e4cddcfp-4.
     src = str(Path(otnewton.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OTN_DETERMINISTIC="1", OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outs.append(subprocess.run([sys.executable, "-c", DETERMINISM_PROBE], env=env,
                                    check=True, capture_output=True, text=True).stdout)

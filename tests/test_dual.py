@@ -361,8 +361,7 @@ def spy_products(monkeypatch):
 def fresh_base(state):
     """The line-search base sums from a new transposed product."""
     u0, v0 = state._anchor
-    return (state.v - v0) + log_plan_matvec(state._plan, state.u - u0, state._fixed_order,
-                                           transpose=True)
+    return (state.v - v0) + log_plan_matvec(state._plan, state.u - u0, transpose=True)
 
 
 class TestKeptColumnProduct:

@@ -236,7 +236,7 @@ class TestExpFloor:
         np.testing.assert_array_equal(rounded, np.diag(r))
 
 
-def anchored_state(cost, kind, gamma, monkeypatch, deterministic, sparse=False, n=BLOCK + 17):
+def anchored_state(cost, kind, gamma, monkeypatch, sparse=False, n=BLOCK + 17):
     """A state anchored at potentials of size O(gamma), as in a late solve.
 
     The potentials are the double c-transform of zero scaled by gamma, plus
@@ -252,7 +252,6 @@ def anchored_state(cost, kind, gamma, monkeypatch, deterministic, sparse=False, 
     f = C.min(axis=1)
     g = (C - f[:, None]).min(axis=0)
     r, c = gen_marginal(n, kind, 1), gen_marginal(n, kind, 2)
-    monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
     state = DualState(Problem(C=C, r=r, c=c), gamma,
                       u=gamma * (f + 0.5) + np.log(r), v=gamma * (g - 0.5) + np.log(c))
     if sparse:
@@ -287,61 +286,32 @@ class TestAnchoredPlanSums:
     The L1 cost at gamma = 2^14 flushes most plan entries below the floor.
     """
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
-    def test_no_less_accurate_than_lse(self, cost, gamma, kind, deterministic, size,
-                                       monkeypatch):
-        state = anchored_state(cost, kind, gamma, monkeypatch, deterministic)
+    def test_no_less_accurate_than_lse(self, cost, gamma, kind, size, monkeypatch):
+        state = anchored_state(cost, kind, gamma, monkeypatch)
         if cost == "l1-line":
             assert (state.anchored_plan()[0] == 0.0).mean() > 0.5
         assert_sums_no_less_accurate_than_lse(state, size)
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("cost,gamma,size,passes", [
         ("l1-line", 2.0 ** 14, 1.01 * PLAN_OFFSET_MAX, 12),
         ("nonsymmetric", 2.0 ** 8, 1.01 * PLAN_OFFSET_MAX, 7),
         ("l1-line", 2.0 ** 14, 10.0 * PLAN_OFFSET_MAX, 12),
         ("nonsymmetric", 2.0 ** 8, 10.0 * PLAN_OFFSET_MAX, 12)])
     def test_beyond_guard_reanchors_at_the_maxima(self, cost, gamma, size, passes,
-                                                  deterministic, monkeypatch):
+                                                  monkeypatch):
         # The row sums anchor at the row maxima (maxima 1, plan 4, product
         # 1).  The column sums come from that anchor when it covers the
         # state (one product), else from one at the column maxima (6 more).
         # At 10 times the guard the log plan's entries reach far beyond
         # exp's overflow.
-        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, deterministic)
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch)
         assert_sums_no_less_accurate_than_lse(state, size, passes)
 
-    def test_fixed_order_matvec_ignores_blas(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        P, x = rng.random((BLOCK + 17, BLOCK + 17)), rng.random(BLOCK + 17)
-        np.testing.assert_array_equal(plan_matvec(P, x, True), (P * x).sum(axis=1))
-        np.testing.assert_array_equal(plan_matvec(P, x, True, transpose=True),
-                                      (P * x[:, None]).sum(axis=0))
-        np.testing.assert_allclose(plan_matvec(P, x, False), P @ x, rtol=1e-13)
-
-    @pytest.mark.parametrize("n", [64, BLOCK + 17, 4 * BLOCK])
-    def test_fixed_order_matvec_is_row_blocked(self, n):
-        # Bit-equal to the untiled sums, and never holding more than one
-        # BLOCK * BLOCK tile: the rest is O(n) vectors plus numpy's fixed
-        # 8192-element ufunc buffer.
-        rng = np.random.default_rng(n)
-        P, x = rng.random((n, n)) ** 3, rng.standard_normal(n)
-        for transpose, ref in ((False, (P * x).sum(axis=1)),
-                               (True, (P * x[:, None]).sum(axis=0))):
-            tracemalloc.start()
-            try:
-                out = plan_matvec(P, x, True, transpose=transpose)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert out.tobytes() == ref.tobytes()
-            assert peak <= min(tile_rows(n), n) * n * 8 + 8 * 8192 + 8 * n * 8
-
     @pytest.mark.parametrize("n", [64, BLOCK + 17])
-    def test_fixed_order_cost_is_the_untiled_sum(self, n):
+    def test_cost_is_the_untiled_sum(self, n):
         rng = np.random.default_rng(n)
         P, C = rng.random((n, n)) ** 3, rng.random((n, n))
         assert plan_cost(P, C) == (P * C).sum(axis=1).sum()
@@ -360,11 +330,9 @@ class TestScaledNewtonSystem:
     and column sums, so only the plan differs.
     """
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
-    def test_no_less_accurate_than_materialized(self, deterministic, size, monkeypatch):
-        state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 8, monkeypatch,
-                               deterministic)
+    def test_no_less_accurate_than_materialized(self, size, monkeypatch):
+        state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 8, monkeypatch)
         assert_system_no_less_accurate_than_materialized(state, size)
 
 
@@ -480,10 +448,10 @@ def assert_system_no_less_accurate_than_materialized(state, size):
         assert np.median(err) <= np.median(base_err) + u
 
 
-def entry_state(cost, kind, gamma, monkeypatch, deterministic):
+def entry_state(cost, kind, gamma, monkeypatch):
     """An unanchored state at the potentials of ``anchored_state``, moved off
     balance by offsets of size 1, as a warm start reaches a projection."""
-    state = anchored_state(cost, kind, gamma, monkeypatch, deterministic)
+    state = anchored_state(cost, kind, gamma, monkeypatch)
     a, b = offsets(state.n, 1.0, seed=7)
     return DualState(state.problem, gamma, u=state.u + a, v=state.v + b)
 
@@ -495,11 +463,10 @@ class TestEntryRebalance:
     sums (the column sums are log c by construction), measured against long
     double at its own potentials.  Both carry the rounding of the new v."""
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
-    def test_no_less_accurate_than_lse(self, cost, gamma, kind, deterministic, monkeypatch):
-        state = entry_state(cost, kind, gamma, monkeypatch, deterministic)
+    def test_no_less_accurate_than_lse(self, cost, gamma, kind, monkeypatch):
+        state = entry_state(cost, kind, gamma, monkeypatch)
         u, C, log_c = state.u, state.problem.C, np.log(state.c)
         with opcount.category("entry"):
             before = opcount.snapshot().get("entry", 0)
@@ -557,15 +524,13 @@ class TestReleasedPlan:
     """The plan a state hands over at the end of a solve: its anchored plan,
     scaled in place to the current potentials."""
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
-    def test_no_less_accurate_than_materialized(self, cost, gamma, size, deterministic,
-                                                monkeypatch):
+    def test_no_less_accurate_than_materialized(self, cost, gamma, size, monkeypatch):
         # Per entry, relative to long double, over the entries above
         # e^(EXP_FLOOR + PLAN_OFFSET_MAX): below it, an entry the anchor
         # flushed to 0 may have been scaled up to a nonzero value.
-        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, deterministic)
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch)
         a, b = offsets(state.n, size)
         state.set_potentials(state.u + a, state.v + b)
         fresh = plan_at(state)
@@ -641,7 +606,7 @@ class TestSparseAnchor:
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
     def test_sums_no_less_accurate_than_lse(self, cost, gamma, kind, size, monkeypatch):
-        state = anchored_state(cost, kind, gamma, monkeypatch, "", sparse=True)
+        state = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
         assert state.plan_density <= 0.125
         assert_sums_no_less_accurate_than_lse(state, size)
 
@@ -649,7 +614,7 @@ class TestSparseAnchor:
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
     def test_newton_system_no_less_accurate_than_materialized(self, cost, gamma, size,
                                                               monkeypatch):
-        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, "", sparse=True)
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, sparse=True)
         assert state.plan_density <= 0.125
         assert_system_no_less_accurate_than_materialized(state, size)
 
@@ -664,14 +629,17 @@ class TestSparseAnchor:
 
     def test_product_equals_unscaled_without_subnormals(self):
         # No term or result is subnormal, so the power-of-two scaling changes
-        # no bit: the products equal scipy's own CSR product.
+        # no bit: the products equal scipy's own CSR product, as the dense
+        # plan's products are BLAS's.
         rng = np.random.default_rng(21)
         n = BLOCK + 17
         P = rng.uniform(0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.1)
         S, x = sparse_of(P), rng.standard_normal(n)
+        assert plan_matvec(P, x).tobytes() == (P @ x).tobytes()
+        assert plan_matvec(P, x, transpose=True).tobytes() == (P.T @ x).tobytes()
         A = csr_array(P)
-        assert plan_matvec(S, x, False).tobytes() == (A @ x).tobytes()
-        assert plan_matvec(S, x, False, transpose=True).tobytes() == (A.T @ x).tobytes()
+        assert plan_matvec(S, x).tobytes() == (A @ x).tobytes()
+        assert plan_matvec(S, x, transpose=True).tobytes() == (A.T @ x).tobytes()
         assert square_matvec(S, x).tobytes() == (A.multiply(A) @ x).tobytes()
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-300])
@@ -687,12 +655,12 @@ class TestSparseAnchor:
         S, x = sparse_of(P), scale * rng.uniform(1.0, 2.0, n)
         ld = np.longdouble
         P_ld, x_ld = P.astype(ld), x.astype(ld)
-        for got, ref in ((plan_matvec(S, x, False), P_ld @ x_ld),
-                         (plan_matvec(S, x, False, transpose=True), P_ld.T @ x_ld)):
+        for got, ref in ((plan_matvec(S, x), P_ld @ x_ld),
+                         (plan_matvec(S, x, transpose=True), P_ld.T @ x_ld)):
             err = np.abs(got - ref).astype(float)
             tiny = np.finfo(float).smallest_subnormal
             assert np.all(err <= np.maximum(tiny, 2.0 * np.finfo(float).eps * np.abs(got)))
-        assert plan_matvec(S, x, False)[0] == x[0]  # the entry 1 dominates
+        assert plan_matvec(S, x)[0] == x[0]  # the entry 1 dominates
 
     def test_entry_near_overflow_does_not_overflow(self):
         rng = np.random.default_rng(23)
@@ -702,7 +670,7 @@ class TestSparseAnchor:
         S = sparse_of(P)
         ld = np.longdouble
         for x in (rng.uniform(1.0, 2.0, n), 1e-9 * rng.uniform(1.0, 2.0, n)):
-            got = plan_matvec(S, x, False)
+            got = plan_matvec(S, x)
             assert np.all(np.isfinite(got))
             ref = P.astype(ld) @ x.astype(ld)
             assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
@@ -719,7 +687,7 @@ class TestSparseAnchor:
     def test_sparse_after_a_sparse_enough_anchor(self, n, monkeypatch):
         # The L1 line at 2^14 keeps about 8% of its entries: the first anchor
         # is dense, the next one CSR when the plan spans more than one tile.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch, "", n=n)
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch, n=n)
         density = state.plan_density
         assert 0.0 < density <= 0.125
         state.set_gamma(state.gamma)
@@ -731,7 +699,7 @@ class TestSparseAnchor:
     def test_dense_after_a_dense_anchor(self, monkeypatch):
         # At 2^9 about 48% of the entries are at or above the floor, above
         # the quarter.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 9, monkeypatch, "")
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 9, monkeypatch)
         assert state.plan_density > 0.25
         state.set_gamma(state.gamma)
         assert isinstance(state.anchored_plan()[0], np.ndarray)
@@ -741,7 +709,7 @@ class TestSparseAnchor:
         # gauge-free shift of 2 x 200 raises every entry by e^400: the
         # sparse build passes n^2 / 8 and the plan is made dense, bitwise
         # equal to a fresh materialization.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch, "")
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch)
         state.set_potentials(state.u + 200.0, state.v + 200.0)
         state.set_gamma(state.gamma)
         with opcount.category("anchor"):
@@ -754,7 +722,7 @@ class TestSparseAnchor:
         assert P.tobytes() == plan_at(state).tobytes()
 
     def test_release_materializes_the_final_plan(self, monkeypatch):
-        state = anchored_state("l1-line", "spiky-random", 2.0 ** 14, monkeypatch, "",
+        state = anchored_state("l1-line", "spiky-random", 2.0 ** 14, monkeypatch,
                                sparse=True)
         a, b = offsets(state.n, 1.0)
         state.set_potentials(state.u + a, state.v + b)
@@ -847,11 +815,11 @@ class TestFlushFloor:
         # first is off its long-double value, in the linear domain, by at
         # most the second's error plus half an ulp of the smallest target.
         # The mass the floor drops from each sum is within that half ulp.
-        state = anchored_state(cost, kind, gamma, monkeypatch, "", sparse=True)
+        state = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
         floor = dual.flush_floor(state.n, state.r, state.c)
         assert floor > EXP_FLOOR + 500.0
         monkeypatch.setattr(dual, "flush_floor", lambda n, r, c: EXP_FLOOR)
-        base = anchored_state(cost, kind, gamma, monkeypatch, "", sparse=True)
+        base = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
         assert base.plan_density > state.plan_density
         u0, v0 = state.u, state.v
         a, b = offsets(state.n, size)

@@ -179,9 +179,8 @@ def calls(monkeypatch):
     return counts
 
 
-def sinkhorn_pin_solve(monkeypatch):
+def sinkhorn_pin_solve():
     """The ``l1-grid-sinkhorn`` solve pinned in ``test_regression``."""
-    monkeypatch.setenv("OTN_DETERMINISTIC", "1")
     prob = Problem(C=grid_points_cost(64, "l1"), r=gen_marginal(64, "smooth-random", 0),
                    c=gen_marginal(64, "smooth-random", 1))
     return otnewton.mdot(prob, 2.0 ** 5, 2.0 ** 8,
@@ -191,10 +190,7 @@ def sinkhorn_pin_solve(monkeypatch):
 class TestAbsorbedSinkhorn:
     """Sinkhorn sweeps served from the anchored plan (stabilized absorption)."""
 
-    @pytest.mark.parametrize("deterministic", ["", "1"])
-    def test_covered_sweep_costs_two_passes_and_no_anchor(self, deterministic, calls,
-                                                         monkeypatch):
-        monkeypatch.setenv("OTN_DETERMINISTIC", deterministic)
+    def test_covered_sweep_costs_two_passes_and_no_anchor(self, calls):
         state = make_state(16, seed=7, gamma=16.0)
         _, warm = sinkhorn_project(state, state.r, state.c, 1e-3)
         assert warm > 0 and calls["anchor"] == 1
@@ -206,8 +202,8 @@ class TestAbsorbedSinkhorn:
         assert passes == 2 * steps  # one product per scaling, nothing else
         assert calls == {"anchor": 0}
 
-    def test_solve_anchors_once_per_temperature(self, calls, monkeypatch):
-        sol = sinkhorn_pin_solve(monkeypatch)
+    def test_solve_anchors_once_per_temperature(self, calls):
+        sol = sinkhorn_pin_solve()
         assert sol.report.outer_iterations == 4
         assert calls == {"anchor": 4}
         # per temperature: column maxima 1, plan 4, first sums 2; then 2 a sweep
@@ -226,8 +222,8 @@ class TestAbsorbedSinkhorn:
         np.testing.assert_allclose(sparse.u, dense.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sparse.v, dense.v, rtol=0, atol=1e-12)
 
-    def test_plan_density_is_reported_at_every_temperature(self, monkeypatch):
-        sol = sinkhorn_pin_solve(monkeypatch)
+    def test_plan_density_is_reported_at_every_temperature(self):
+        sol = sinkhorn_pin_solve()
         densities = [it.plan_density for it in sol.iterations]
         assert all(0.0 < d <= 1.0 for d in densities), densities
 
