@@ -1,22 +1,34 @@
 """Results pinned across commits.
 
-The values below are the same at one and two BLAS threads: at n = 64 every
-product and dot has a fixed reduction order.  A change that moves an op
-count or an iteration count is a change in results and must say so; the
-primal cost is pinned to 1e-14 relative, so a last-bit change in the
-rounding step does not fail the test.
+The values below are the same at one and two BLAS threads: at n = 64 and
+n = 289 every product and dot has a fixed reduction order.  The pins at
+n = 64 never anchor sparse; the n = 289 l2sq grid anchors in compressed
+sparse rows from 2^12.5 on, so its pin covers the sparse path.  A change
+that moves an op count or an iteration count is a change in results and
+must say so; the primal cost is pinned to 1e-14 relative, so a last-bit
+change in the rounding step does not fail the test.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import otnewton as ot
+from otnewton import dual
+from otnewton._kernels import SparsePlan
 
 
 def l1_grid():
     return ot.Problem(C=ot.grid_points_cost(64, "l1"),
                       r=ot.gen_marginal(64, "smooth-random", 0),
                       c=ot.gen_marginal(64, "smooth-random", 1))
+
+
+def l2sq_grid():
+    return ot.Problem(C=ot.grid_points_cost(289, "l2sq"),
+                      r=ot.gen_marginal(289, "smooth-random", 0),
+                      c=ot.gen_marginal(289, "smooth-random", 1))
 
 
 def uniform_nonsymmetric():
@@ -46,6 +58,15 @@ PINNED = {
          (3, 83, 0, 0), (4, 222, 0, 1), (2, 160, 0, 0), (3, 274, 0, 0), (4, 383, 0, 0),
          (2, 198, 0, 0), (1, 32, 0, 0), (1, 39, 0, 0), (2, 141, 0, 0)],
     ),
+    "l2sq-grid-sparse": (
+        l2sq_grid, 2.0 ** 16, "newton",
+        {"mirror_descent": 124, "chi_sinkhorn": 4, "newton_solve": 2226, "line_search": 1,
+         "total": 2355},
+        0.04732653689032187,
+        [(2, 3, 2, 0), (2, 8, 0, 0), (1, 11, 0, 0), (2, 7, 0, 0), (2, 24, 0, 0),
+         (2, 91, 0, 0), (3, 116, 0, 0), (4, 261, 0, 1), (3, 246, 0, 0), (1, 33, 0, 0),
+         (1, 29, 0, 0), (1, 48, 0, 0), (1, 75, 0, 0), (1, 27, 0, 0)],
+    ),
     "l1-grid-sinkhorn": (
         l1_grid, 2.0 ** 8, "sinkhorn",
         {"mirror_descent": 9, "sinkhorn": 1526, "total": 1535},
@@ -65,3 +86,20 @@ def test_pinned_results(name):
             it.stats.backtracks) for it in sol.iterations]
     assert got == per_iter
     assert sol.primal_cost == pytest.approx(primal, rel=1e-14, abs=0.0)
+
+
+def test_l2sq_pin_anchors_sparse(monkeypatch):
+    # Every anchor from 2^12.5 on is CSR, at densities 0.112 down to 0.013.
+    sparse = []
+    materialize = dual.materialize_plan
+
+    def spy(C, gamma, *args, **kwargs):
+        plan, v, nnz, low = materialize(C, gamma, *args, **kwargs)
+        if isinstance(plan, SparsePlan):
+            sparse.append((math.log2(gamma), nnz / C.size))
+        return plan, v, nnz, low
+
+    monkeypatch.setattr(dual, "materialize_plan", spy)
+    ot.mdot(l2sq_grid(), 2.0 ** 5, 2.0 ** 16)
+    assert [g for g, _ in sparse] == [12.5, 12.75, 13.25, 14.25, 15.25, 16.0]
+    assert [round(d, 3) for _, d in sparse] == [0.112, 0.092, 0.075, 0.043, 0.029, 0.013]
