@@ -51,14 +51,18 @@ and kernel truncation, Schmitzer, SIAM J. Sci. Comput. 2019).  It holds
 the entries whose log is at or above the caller's ``floor`` (at least
 ``EXP_FLOOR``), bit for bit, and drops the rest: ``dual.flush_floor`` sets
 the floor from the targets, so that what is dropped stays below half an ulp
-of every sum the plan serves.  A dense build still flushes only below
-``EXP_FLOOR``, and counts the entries at or above the floor, so that the
-choice between the two reads one count.  ``plan_matvec``,
-``log_plan_matvec`` and ``square_matvec`` serve it in place of the dense
-plan; its products are sequential sums in scipy's compiled CSR loop, in a
-fixed order, with the input scaled by a power of two so that no term is
-subnormal (``_csr_matvec``).  scipy is imported only when a sparse plan is
-first built.
+of every sum the plan serves.  The build compares each log tile with the
+floor once and gathers, checks and exponentiates only the kept entries,
+taking their columns and row counts from their flat indices.  A dense
+build still flushes only below ``EXP_FLOOR``, and counts the entries at or
+above the floor, so that the choice between the two reads one count.
+``plan_matvec``, ``log_plan_matvec`` and ``square_matvec`` serve it in
+place of the dense plan; its products are sequential sums in scipy's
+compiled CSR loop, in a fixed order (``_csr_matvec``).  A product whose
+terms are all normal, as the smallest stored entry times the smallest input
+entry shows, is taken as it is; any other has its input scaled by a power
+of two so that no term is subnormal.  scipy is imported only when a sparse
+plan is first built.
 """
 
 from __future__ import annotations
@@ -121,14 +125,11 @@ def log_plan_max(C, gamma, x, axis, out=None):
     return top
 
 
-def _tile_min(b):
-    """The smallest entry of the log-plan tile ``b``, once no entry would
-    overflow exp()."""
-    top = b.max()
+def _check_overflow(top):
+    """Reject a log plan whose largest entry ``top`` would overflow exp()."""
     if top > LOG_OVERFLOW:
         raise PlanOverflowError(
             f"log-plan entry {top:.3g} would overflow exp(); warm start is broken")
-    return b.min()
 
 
 def _exp_tile(b, floor=EXP_FLOOR):
@@ -139,7 +140,8 @@ def _exp_tile(b, floor=EXP_FLOOR):
     A tile with no entry below ``floor`` counts whole, with no compare, and
     one with none below ``EXP_FLOOR`` skips the mask, the clamp and the
     flush, which would leave it as it is."""
-    low = _tile_min(b)
+    _check_overflow(b.max())
+    low = b.min()
     nnz = b.size
     if low < floor and floor > EXP_FLOOR:
         nnz = np.count_nonzero(b >= floor)
@@ -181,8 +183,10 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOO
     ``-gamma C`` is formed tile by tile, never stored, and each log entry is
     rounded as ``(-gamma C_ij + u_i) + v_j``.  The plan is dense (written
     into ``out`` when given) unless ``max_nnz`` is given: then it is a
-    ``SparsePlan`` built tile by tile, with no n-by-n array, and the build
-    stops with ``(None, v, nnz, low)`` once the count passes ``max_nnz``.
+    ``SparsePlan`` built tile by tile, with no n-by-n array, from the log
+    entries at or above ``floor``, which alone are checked for overflow and
+    exponentiated; the build stops with ``(None, v, nnz, low)`` once the
+    count passes ``max_nnz``.
     A dense plan's entries whose log is below ``EXP_FLOOR`` come out as
     exactly 0, whatever ``floor`` is; a sparse plan holds the dense plan's
     entries whose log is at or above ``floor``, bit for bit, and nothing
@@ -205,32 +209,24 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOO
         return out, v, nnz, max(low, EXP_FLOOR)
     if v is None:
         v = -log_plan_max(C, gamma, u, 0)
-    rows = tile_rows(m)
-    col = np.broadcast_to(np.arange(m, dtype=np.int32), (min(rows, n), m)).copy()
     indptr = np.zeros(n + 1, dtype=np.int32)
     data, indices, nnz = [], [], 0
     for lo, hi, b in row_tiles(n, m):
         _log_tile(C[lo:hi], gamma, u[lo:hi], v, b)
-        tile_low = _tile_min(b)
-        low = min(low, tile_low)
-        if tile_low < floor:  # the entries below the floor are clamped, then dropped
-            keep = b >= floor
-            np.maximum(b, floor, out=b)
-            np.exp(b, out=b)
-            data.append(b[keep])
-            indices.append(col[: hi - lo][keep])
-            indptr[lo + 1:hi + 1] = np.count_nonzero(keep, axis=1)
-        else:
-            np.exp(b, out=b)
-            data.append(b.flatten())
-            indices.append(col[: hi - lo].ravel())
-            indptr[lo + 1:hi + 1] = m
-        nnz += len(data[-1])
+        flat = np.flatnonzero(b >= floor)
+        kept = b.ravel()[flat]
+        _check_overflow(kept.max(initial=-math.inf))
+        low = floor if len(kept) < b.size else min(low, float(kept.min()))
+        nnz += len(kept)
         if nnz > max_nnz:
-            return None, v, nnz, max(low, floor)
+            return None, v, nnz, low
+        data.append(np.exp(kept, out=kept))
+        row, col = np.divmod(flat, m)
+        indices.append(col.astype(np.int32))
+        indptr[lo + 1:hi + 1] = np.bincount(row, minlength=hi - lo)
     np.cumsum(indptr, out=indptr)
     return (SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), v,
-            nnz, max(low, floor))
+            nnz, low)
 
 
 class SparsePlan:
@@ -240,49 +236,62 @@ class SparsePlan:
     ``plan_matvec``, ``log_plan_matvec`` and ``square_matvec`` serve it in
     place of a dense plan, through ``_csr_matvec``.  ``rows`` and ``cols``
     are the CSR of the plan and of its transpose, as ``(rows, columns,
-    indptr, indices, data)``; ``top`` is the largest entry.
+    indptr, indices, data)``; ``top`` and ``bottom`` are the largest and the
+    smallest stored entry, the bounds that ``_csr_matvec`` reads.
     """
 
     def __init__(self, shape, indptr, indices, data):
+        global _sparsetools
         from scipy.sparse import _sparsetools
 
         n, m = self.shape = shape
         self.top = float(data.max()) if len(data) else 0.0
+        self.bottom = float(data.min()) if len(data) else 0.0
         self.rows = (n, m, indptr, indices, data)
         self.cols = (m, n, np.empty(m + 1, dtype=indptr.dtype), np.empty_like(indices),
                      np.empty_like(data))
         _sparsetools.csr_tocsc(*self.rows, *self.cols[2:])
 
 
+# scipy's compiled CSR loops, bound when the first SparsePlan is built, so
+# that importing the library does not load scipy.
+_sparsetools = None
 # Binary exponent that the largest term of a scaled product stays below:
 # a row sum of fewer than 2^31 such terms stays below 2^1022.
 _SCALED_EXP = 990
+# A product whose rounded terms are all at least this in magnitude has no
+# subnormal term: twice the smallest normal number, so that the exact term,
+# not only its rounding, is normal.
+_NORMAL_TERM = 2.0 ** -1021
 
 
-def _csr_matvec(csr, top, x, shift=0):
+def _csr_matvec(csr, top, bottom, x, shift=0):
     """A @ x, times 2^-shift, for ``csr`` = (rows, columns, indptr, indices,
-    data) of a matrix whose entries are at most ``top``, in scipy's compiled
-    CSR loop.
+    data) of a matrix whose stored entries lie in [``bottom``, ``top``], in
+    scipy's compiled CSR loop.
 
     The loop is called directly: the checks of a ``scipy.sparse`` array cost
     about 4 us a product, a third of one at n = 1024 and 1% density.  It has
     no fused multiply-add, so a product of an entry near e^-700 and an input
     entry near 1e-9 is rounded to a subnormal, and every such term costs
-    several times a normal one.  So the input is scaled up by an exact power
-    of two 2^k, chosen so that no term can exceed 2^_SCALED_EXP, and the
-    result scaled back with the caller's ``shift`` in one step: wherever the
-    unscaled product has no subnormal term or result, the two are equal bit
-    for bit.  k >= 0 (nothing is scaled down), so the scaling cannot add a
-    subnormal.
+    several times a normal one.  When ``bottom * min |x|`` is at least
+    2^-1021, no term is subnormal, and an addition with a subnormal result
+    is exact, so the product is taken as it is.  Otherwise (also for an
+    input entry that is 0 or not finite) the input is scaled up by an exact
+    power of two 2^k, chosen so that no term can exceed 2^_SCALED_EXP, and
+    the result scaled back with the caller's ``shift`` in one step: wherever
+    the unscaled product has no subnormal term or result, the two are equal
+    bit for bit.  k >= 0 (nothing is scaled down), so the scaling cannot add
+    a subnormal.
     """
-    from scipy.sparse import _sparsetools
-
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (csr[1],):  # the compiled loop reads x without bounds checks
         raise DimensionError(f"sparse plan product needs a vector of {csr[1]}, got {x.shape}")
-    x_max = float(np.abs(x).max()) if x.size else 0.0
+    x_abs = np.abs(x)
+    x_max = float(x_abs.max()) if x.size else 0.0
     k = 0
-    if x_max > 0.0 and top > 0.0:
+    if x_max > 0.0 and top > 0.0 and not (
+            x_max < math.inf and bottom * float(x_abs.min()) >= _NORMAL_TERM):
         k = max(0, _SCALED_EXP - math.frexp(top)[1] - math.frexp(x_max)[1])
     y = np.zeros(csr[0])
     _sparsetools.csr_matvec(*csr, np.ldexp(x, k) if k else x, y)
@@ -351,7 +360,8 @@ def square_matvec(P, w, top=None, log_low=None):
         *shape, data = P.rows
         sq = np.multiply(data, scale) if k else np.empty_like(data)
         np.square(sq if k else data, out=sq)
-        return _csr_matvec((*shape, sq), (P.top * scale) ** 2, w, 2 * k)
+        return _csr_matvec((*shape, sq), (P.top * scale) ** 2, (P.bottom * scale) ** 2, w,
+                           2 * k)
     k = _square_exp(float(P.max()) if top is None else top, w, log_low)
     scale = math.ldexp(1.0, k)
     out = np.empty(P.shape[0])
@@ -366,7 +376,7 @@ def plan_matvec(P, x, transpose=False):
     ``SparsePlan``)."""
     opcount.add(1)
     if isinstance(P, SparsePlan):
-        return _csr_matvec(P.cols if transpose else P.rows, P.top, x)
+        return _csr_matvec(P.cols if transpose else P.rows, P.top, P.bottom, x)
     return P.T @ x if transpose else P @ x
 
 

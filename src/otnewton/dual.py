@@ -115,9 +115,12 @@ def sparse_anchor(n, prev_nnz):
     entries there.  The build falls back to dense past an eighth
     (``sparse_limit``).
 
-    A product and its transpose at density 1/8 take 20 us dense against
-    41 us sparse at n = 256, 130 against 88 us at n = 512 and 354 against
-    289 us at n = 1024 (2-vCPU host, 2 OpenBLAS threads)."""
+    On the anchors of a 32x32 l2sq grid solve (n = 1024), a product and
+    its transpose take about 240 us dense, and 85, 170 and 300 us in CSR at
+    densities 0.080, 0.154 and 0.282 (2-vCPU host, 2 OpenBLAS threads).
+    The crossover thus lies near a density of 1/4, above the eighth at
+    which a build falls back to dense; the thresholds stay where they are,
+    since moving them moves results."""
     return n > BLOCK and prev_nnz is not None and prev_nnz <= n * n // 4
 
 

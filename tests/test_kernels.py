@@ -4,6 +4,7 @@ Newton systems served from the anchored plan."""
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,6 +594,20 @@ def sparse_of(P):
     return SparsePlan(P.shape, A.indptr, A.indices, A.data)
 
 
+def csr_loop_inputs(monkeypatch):
+    """The input vector of every later call of scipy's CSR product loop, once
+    a ``SparsePlan`` has been built: the caller's vector when a product is
+    taken unscaled, else the vector scaled by a power of two."""
+    inputs, loop = [], _kernels._sparsetools.csr_matvec
+
+    def spy(*args):
+        inputs.append(args[-2].copy())
+        loop(*args)
+
+    monkeypatch.setattr(_kernels, "_sparsetools", SimpleNamespace(csr_matvec=spy))
+    return inputs
+
+
 class TestSparseAnchor:
     """The anchored plan held as CSR: the switch rule, the entries, and the
     sums and Newton products served from it, which meet the dense plan's
@@ -626,6 +641,7 @@ class TestSparseAnchor:
         assert csr_dense(S.rows).tobytes() == P.tobytes()
         assert csr_dense(S.cols).tobytes() == np.ascontiguousarray(P.T).tobytes()
         assert S.top == P.max()
+        assert S.bottom == P[P > 0.0].min()
 
     def test_product_equals_unscaled_without_subnormals(self):
         # No term or result is subnormal, so the power-of-two scaling changes
@@ -661,6 +677,45 @@ class TestSparseAnchor:
             tiny = np.finfo(float).smallest_subnormal
             assert np.all(err <= np.maximum(tiny, 2.0 * np.finfo(float).eps * np.abs(got)))
         assert plan_matvec(S, x)[0] == x[0]  # the entry 1 dominates
+
+    @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
+    def test_unscaled_products_equal_scaled_on_anchors(self, cost, gamma, monkeypatch):
+        # On a real anchor no term of these products is subnormal, so each is
+        # taken unscaled; a zero bound below the entries forces the scaling,
+        # which changes no bit.
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, sparse=True)
+        S, n = state.anchored_plan()[0], state.n
+        rng = np.random.default_rng(24)
+        xs = (rng.standard_normal(n), np.exp(rng.uniform(-30.0, 0.0, n)))
+        products = (lambda x: plan_matvec(S, x), lambda x: plan_matvec(S, x, transpose=True),
+                    lambda x: square_matvec(S, x))
+        given = [x.tobytes() for x in xs for _ in products]
+        inputs = csr_loop_inputs(monkeypatch)
+        got = [f(x).tobytes() for x in xs for f in products]
+        assert [a.tobytes() for a in inputs] == given
+        inputs.clear()
+        S.bottom = 0.0
+        assert [f(x).tobytes() for x in xs for f in products] == got
+        # The plan products' inputs were scaled; the squared entries, scaled
+        # up before squaring, can leave the squared product a k of 0.
+        scaled = [a.tobytes() != x for a, x in zip(inputs, given)]
+        assert len(scaled) == 6 and scaled[0:2] == scaled[3:5] == [True, True]
+
+    @pytest.mark.parametrize("entry", [0.0, np.inf, 1e-9])
+    def test_scaled_for_a_zero_infinite_or_tiny_input(self, entry, monkeypatch):
+        # The smallest entry is e^-700: against inputs of at least 1 no term
+        # is subnormal, against 1e-9 one is.
+        rng = np.random.default_rng(25)
+        n = BLOCK + 17
+        P = rng.uniform(0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.1)
+        P[3, 5] = PLAN_FLOOR
+        S, x = sparse_of(P), rng.uniform(1.0, 2.0, n)
+        inputs = csr_loop_inputs(monkeypatch)
+        plan_matvec(S, x)
+        assert inputs[-1].tobytes() == x.tobytes()
+        x[7] = entry
+        plan_matvec(S, x)
+        assert inputs[-1].tobytes() != x.tobytes()
 
     def test_entry_near_overflow_does_not_overflow(self):
         rng = np.random.default_rng(23)
