@@ -8,8 +8,9 @@ the plan at ``(u0 + a, v0 + b)`` is ``D(e^a) P0 D(e^b)``, so its column sums
 are ``b + log(P0^T e^(a - max a)) + max a`` (rows alike), one matrix-vector
 product, and ``newton.DiscountedSystem`` applies it by the same two
 diagonal scalings.  An anchor serves the state while the offsets stay
-within ``PLAN_OFFSET_MAX``, which bounds what its entries flushed to 0
-could add.
+within ``PLAN_OFFSET_MAX``, and a sparse one also while
+``max a + max b <= SPARSE_SCALE_MAX``; these bound what its entries flushed
+to 0 could add.
 
 Every anchor is taken by one rule (``_serving_anchor``): a sum at
 potentials no anchor covers anchors at the maxima of the axis it sums,
@@ -50,11 +51,12 @@ the anchor serves.  An anchor is then built as a ``_kernels.SparsePlan``
 (CSR) of its entries at or above e^F, ``F = flush_floor(n, r, c)`` from the
 current targets, which the projectors install before a temperature's first
 anchor.  It replaces the dense buffer and never sits beside it, and every
-sum and Newton product at that temperature runs over its nonzeros.  Within
-the guard each dropped entry is scaled by at most e^PLAN_OFFSET_MAX, so the
-n that one sum or product drops stay below half an ulp of the smallest
-target (kernel truncation, Schmitzer, SIAM J. Sci. Comput. 2019, with the
-threshold set by rounding).  The rule reads only the input
+sum and Newton product at that temperature runs over its nonzeros.  A
+dropped entry enters them scaled by e^(a_i + b_j), and the anchor serves
+only offsets with ``max a + max b <= SPARSE_SCALE_MAX``, so the n that one
+sum or product drops stay below half an ulp of the smallest target (kernel
+truncation, Schmitzer, SIAM J. Sci. Comput. 2019, with the threshold set by
+rounding).  The rule reads only the input
 (``sparse_anchor``): the plan spans more than one tile (n > ``BLOCK``;
 below that dense wins), and the previous anchor of the solve had at most
 n^2 / 4 entries at or above its floor, since a plan's count is known only
@@ -90,10 +92,17 @@ from .errors import DomainError
 # w_c * eps_d / n, is about 1e-11 on an n = 64 batch instance at
 # gamma = 2^18.  The weights e^(a - max a) stay above e^(-2B) = e^-200, and
 # the Newton system's scalings e^a and e^2b within e^(+-2B), normal numbers.
-# A sparse anchor drops more: entries below e^F, F = flush_floor(n, r, c),
-# which puts n e^(F + B) at 2^-54 t_min, half an ulp of the smallest target.
-# That needs both offsets bounded, as a dropped entry of column j at a
-# column anchor enters a column sum scaled by e^(a_i + b_j).
+# A sparse anchor drops more: entries below e^F, F = flush_floor(n, r, c).
+# A dropped entry enters a sum or a Newton product scaled by e^(a_i + b_j),
+# at most e^(max a + max b), so a sparse anchor also needs
+# max a + max b <= S = SPARSE_SCALE_MAX, which puts the n dropped terms of
+# one line below n e^(F + S) = 2^-54 t_min, half an ulp of the smallest
+# target.  Both offsets enter that bound, but only through their largest
+# entries: negative offsets scale the dropped entries down.  The bound is
+# absolute, so a line whose sum is at least t_min loses at most half an ulp
+# relative; a line that offsets of wide spread take far below t_min keeps
+# only the absolute bound (with a and b spanning [-49.5, 7.9] on an L1 line
+# at 2^14, log sums of lines below 4e-9 t_min were off by up to 0.08).
 # The entry anchor at (u, -m) puts its column offset b = log c - log(P0^T 1)
 # in [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
 # unless a target is below e^-100 / n; then the row sums at the rebalanced
@@ -102,10 +111,28 @@ from .errors import DomainError
 # side's is 0, and each dropped term is below e^-700 against a sum of at
 # least 1.
 PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
+# Largest max(u - u0) + max(v - v0) at which a sparse anchor serves sums, in
+# place of PLAN_OFFSET_MAX in its flush floor (see above).  An anchor at the
+# maxima starts at offsets (0, b) with max b <= 0 after the entry rebalance.
+# On the sparse anchors of the 32x32 l2sq grid solves (n = 1024, gamma to
+# 2^18) the offsets served reach max a + max b = 10.1, and three quarters of
+# them are 0 or below.  At S = 0 an anchor would refuse its own state once a
+# column's largest entry exceeds 1, and re-anchor on every use; S = 16 leaves
+# room for Newton steps and line searches, at a floor 16 below the one S = 0
+# gives.
+SPARSE_SCALE_MAX = 16.0
 
 
 def _within_guard(a, b):
     return bool(np.abs(a).max() + np.abs(b).max() <= PLAN_OFFSET_MAX)
+
+
+def _serves(plan, a, b):
+    """Whether an anchor holding ``plan`` serves sums at offsets (a, b): within
+    the guard, and for a ``SparsePlan`` also ``max a + max b <=
+    SPARSE_SCALE_MAX``, the bound its flush floor rests on."""
+    return _within_guard(a, b) and (not isinstance(plan, SparsePlan)
+                                    or bool(a.max() + b.max() <= SPARSE_SCALE_MAX))
 
 
 def sparse_anchor(n, prev_nnz):
@@ -120,7 +147,9 @@ def sparse_anchor(n, prev_nnz):
     densities 0.080, 0.154 and 0.282 (2-vCPU host, 2 OpenBLAS threads).
     The crossover thus lies near a density of 1/4, above the eighth at
     which a build falls back to dense; the thresholds stay where they are,
-    since moving them moves results."""
+    since moving them moves results.  At ``flush_floor`` that solve keeps
+    0.147 of its entries at 2^10.5, a dense anchor, and anchors CSR from
+    2^11.5 on, at 0.076 there, 0.039 at 2^12.5 and 0.004 at 2^18."""
     return n > BLOCK and prev_nnz is not None and prev_nnz <= n * n // 4
 
 
@@ -131,13 +160,16 @@ def sparse_limit(n):
 
 def flush_floor(n, r, c):
     """The log floor F below which a sparse anchor drops entries, from the
-    targets ``r`` and ``c``: ``log t_min - 54 log 2 - log n - PLAN_OFFSET_MAX``,
+    targets ``r`` and ``c``: ``log t_min - 54 log 2 - log n - SPARSE_SCALE_MAX``,
     ``t_min`` the smallest target, and at least ``EXP_FLOOR``.
 
-    An offset within the guard scales a dropped entry by at most
-    e^PLAN_OFFSET_MAX, so the n that one sum or product drops stay below
-    2^-54 t_min, half an ulp of every target.  ``EXP_FLOOR`` for a plan of
-    one tile (n <= ``BLOCK``), which is never sparse, and for a zero target.
+    A sparse anchor serves only offsets with ``max a + max b <=
+    SPARSE_SCALE_MAX``, which scale a dropped entry by at most
+    e^SPARSE_SCALE_MAX, so the n that one sum or product drops stay below
+    n e^(F + SPARSE_SCALE_MAX) = 2^-54 t_min, half an ulp of every target.
+    On the 32x32 l2sq grid (n = 1024) F is about -79 late in a solve.
+    ``EXP_FLOOR`` for a plan of one tile (n <= ``BLOCK``), which is never
+    sparse, and for a zero target or one below about 1e-280.
     """
     if n <= BLOCK:
         return EXP_FLOOR
@@ -145,7 +177,7 @@ def flush_floor(n, r, c):
     if not t_min > 0.0:
         return EXP_FLOOR
     return max(EXP_FLOOR, math.log(t_min) - 54.0 * math.log(2.0) - math.log(n)
-               - PLAN_OFFSET_MAX)
+               - SPARSE_SCALE_MAX)
 
 
 class DualState:
@@ -270,7 +302,7 @@ class DualState:
             return None
         u0, v0 = self._anchor
         a, b = u - u0, v - v0
-        return (a, b) if _within_guard(a, b) else None
+        return (a, b) if _serves(self._plan, a, b) else None
 
     def _serving_anchor(self, u, v, axis):
         """The anchor ``(u0, v0)`` that serves the sums over ``axis`` (0:
@@ -298,7 +330,8 @@ class DualState:
         as the column sums do.  ``P0`` is the state's buffer or a
         ``SparsePlan``: it stays valid until the state anchors again, which
         in the projection loop happens at most once per temperature while
-        the offsets stay within ``PLAN_OFFSET_MAX``.
+        the anchor serves the offsets (``PLAN_OFFSET_MAX``, and
+        ``SPARSE_SCALE_MAX`` for a sparse anchor).
         """
         u0, v0 = self._serving_anchor(self.u, self.v, 0)
         return self._plan, self.u - u0, self.v - v0
@@ -383,9 +416,10 @@ class DualState:
         """Log column sums at (u + alpha d_u, v + alpha d_v); the potentials
         and their sums are left as they are.
 
-        When the anchor covers both ends of the full step, it covers (the
-        offsets being convex in alpha) every alpha in [0, 1], so a line
-        search, with its ``base_log_col_sums``, is served by one plan.
+        When the anchor covers both ends of the full step, it covers (its
+        checks, sums of maxima of offsets affine in alpha, being convex in
+        alpha) every alpha in [0, 1], so a line search, with its
+        ``base_log_col_sums``, is served by one plan.
         Otherwise a trial the anchor does not cover re-anchors at its column
         maxima.
         """
@@ -410,7 +444,7 @@ class DualState:
 
     def _step_on_plan(self, d_u, d_v):
         off = self._plan_offsets(self.u, self.v)
-        return off is not None and _within_guard(off[0] + d_u, off[1] + d_v)
+        return off is not None and _serves(self._plan, off[0] + d_u, off[1] + d_v)
 
     # -- exact scaling updates that keep the caches coherent -----------------
 

@@ -101,8 +101,10 @@ class DiscountedSystem:
 
         The plan is the state's buffer: the system is valid until the state
         anchors again, which happens when a new temperature starts or a sum
-        leaves ``dual.PLAN_OFFSET_MAX``, never while the projection loop uses
-        the system (a line search trial that re-anchors comes after it).
+        leaves the offsets the anchor serves (``dual.PLAN_OFFSET_MAX``, and
+        ``dual.SPARSE_SCALE_MAX`` for a sparse anchor), never while the
+        projection loop uses the system (a line search trial that re-anchors
+        comes after it).
         """
         P0, a, b = state.anchored_plan()
         # Every anchor is taken at maxima, so its entries are at most 1

@@ -9,7 +9,7 @@ from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad, 
 from otnewton import _kernels, dual, opcount
 from otnewton._kernels import SparsePlan, log_plan_matvec, log_plan_max
 from otnewton.driver import mdot
-from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.dual import PLAN_OFFSET_MAX, SPARSE_SCALE_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
@@ -429,3 +429,47 @@ class TestKeptColumnProduct:
         assert len(unswept) >= 5 and min(unswept) >= 1
         assert bases == [(0, True)] * sum(it.stats.newton_steps for it in sol.iterations)
 
+
+
+class TestSparseScaleBound:
+    """A sparse anchor serves offsets while max a + max b stays within
+    ``SPARSE_SCALE_MAX``, so a line search re-anchors only at trials whose
+    plan holds an entry above e^SPARSE_SCALE_MAX, which no anchor at maxima
+    (entries at most 1) can serve."""
+
+    @pytest.mark.parametrize("shift,anchors", [(0.5 * SPARSE_SCALE_MAX, [0, 0, 0, 0]),
+                                               (1.5 * SPARSE_SCALE_MAX, [0, 0, 1, 1])])
+    def test_line_search_does_not_reanchor_on_every_trial(self, shift, anchors, monkeypatch):
+        # After the entry rebalance every column's largest entry is at most
+        # c_j; a shift of v raises them all by e^shift, to above 1 at half
+        # the bound (where a bound of 0 would re-anchor at every use) and
+        # above e^SPARSE_SCALE_MAX at one and a half.  The search steps back
+        # along d_v = -shift, so its trial at alpha has column maxima below
+        # e^((1 - alpha) shift): at one and a half the bound, the anchor at
+        # the state's column maxima serves alpha = 1 and 1/2, and each of
+        # 1/4 and 1/8 anchors at its own.
+        monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
+        monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
+        state = anchored()
+        assert isinstance(state._plan, SparsePlan)
+        state.set_potentials(state.u, state.v + shift)
+        C, gamma = state.problem.C, state.gamma
+        top = log_plan_max(C, gamma, state.u, 0) + state.v
+        assert top.min() > 0.0 and (top.max() > SPARSE_SCALE_MAX) == (shift > SPARSE_SCALE_MAX)
+        state.log_cP  # the sums a search starts from, cached
+        built = []
+        materialize = dual.materialize_plan
+        monkeypatch.setattr(dual, "materialize_plan",
+                            lambda *args, **kw: built.append(1) or materialize(*args, **kw))
+        d_u = 0.1 * np.random.default_rng(3).standard_normal(12)
+        d_v = np.full(12, -shift)
+        state.base_log_col_sums(d_u, d_v)
+        assert not built
+        got = []
+        for alpha in (1.0, 0.5, 0.25, 0.125):
+            cols = state.trial_log_col_sums(d_u, d_v, alpha)
+            got.append(len(built))
+            built.clear()
+            assert_no_less_accurate_than_lse(C, gamma, state.u + alpha * d_u,
+                                             state.v + alpha * d_v, cols=cols)
+        assert got == anchors

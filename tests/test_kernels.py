@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from dense_reference import (assert_no_less_accurate_than_lse, log_plan, long_double_sums,
                              lse_col_sums, lse_row_sums, plan_at)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
@@ -18,7 +20,7 @@ from otnewton._kernels import (BLOCK, EXP_FLOOR, LOG_OVERFLOW, PLAN_FLOOR, Spars
                                log_plan_max, materialize_plan,
                                plan_cost, plan_matvec, scale_plan, square_matvec, tile_rows)
 from otnewton.driver import round_plan
-from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.dual import PLAN_OFFSET_MAX, SPARSE_SCALE_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.newton import DiscountedSystem
 from otnewton.problems import Problem, gen_marginal
@@ -242,8 +244,10 @@ def anchored_state(cost, kind, gamma, monkeypatch, sparse=False, n=BLOCK + 17):
 
     The potentials are the double c-transform of zero scaled by gamma, plus
     the log marginals and a gauge shift of gamma / 2, so ``u + v - gamma C``
-    cancels terms of size gamma.  With ``sparse`` the anchor is a
-    ``SparsePlan`` whatever its density.
+    cancels terms of size gamma.  With ``sparse`` True every anchor the state
+    takes is a ``SparsePlan`` whatever its density, with False every anchor
+    is dense, and with None the switch rule (``dual.sparse_anchor``) picks,
+    as in a solve: the first anchor is then dense.
     """
     if cost == "l1-line":
         x = np.arange(n) / (n - 1)
@@ -255,19 +259,41 @@ def anchored_state(cost, kind, gamma, monkeypatch, sparse=False, n=BLOCK + 17):
     r, c = gen_marginal(n, kind, 1), gen_marginal(n, kind, 2)
     state = DualState(Problem(C=C, r=r, c=c), gamma,
                       u=gamma * (f + 0.5) + np.log(r), v=gamma * (g - 0.5) + np.log(c))
-    if sparse:
-        monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
+    if sparse is not None:
+        monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: sparse)
         monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
     state._anchor_plan(state.u, state.v)
-    assert isinstance(state.anchored_plan()[0], SparsePlan) == sparse
+    assert isinstance(state.anchored_plan()[0], SparsePlan) == bool(sparse)
     return state
 
 
-def offsets(n, size, seed=5):
-    """Offsets (a, b) with |a|_inf + |b|_inf = size."""
+def offsets(n, size, seed=5, top=None):
+    """Offsets (a, b) with |a|_inf + |b|_inf = size, each side spanning
+    [-size / 2, size / 2]; given ``top`` in [0, size], a spans
+    [-size / 2, top - size / 2] and b [size / 2 - top, size / 2] instead, so
+    that max a + max b = top: a gauge shift of size / 2 against the same
+    offsets scaled to a span of ``top``."""
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-    return a * (0.5 * size / np.abs(a).max()), b * (0.5 * size / np.abs(b).max())
+    if top is None:
+        return a * (0.5 * size / np.abs(a).max()), b * (0.5 * size / np.abs(b).max())
+    a, b = ((x - x.min()) / (x.max() - x.min()) for x in (a, b))
+    return -0.5 * size + top * a, 0.5 * size - top * (1.0 - b)
+
+
+def served_offsets(n, size, seed=5):
+    """Offsets with |a|_inf + |b|_inf = size that a sparse anchor serves:
+    max a + max b at most 0.99 ``SPARSE_SCALE_MAX``, or ``size`` if smaller."""
+    return offsets(n, size, seed, top=min(size, 0.99 * SPARSE_SCALE_MAX))
+
+
+def wide_served_offsets(n, size, seed=5):
+    """As ``served_offsets``, but each side spans [-size / 2, top / 2]: at
+    size 99 a spread of 57 on each side, which takes some sums far below the
+    targets."""
+    top = min(size, 0.99 * SPARSE_SCALE_MAX)
+    a, b = offsets(n, 1.0, seed, top=1.0)  # each side spans [-1/2, 1/2]
+    return tuple(0.25 * (top - size) + 0.5 * (top + size) * x for x in (a, b))
 
 
 def refresh_passes(state):
@@ -409,19 +435,20 @@ class TestScaledSquare:
             assert _kernels._square_exp(1.0, w_bad, log_low) > 0
 
 
-def assert_sums_no_less_accurate_than_lse(state, size, passes=2):
-    """``TestAnchoredPlanSums``' criterion, at offsets of ``size`` from the
+def assert_sums_no_less_accurate_than_lse(state, size, passes=2, at=offsets):
+    """``TestAnchoredPlanSums``' criterion, at offsets ``at(n, size)`` from the
     anchor, whose refresh takes ``passes`` (by default one matvec per side)."""
-    a, b = offsets(state.n, size)
+    a, b = at(state.n, size)
     state.set_potentials(state.u + a, state.v + b)
     assert refresh_passes(state) == passes
     assert_no_less_accurate_than_lse(state.problem.C, state.gamma, state.u, state.v,
                                      state.log_rP, state.log_cP)
 
 
-def assert_system_no_less_accurate_than_materialized(state, size):
-    """``TestScaledNewtonSystem``' criterion, at offsets of ``size`` from the anchor."""
-    a, b = offsets(state.n, size)
+def assert_system_no_less_accurate_than_materialized(state, size, at=offsets):
+    """``TestScaledNewtonSystem``' criterion, at offsets ``at(n, size)`` from
+    the anchor."""
+    a, b = at(state.n, size)
     state.set_potentials(state.u + a, state.v + b)
     rP, cP = state.row_sums(), state.col_sums()
     scaled = DiscountedSystem.from_state(state)
@@ -613,9 +640,18 @@ class TestSparseAnchor:
     sums and Newton products served from it, which meet the dense plan's
     criteria against long double (``TestAnchoredPlanSums`` and
     ``TestScaledNewtonSystem``) at the densities a sparse anchor has, at
-    most 1/8: the L1 line at 2^14 keeps 8% of its entries, the non-symmetric
-    cost at 2^13 9%.  (At full density the CSR loop's plain running sums of
-    n terms can lose to BLAS by a few ulps.)"""
+    most 1/8: at the flush floor the L1 line at 2^14 keeps 0.6% of its
+    entries, the non-symmetric cost at 2^13 1.3%.  (At full density the CSR
+    loop's plain running sums of n terms can lose to BLAS by a few ulps.)
+
+    The offsets are ones the anchor serves (``served_offsets``): up to
+    |a|_inf + |b|_inf = 0.99 ``PLAN_OFFSET_MAX``, a gauge shift with
+    max a + max b at most 0.99 ``SPARSE_SCALE_MAX``, which keeps each sum
+    near its target.  The floor's bound is absolute, half an ulp of the
+    smallest target, so these relative criteria hold for sums at least that
+    target; ``TestFlushFloor`` and ``TestServedBound`` check the absolute
+    bound at every offset the anchor serves, also where it takes a sum far
+    below the targets."""
 
     @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
@@ -623,7 +659,7 @@ class TestSparseAnchor:
     def test_sums_no_less_accurate_than_lse(self, cost, gamma, kind, size, monkeypatch):
         state = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
         assert state.plan_density <= 0.125
-        assert_sums_no_less_accurate_than_lse(state, size)
+        assert_sums_no_less_accurate_than_lse(state, size, at=served_offsets)
 
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
@@ -631,7 +667,24 @@ class TestSparseAnchor:
                                                               monkeypatch):
         state = anchored_state(cost, "spiky-random", gamma, monkeypatch, sparse=True)
         assert state.plan_density <= 0.125
-        assert_system_no_less_accurate_than_materialized(state, size)
+        assert_system_no_less_accurate_than_materialized(state, size, at=served_offsets)
+
+    @pytest.mark.parametrize("cost,gamma,size,passes", [
+        ("l1-line", 2.0 ** 14, 1.01 * SPARSE_SCALE_MAX, 7),
+        ("nonsymmetric", 2.0 ** 13, 1.01 * SPARSE_SCALE_MAX, 7),
+        ("l1-line", 2.0 ** 14, 0.99 * PLAN_OFFSET_MAX, 7),
+        ("nonsymmetric", 2.0 ** 13, 0.99 * PLAN_OFFSET_MAX, 7)])
+    def test_beyond_the_scale_bound_reanchors_at_the_maxima(self, cost, gamma, size, passes,
+                                                            monkeypatch):
+        # Within the guard, but at max a + max b = 1.01 SPARSE_SCALE_MAX: the
+        # anchor refuses the offsets, and the sums re-anchor at the maxima in
+        # CSR, as beyond the guard (``TestAnchoredPlanSums``).  The row sums
+        # anchor at the row maxima (maxima 1, plan 4, product 1), and that
+        # anchor serves the column sums (one product).
+        state = anchored_state(cost, "spiky-random", gamma, monkeypatch, sparse=True)
+        assert_sums_no_less_accurate_than_lse(
+            state, size, passes, at=lambda n, size: offsets(n, size, top=1.01 * SPARSE_SCALE_MAX))
+        assert isinstance(state.anchored_plan()[0], SparsePlan)
 
     def test_entries_bitwise_equal_to_dense(self):
         K, u, v = deep_log_kernel()
@@ -740,31 +793,36 @@ class TestSparseAnchor:
 
     @pytest.mark.parametrize("n", [BLOCK, BLOCK + 17])
     def test_sparse_after_a_sparse_enough_anchor(self, n, monkeypatch):
-        # The L1 line at 2^14 keeps about 8% of its entries: the first anchor
-        # is dense, the next one CSR when the plan spans more than one tile.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch, n=n)
+        # The L1 line at 2^14 keeps 0.7% of its entries at the flush floor
+        # (n = BLOCK + 17), 8% at e^-700 (n = BLOCK): the first anchor is
+        # dense, the next one CSR when the plan spans more than one tile.
+        # Taken at the same potentials, it keeps the entries the dense one
+        # counted.
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 14, monkeypatch,
+                               sparse=None, n=n)
         density = state.plan_density
         assert 0.0 < density <= 0.125
         state.set_gamma(state.gamma)
         assert math.isnan(state.plan_density)
+        state._anchor_plan(state.u, state.v)
         P = state.anchored_plan()[0]
         assert isinstance(P, SparsePlan) == (n > BLOCK)
         assert state.plan_density == density
 
     def test_dense_after_a_dense_anchor(self, monkeypatch):
-        # At 2^9 about 48% of the entries are at or above the floor, above
+        # At 2^8 about 41% of the entries are at or above the floor, above
         # the quarter.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 9, monkeypatch)
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 8, monkeypatch, sparse=None)
         assert state.plan_density > 0.25
         state.set_gamma(state.gamma)
         assert isinstance(state.anchored_plan()[0], np.ndarray)
 
     def test_falls_back_to_dense_past_an_eighth(self, monkeypatch):
-        # At 2^12 about 7% of the entries are at or above the floor.  A
+        # At 2^12 about 3% of the entries are at or above the floor.  A
         # gauge-free shift of 2 x 200 raises every entry by e^400: the
         # sparse build passes n^2 / 8 and the plan is made dense, bitwise
         # equal to a fresh materialization.
-        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch)
+        state = anchored_state("l1-line", "smooth-random", 2.0 ** 12, monkeypatch, sparse=None)
         state.set_potentials(state.u + 200.0, state.v + 200.0)
         state.set_gamma(state.gamma)
         with opcount.category("anchor"):
@@ -845,17 +903,18 @@ class TestFlushFloor:
     def test_floor_formula(self):
         n = BLOCK + 1
         r, c = targets_with_min(n, 1e-6)
-        F = math.log(1e-6) - 54.0 * math.log(2.0) - math.log(n) - PLAN_OFFSET_MAX
+        F = math.log(1e-6) - 54.0 * math.log(2.0) - math.log(n) - SPARSE_SCALE_MAX
         assert dual.flush_floor(n, r, c) == F
         assert dual.flush_floor(n, c, r) == F  # the smallest of both
-        # n * e^(F + PLAN_OFFSET_MAX) is within half an ulp of the target.
-        assert n * math.exp(F + PLAN_OFFSET_MAX) <= np.spacing(1e-6) / 2
+        # n * e^(F + SPARSE_SCALE_MAX) is within half an ulp of the target.
+        assert n * math.exp(F + SPARSE_SCALE_MAX) <= np.spacing(1e-6) / 2
         # The l2sq grid at n = 1024, whose smallest target late in a solve
-        # is about 9e-9.
+        # is about 9e-9: 84 above the floor the guard would give.
         late = dual.flush_floor(1024, *targets_with_min(1024, 9e-9))
-        assert late == pytest.approx(-163.0, abs=0.5)
+        assert late == pytest.approx(-79.0, abs=0.5)
         assert dual.flush_floor(BLOCK, *targets_with_min(BLOCK, 1e-6)) == EXP_FLOOR
-        assert dual.flush_floor(n, *targets_with_min(n, 1e-250)) == EXP_FLOOR
+        assert dual.flush_floor(n, *targets_with_min(n, 1e-250)) > EXP_FLOOR
+        assert dual.flush_floor(n, *targets_with_min(n, 1e-290)) == EXP_FLOOR
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert dual.flush_floor(n, *targets_with_min(n, 0.0)) == EXP_FLOOR
@@ -865,32 +924,77 @@ class TestFlushFloor:
     @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
     def test_sums_lose_at_most_half_an_ulp_of_the_smallest_target(self, cost, gamma, kind, size,
                                                                   monkeypatch):
-        # The same sparse anchor built at the derived floor and at EXP_FLOOR:
-        # at offsets within the guard, each log row and column sum of the
-        # first is off its long-double value, in the linear domain, by at
-        # most the second's error plus half an ulp of the smallest target.
-        # The mass the floor drops from each sum is within that half ulp.
-        state = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
-        floor = dual.flush_floor(state.n, state.r, state.c)
-        assert floor > EXP_FLOOR + 500.0
-        monkeypatch.setattr(dual, "flush_floor", lambda n, r, c: EXP_FLOOR)
-        base = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
-        assert base.plan_density > state.plan_density
-        u0, v0 = state.u, state.v
-        a, b = offsets(state.n, size)
-        for s in (state, base):
-            s.set_potentials(u0 + a, v0 + b)
-            s.refresh()
-        ld = np.longdouble
-        half_ulp = np.spacing(min(state.r.min(), state.c.min())) / 2
-        ref_rows, ref_cols = long_double_sums(state.problem.C, gamma, state.u, state.v)
-        for got, got_base, ref in ((state.log_rP, base.log_rP, ref_rows),
-                                   (state.log_cP, base.log_cP, ref_cols)):
-            err = np.abs(np.exp(got.astype(ld)) - np.exp(ref))
-            base_err = np.abs(np.exp(got_base.astype(ld)) - np.exp(ref))
-            assert np.all(err <= base_err + half_ulp)
-        L = log_plan(state.problem.C, gamma, u0, v0)
-        dropped = np.where(L < floor, np.exp(a.astype(ld)[:, None] + L + b.astype(ld)[None, :]),
-                           0.0)
-        assert dropped.sum(axis=1).max() <= half_ulp
-        assert dropped.sum(axis=0).max() <= half_ulp
+        # At offsets the anchor serves, up to |a|_inf + |b|_inf = 99 with
+        # max a + max b = 0.99 SPARSE_SCALE_MAX, of narrow and of wide spread.
+        state, base = floor_and_base_anchors(cost, kind, gamma, monkeypatch)
+        for at in (served_offsets, wide_served_offsets):
+            assert floor_loses_at_most_half_an_ulp(state, base, *at(state.n, size))
+
+
+def floor_and_base_anchors(cost, kind, gamma, monkeypatch):
+    """The same sparse anchor built at the derived floor and at EXP_FLOOR."""
+    state = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
+    assert dual.flush_floor(state.n, state.r, state.c) > EXP_FLOOR + 500.0
+    with monkeypatch.context() as m:
+        m.setattr(dual, "flush_floor", lambda n, r, c: EXP_FLOOR)
+        base = anchored_state(cost, kind, gamma, m, sparse=True)
+    assert base.plan_density > state.plan_density
+    return state, base
+
+
+def floor_loses_at_most_half_an_ulp(state, base, a, b):
+    """Whether the anchors of ``floor_and_base_anchors`` serve the offsets
+    (a, b); if so, asserts that each log row and column sum of ``state`` is
+    off its long-double value, in the linear domain, by at most ``base``'s
+    error plus half an ulp of the smallest target, and that the mass the
+    floor drops from each sum is within that half ulp."""
+    u0, v0 = state._anchor
+    for s in (state, base):
+        s.set_potentials(u0 + a, v0 + b)
+    if state._plan_offsets(state.u, state.v) is None:
+        return False
+    for s in (state, base):
+        assert refresh_passes(s) == 2  # one product per side, no new anchor
+    gamma, C = state.gamma, state.problem.C
+    ld = np.longdouble
+    half_ulp = np.spacing(min(state.r.min(), state.c.min())) / 2
+    ref_rows, ref_cols = long_double_sums(C, gamma, state.u, state.v)
+    for got, got_base, ref in ((state.log_rP, base.log_rP, ref_rows),
+                               (state.log_cP, base.log_cP, ref_cols)):
+        err = np.abs(np.exp(got.astype(ld)) - np.exp(ref))
+        base_err = np.abs(np.exp(got_base.astype(ld)) - np.exp(ref))
+        assert np.all(err <= base_err + half_ulp)
+    a, b = state.u - u0, state.v - v0
+    L = log_plan(C, gamma, u0, v0)
+    floor = dual.flush_floor(state.n, state.r, state.c)
+    dropped = np.where(L < floor, np.exp(a.astype(ld)[:, None] + L + b.astype(ld)[None, :]),
+                       0.0)
+    assert dropped.sum(axis=1).max() <= half_ulp
+    assert dropped.sum(axis=0).max() <= half_ulp
+    return True
+
+
+class TestServedBound:
+    """A sparse anchor serves exactly the offsets its flush floor is safe at:
+    within the guard and at max a + max b <= ``SPARSE_SCALE_MAX``, where
+    each log sum loses at most half an ulp of the smallest target."""
+
+    @pytest.fixture(scope="class")
+    def anchors(self):
+        with pytest.MonkeyPatch.context() as m:
+            yield floor_and_base_anchors("nonsymmetric", "spiky-random", 2.0 ** 13, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo_a=st.floats(-60.0, 30.0), lo_b=st.floats(-60.0, 30.0),
+           span_a=st.floats(0.0, 60.0), span_b=st.floats(0.0, 60.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_serves_exactly_where_the_floor_is_safe(self, anchors, lo_a, lo_b, span_a,
+                                                    span_b, seed):
+        state, base = anchors
+        rng = np.random.default_rng(seed)
+        a, b = (lo + span * rng.permutation(np.linspace(0.0, 1.0, state.n))
+                for lo, span in ((lo_a, span_a), (lo_b, span_b)))
+        served = floor_loses_at_most_half_an_ulp(state, base, a, b)
+        a, b = state.u - state._anchor[0], state.v - state._anchor[1]
+        guard = np.abs(a).max() + np.abs(b).max() <= PLAN_OFFSET_MAX
+        assert served == (guard and a.max() + b.max() <= SPARSE_SCALE_MAX)

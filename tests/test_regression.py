@@ -3,7 +3,7 @@
 The values below are the same at one and two BLAS threads: at n = 64 and
 n = 289 every product and dot has a fixed reduction order.  The pins at
 n = 64 never anchor sparse; the n = 289 l2sq grid anchors in compressed
-sparse rows from 2^12.5 on, so its pin covers the sparse path.  A change
+sparse rows from 2^12 on, so its pin covers the sparse path.  A change
 that moves an op count or an iteration count is a change in results and
 must say so; the primal cost is pinned to 1e-14 relative, so a last-bit
 change in the rounding step does not fail the test.
@@ -62,7 +62,7 @@ PINNED = {
         l2sq_grid, 2.0 ** 16, "newton",
         {"mirror_descent": 124, "chi_sinkhorn": 4, "newton_solve": 2226, "line_search": 1,
          "total": 2355},
-        0.04732653689032187,
+        0.047326536890326246,
         [(2, 3, 2, 0), (2, 8, 0, 0), (1, 11, 0, 0), (2, 7, 0, 0), (2, 24, 0, 0),
          (2, 91, 0, 0), (3, 116, 0, 0), (4, 261, 0, 1), (3, 246, 0, 0), (1, 33, 0, 0),
          (1, 29, 0, 0), (1, 48, 0, 0), (1, 75, 0, 0), (1, 27, 0, 0)],
@@ -88,18 +88,33 @@ def test_pinned_results(name):
     assert sol.primal_cost == pytest.approx(primal, rel=1e-14, abs=0.0)
 
 
-def test_l2sq_pin_anchors_sparse(monkeypatch):
-    # Every anchor from 2^12.5 on is CSR, at densities 0.112 down to 0.013.
-    sparse = []
+@pytest.fixture(scope="module")
+def l2sq_plans():
+    """(log2 gamma, sparse, density) of every plan the l2sq pin's solve
+    materializes, and the solve's temperatures."""
+    plans = []
     materialize = dual.materialize_plan
 
     def spy(C, gamma, *args, **kwargs):
         plan, v, nnz, low = materialize(C, gamma, *args, **kwargs)
-        if isinstance(plan, SparsePlan):
-            sparse.append((math.log2(gamma), nnz / C.size))
+        plans.append((math.log2(gamma), isinstance(plan, SparsePlan), nnz / C.size))
         return plan, v, nnz, low
 
-    monkeypatch.setattr(dual, "materialize_plan", spy)
-    ot.mdot(l2sq_grid(), 2.0 ** 5, 2.0 ** 16)
-    assert [g for g, _ in sparse] == [12.5, 12.75, 13.25, 14.25, 15.25, 16.0]
-    assert [round(d, 3) for _, d in sparse] == [0.112, 0.092, 0.075, 0.043, 0.029, 0.013]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dual, "materialize_plan", spy)
+        sol = ot.mdot(l2sq_grid(), 2.0 ** 5, 2.0 ** 16)
+    return plans, [math.log2(it.gamma) for it in sol.iterations]
+
+
+def test_l2sq_pin_anchors_sparse(l2sq_plans):
+    # Every anchor from 2^12 on is CSR, at densities 0.077 down to 0.013.
+    sparse = [(g, d) for g, is_sparse, d in l2sq_plans[0] if is_sparse]
+    assert [g for g, _ in sparse] == [12.0, 12.5, 12.75, 13.25, 14.25, 15.25, 16.0]
+    assert [round(d, 3) for _, d in sparse] == [0.077, 0.06, 0.045, 0.032, 0.013, 0.013, 0.013]
+
+
+def test_l2sq_pin_anchors_once_per_temperature(l2sq_plans):
+    # No anchor churns: one plan per temperature, the entry rebalance's
+    # anchor, and the final plan, materialized at the last temperature.
+    plans, temperatures = l2sq_plans
+    assert [g for g, _, _ in plans] == temperatures + temperatures[-1:]

@@ -5,7 +5,10 @@ order whatever the thread count; a sparse one runs scipy's sequential CSR
 loop; the cost is a fixed-order sum; and BLAS dots over vectors of up to
 10 000 entries do not depend on the thread count.  A probe evaluates each
 quantity in a child process at one and at two threads and prints a digest of
-its bits, per anchor layout and size.
+its bits, per anchor layout and size.  The "signed" layout is a sparse
+anchor at the flush floor, served at offsets of opposite sign on the two
+sides: a near -30 and b near +30, so |a|_inf + |b|_inf is about 61 and
+max a + max b about 1, within ``dual.SPARSE_SCALE_MAX``.
 """
 
 import json
@@ -20,7 +23,7 @@ import otnewton
 from otnewton._kernels import BLOCK
 
 ANCHORS = [("dense", 64), ("dense", BLOCK + 17), ("dense", 1024), ("dense", 2048),
-           ("sparse", BLOCK + 17), ("sparse", 1024), ("sparse", 2048)]
+           ("sparse", BLOCK + 17), ("sparse", 1024), ("sparse", 2048), ("signed", 1024)]
 QUANTITIES = ["row-sums", "col-sums", "newton-product", "diag-prc", "cg-direction",
               "trial-col-sums", "dual-value", "cost"]
 CASES = [f"{layout}-{n}-{q}" for layout, n in ANCHORS for q in QUANTITIES] + ["dot-10000"]
@@ -51,7 +54,7 @@ for layout, n in json.loads(sys.argv[1]):
     f = C.min(axis=1)
     g = (C - f[:, None]).min(axis=0)
     r, c = gen_marginal(n, "spiky-random", 1), gen_marginal(n, "spiky-random", 2)
-    sparse = layout == "sparse"
+    sparse = layout != "dense"
     dual.sparse_anchor = lambda n, prev_nnz: sparse
     dual.sparse_limit = lambda n: n * n
     state = DualState(Problem(C=C, r=r, c=c), gamma,
@@ -59,9 +62,12 @@ for layout, n in json.loads(sys.argv[1]):
     state._anchor_plan(state.u, state.v)
     assert isinstance(state.anchored_plan()[0], SparsePlan) == sparse
     rng = np.random.default_rng(n)
-    state.set_potentials(state.u + rng.uniform(-0.5, 0.5, n),
-                         state.v + rng.uniform(-0.5, 0.5, n))
+    gauge = 30.0 if layout == "signed" else 0.0
+    state.set_potentials(state.u - gauge + rng.uniform(-0.5, 0.5, n),
+                         state.v + gauge + rng.uniform(-0.5, 0.5, n))
+    anchor = state._anchor
     out = {"row-sums": digest(state.log_rP), "col-sums": digest(state.log_cP)}
+    assert state._anchor is anchor  # served by the anchor, not a new one
     state.rebalance_columns()  # as a projection does before its Newton step
     system = DiscountedSystem.from_state(state)
     out["newton-product"] = digest(system.apply_F(0.9, rng.standard_normal(n)))
