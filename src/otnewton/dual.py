@@ -7,10 +7,11 @@ from the *anchored plan* ``P0``, materialized at potentials ``(u0, v0)``:
 the plan at ``(u0 + a, v0 + b)`` is ``D(e^a) P0 D(e^b)``, so its column sums
 are ``b + log(P0^T e^(a - max a)) + max a`` (rows alike), one matrix-vector
 product, and ``newton.DiscountedSystem`` applies it by the same two
-diagonal scalings.  An anchor serves the state while the offsets stay
-within ``PLAN_OFFSET_MAX``, and a sparse one also while
-``max a + max b <= SPARSE_SCALE_MAX``; these bound what its entries flushed
-to 0 could add.
+diagonal scalings.  An anchor serves offsets ``(a, b)`` under one rule
+(``DualState._serves``): ``max a + max b`` stays within a budget that the
+floor it flushed at leaves, which bounds what its entries flushed to 0
+could add, and each offset within ``OFFSET_RANGE``, which keeps the
+scalings normal.
 
 Every anchor is taken by one rule (``_serving_anchor``): a sum at
 potentials no anchor covers anchors at the maxima of the axis it sums,
@@ -53,11 +54,11 @@ current targets, which the projectors install before a temperature's first
 anchor.  It replaces the dense buffer and never sits beside it, and every
 sum and Newton product at that temperature runs over its nonzeros.  A
 dropped entry enters them scaled by e^(a_i + b_j), and the anchor serves
-only offsets with ``max a + max b <= SPARSE_SCALE_MAX``, so the n that one
-sum or product drops stay below half an ulp of the smallest target (kernel
-truncation, Schmitzer, SIAM J. Sci. Comput. 2019, with the threshold set by
-rounding).  The rule reads only the input
-(``sparse_anchor``): the plan spans more than one tile (n > ``BLOCK``;
+only offsets with ``max a + max b`` within its budget, ``SPARSE_SCALE_MAX``
+at that floor, so the n that one sum or product drops stay below half an
+ulp of the smallest target (kernel truncation, Schmitzer, SIAM J. Sci.
+Comput. 2019, with the threshold set by rounding).  The switch reads only
+the input (``sparse_anchor``): the plan spans more than one tile (n > ``BLOCK``;
 below that dense wins), and the previous anchor of the solve had at most
 n^2 / 4 entries at or above its floor, since a plan's count is known only
 after its pass; a sparse build falls back to dense once its count passes
@@ -83,56 +84,56 @@ from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, log_plan_matvec, log_plan_m
                        materialize_plan, scale_plan)
 from .errors import DomainError
 
-# Largest offset |u - u0|_inf + |v - v0|_inf at which the anchored plan serves
-# sums; beyond it a sum anchors anew at the maxima of its summed axis.  A plan
-# entry flushed to 0 had log below EXP_FLOOR, and the offsets scale it by at
-# most e^B, so with B = -EXP_FLOOR - 600 each dropped term stays below
-# e^-600 ~ 2.7e-261 and the n <= 2^20 of one sum below 3e-255: far below half
-# an ulp of any target above 1e-230.  The smallest smoothed target,
-# w_c * eps_d / n, is about 1e-11 on an n = 64 batch instance at
-# gamma = 2^18.  The weights e^(a - max a) stay above e^(-2B) = e^-200, and
-# the Newton system's scalings e^a and e^2b within e^(+-2B), normal numbers.
-# A sparse anchor drops more: entries below e^F, F = flush_floor(n, r, c).
-# A dropped entry enters a sum or a Newton product scaled by e^(a_i + b_j),
-# at most e^(max a + max b), so a sparse anchor also needs
-# max a + max b <= S = SPARSE_SCALE_MAX, which puts the n dropped terms of
-# one line below n e^(F + S) = 2^-54 t_min, half an ulp of the smallest
-# target.  Both offsets enter that bound, but only through their largest
-# entries: negative offsets scale the dropped entries down.  The bound is
-# absolute, so a line whose sum is at least t_min loses at most half an ulp
-# relative; a line that offsets of wide spread take far below t_min keeps
-# only the absolute bound (with a and b spanning [-49.5, 7.9] on an L1 line
-# at 2^14, log sums of lines below 4e-9 t_min were off by up to 0.08).
-# The entry anchor at (u, -m) puts its column offset b = log c - log(P0^T 1)
-# in [log c - log n, log c] (each column sum of P0 lies in [1, n]), inside B
-# unless a target is below e^-100 / n; then the row sums at the rebalanced
-# state anchor anew at the row maxima.  A sum at such a new anchor needs no
-# bound on the other side's offset, which stays outside the log: the summed
-# side's is 0, and each dropped term is below e^-700 against a sum of at
-# least 1.
-PLAN_OFFSET_MAX = -EXP_FLOOR - 600.0
-# Largest max(u - u0) + max(v - v0) at which a sparse anchor serves sums, in
-# place of PLAN_OFFSET_MAX in its flush floor (see above).  An anchor at the
-# maxima starts at offsets (0, b) with max b <= 0 after the entry rebalance.
-# On the sparse anchors of the 32x32 l2sq grid solves (n = 1024, gamma to
-# 2^18) the offsets served reach max a + max b = 10.1, and three quarters of
-# them are 0 or below.  At S = 0 an anchor would refuse its own state once a
-# column's largest entry exceeds 1, and re-anchor on every use; S = 16 leaves
-# room for Newton steps and line searches, at a floor 16 below the one S = 0
-# gives.
+# The serving rule (DualState._serves).  An anchor flushed to 0 each entry
+# whose log lies below its floor F: flush_floor(n, r, c) for a sparse
+# anchor, EXP_FLOOR for the dense buffer.  At offsets (a, b) a dropped entry
+# enters a sum or a Newton product scaled by e^(a_i + b_j), at most
+# e^(max a + max b), so the n that one line drops stay below
+# n e^(F + max a + max b).  Kept at or below 2^-54 t_min, half an ulp of the
+# smallest target t_min, they move no sum of at least t_min by more than
+# half an ulp (kernel truncation, Schmitzer, SIAM J. Sci. Comput. 2019, with
+# the threshold set by rounding).  So an anchor serves offsets with
+#     max a + max b <= budget = max(S, log t_min - 54 log 2 - log n - F),
+# S = SPARSE_SCALE_MAX, the budget taken with the anchor (_anchor_plan).
+# Negative offsets scale dropped entries down, so only the largest enter.
+# flush_floor picks F so that a sparse anchor's budget is S (up to the
+# rounding of F, 7e-15 on the benchmark); a dense anchor's is 634 to 653 on
+# the benchmark's anchors (n = 64 to 4096).  The floor S keeps every anchor
+# at maxima serving its own entry state (a = 0, and max b <= 0 after the
+# entry rebalance, each column sum of P0 being at least 1) even at a zero
+# target, whose budget would be -inf.  At S = 0 an anchor would refuse its
+# own state once a column's largest entry exceeds 1, and re-anchor on every
+# use; S = 16 leaves room for Newton steps and line searches (the sparse
+# offsets served on the 32x32 l2sq grid solves, n = 1024, gamma to 2^18,
+# reach max a + max b = 10.1, three quarters of them 0 or below), at a
+# floor 16 below the one S = 0 gives.  The bound is absolute: a line whose
+# sum is at least t_min loses at most half an ulp relative, while one that
+# offsets of wide spread take far below t_min keeps only the absolute bound.
+#
+# Each offset also stays within R = OFFSET_RANGE, max(|a|_inf, |b|_inf) <= R,
+# which keeps normal what the offsets scale: a sum's weights e^(a - max a)
+# are at least e^-2R, and the Newton system's scalings e^a, e^2a and e^2b
+# (newton.DiscountedSystem) lie within e^(+-2R).  The normal numbers span
+# (e^-708.4, e^709.8), so 2R = -EXP_FLOOR = 700 is the round bound inside.
+#
+# A sum at a new anchor needs neither check: its summed side's offset is 0,
+# the other side's stays outside the log, and each dropped term is below e^F
+# against a sum of at least 1.  The entry anchor at (u, -m) puts its column
+# offset b = log c - log(P0^T 1) in [log c - log n, log c]: within the budget,
+# and within R unless a target is below e^-R / n; then the row sums at the
+# rebalanced state anchor anew at the row maxima.  Both checks are convex in
+# a line search's step size (maxima of offsets affine in it, and minima
+# negated), so an anchor that serves both ends of a step serves all of it.
+OFFSET_RANGE = -EXP_FLOOR / 2.0
 SPARSE_SCALE_MAX = 16.0
 
 
-def _within_guard(a, b):
-    return bool(np.abs(a).max() + np.abs(b).max() <= PLAN_OFFSET_MAX)
-
-
-def _serves(plan, a, b):
-    """Whether an anchor holding ``plan`` serves sums at offsets (a, b): within
-    the guard, and for a ``SparsePlan`` also ``max a + max b <=
-    SPARSE_SCALE_MAX``, the bound its flush floor rests on."""
-    return _within_guard(a, b) and (not isinstance(plan, SparsePlan)
-                                    or bool(a.max() + b.max() <= SPARSE_SCALE_MAX))
+def _log_drop_share(n, r, c):
+    """log(2^-54 t_min / n), ``t_min`` the smallest target: the most each of
+    the n terms one line drops may add (see above), in log; -inf for a zero
+    target."""
+    t_min = min(float(np.min(r)), float(np.min(c)))
+    return math.log(t_min) - 54.0 * math.log(2.0) - math.log(n) if t_min > 0.0 else -math.inf
 
 
 def sparse_anchor(n, prev_nnz):
@@ -163,21 +164,17 @@ def flush_floor(n, r, c):
     targets ``r`` and ``c``: ``log t_min - 54 log 2 - log n - SPARSE_SCALE_MAX``,
     ``t_min`` the smallest target, and at least ``EXP_FLOOR``.
 
-    A sparse anchor serves only offsets with ``max a + max b <=
-    SPARSE_SCALE_MAX``, which scale a dropped entry by at most
-    e^SPARSE_SCALE_MAX, so the n that one sum or product drops stay below
-    n e^(F + SPARSE_SCALE_MAX) = 2^-54 t_min, half an ulp of every target.
-    On the 32x32 l2sq grid (n = 1024) F is about -79 late in a solve.
-    ``EXP_FLOOR`` for a plan of one tile (n <= ``BLOCK``), which is never
-    sparse, and for a zero target or one below about 1e-280.
+    Its anchor's budget is then ``SPARSE_SCALE_MAX`` (see the serving rule
+    above): offsets with ``max a + max b`` within it scale a dropped entry
+    by at most e^SPARSE_SCALE_MAX, so the n that one sum or product drops
+    stay below n e^(F + SPARSE_SCALE_MAX) = 2^-54 t_min, half an ulp of
+    every target.  On the 32x32 l2sq grid (n = 1024) F is about -79 late in
+    a solve.  ``EXP_FLOOR`` for a plan of one tile (n <= ``BLOCK``), which
+    is never sparse, and for a zero target or one below about 1e-280.
     """
     if n <= BLOCK:
         return EXP_FLOOR
-    t_min = min(float(np.min(r)), float(np.min(c)))
-    if not t_min > 0.0:
-        return EXP_FLOOR
-    return max(EXP_FLOOR, math.log(t_min) - 54.0 * math.log(2.0) - math.log(n)
-               - SPARSE_SCALE_MAX)
+    return max(EXP_FLOOR, _log_drop_share(n, r, c) - SPARSE_SCALE_MAX)
 
 
 class DualState:
@@ -193,6 +190,7 @@ class DualState:
         self._anchor = None  # (u0, v0) that _plan is the plan of
         self._anchor_nnz = None  # entries of the last anchored plan at or above its floor
         self._anchor_low = None  # log of a bound below its nonzero entries
+        self._budget = None  # the largest max a + max b the anchor serves
         self._col_product = None  # (a, log(P0^T e^a)) last taken from the anchor
         self.problem = problem
         n = problem.n
@@ -266,7 +264,9 @@ class DualState:
         the entries at or above ``flush_floor`` when ``sparse_anchor`` says
         so and there are at most ``sparse_limit`` of them, else the state's
         dense buffer, built at the ``v`` that a sparse build past the limit
-        returned.  Either build counts the entries at or above the floor."""
+        returned.  Either build counts the entries at or above the floor.
+        The anchor keeps the budget of the floor it flushed at, the dense
+        buffer's being ``EXP_FLOOR`` (see the serving rule above)."""
         n, C, gamma = self.n, self.problem.C, self.gamma
         floor = flush_floor(n, self.r, self.c)
         plan = None
@@ -278,7 +278,9 @@ class DualState:
         if plan is None:
             plan, v, nnz, low = materialize_plan(C, gamma, u, v, out=self._buffer(),
                                                  floor=floor)
+            floor = EXP_FLOOR  # what the dense buffer flushes below
         self._plan, self._anchor_nnz, self._anchor_low = plan, nnz, low
+        self._budget = max(SPARSE_SCALE_MAX, _log_drop_share(n, self.r, self.c) - floor)
         self._anchor = (u, v)
 
     @property
@@ -296,13 +298,22 @@ class DualState:
         state holds none."""
         return None if self._anchor is None else self._anchor_low
 
+    def _serves(self, a, b):
+        """Whether the anchor serves sums at offsets (a, b): ``max a + max b``
+        within its budget, and each offset within ``OFFSET_RANGE`` (the
+        serving rule above).  Four reductions; a NaN offset is not served."""
+        top_a, top_b = a.max(), b.max()
+        return bool(top_a + top_b <= self._budget and top_a <= OFFSET_RANGE
+                    and top_b <= OFFSET_RANGE and a.min() >= -OFFSET_RANGE
+                    and b.min() >= -OFFSET_RANGE)
+
     def _plan_offsets(self, u, v):
         """(u - u0, v - v0) when the anchored plan serves sums at (u, v), else None."""
         if self._anchor is None:
             return None
         u0, v0 = self._anchor
         a, b = u - u0, v - v0
-        return (a, b) if _serves(self._plan, a, b) else None
+        return (a, b) if self._serves(a, b) else None
 
     def _serving_anchor(self, u, v, axis):
         """The anchor ``(u0, v0)`` that serves the sums over ``axis`` (0:
@@ -330,8 +341,14 @@ class DualState:
         as the column sums do.  ``P0`` is the state's buffer or a
         ``SparsePlan``: it stays valid until the state anchors again, which
         in the projection loop happens at most once per temperature while
-        the anchor serves the offsets (``PLAN_OFFSET_MAX``, and
-        ``SPARSE_SCALE_MAX`` for a sparse anchor).
+        the anchor serves the offsets (``_serves``).
+
+        Precondition: the state's column offsets at its column maxima are
+        served, as after a column rebalance, which leaves ``max b <= 0``.  A
+        new anchor at the column maxima has ``a = 0`` and is returned with
+        its column offsets ``b`` unchecked, since they stay outside the
+        column sums; the Newton system, which scales by ``e^b``, needs them
+        served.
         """
         u0, v0 = self._serving_anchor(self.u, self.v, 0)
         return self._plan, self.u - u0, self.v - v0
@@ -417,8 +434,8 @@ class DualState:
         and their sums are left as they are.
 
         When the anchor covers both ends of the full step, it covers (its
-        checks, sums of maxima of offsets affine in alpha, being convex in
-        alpha) every alpha in [0, 1], so a line search, with its
+        checks, on maxima and minima of offsets affine in alpha, being convex
+        in alpha) every alpha in [0, 1], so a line search, with its
         ``base_log_col_sums``, is served by one plan.
         Otherwise a trial the anchor does not cover re-anchors at its column
         maxima.
@@ -433,18 +450,14 @@ class DualState:
         them when it was taken at these row offsets, bit for bit, as after an
         accepted step or a chi-square sweep: the same evaluation path with no
         pass.  Otherwise they take one product."""
-        if not self._step_on_plan(d_u, d_v):
+        off = self._plan_offsets(self.u, self.v)
+        if off is None or not self._serves(off[0] + d_u, off[1] + d_v):
             return self.log_cP
-        u0, v0 = self._anchor
-        a = self.u - u0
+        a, b = off
         kept = self._col_product
         if kept is not None and np.array_equal(kept[0].view(np.int64), a.view(np.int64)):
-            return (self.v - v0) + kept[1]
-        return (self.v - v0) + self._log_col_product(a)
-
-    def _step_on_plan(self, d_u, d_v):
-        off = self._plan_offsets(self.u, self.v)
-        return off is not None and _serves(self._plan, off[0] + d_u, off[1] + d_v)
+            return b + kept[1]
+        return b + self._log_col_product(a)
 
     # -- exact scaling updates that keep the caches coherent -----------------
 
@@ -457,8 +470,9 @@ class DualState:
         of the sums as in log-sum-exp.  Given potentials and their log
         column sums (all three, or a ``TypeError``), installs
         ``(u, v + (log c - log_cols))`` with no column product.  Should the
-        offset leave ``PLAN_OFFSET_MAX``, v is still exact (no scaling
-        enters it); the row sums then re-anchor at the row maxima.
+        offsets leave what the anchor serves (``_serves``), v is still exact
+        (no scaling enters it); the row sums then re-anchor at the row
+        maxima.
         """
         if sum(x is None for x in (u, v, log_cols)) not in (0, 3):
             raise TypeError("rebalance_columns takes u, v and log_cols together or none of them")

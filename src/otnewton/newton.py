@@ -101,10 +101,14 @@ class DiscountedSystem:
 
         The plan is the state's buffer: the system is valid until the state
         anchors again, which happens when a new temperature starts or a sum
-        leaves the offsets the anchor serves (``dual.PLAN_OFFSET_MAX``, and
-        ``dual.SPARSE_SCALE_MAX`` for a sparse anchor), never while the
-        projection loop uses the system (a line search trial that re-anchors
-        comes after it).
+        leaves the offsets the anchor serves (``DualState._serves``), never
+        while the projection loop uses the system (a line search trial that
+        re-anchors comes after it).
+
+        Precondition: the state's column offsets at its column maxima are
+        served, as after a column rebalance, which leaves ``max b <= 0``
+        (``DualState.anchored_plan``).  The projector builds the system
+        only after one.
         """
         P0, a, b = state.anchored_plan()
         # Every anchor is taken at maxima, so its entries are at most 1

@@ -82,10 +82,10 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     so each sweep's two exact scalings (``DualState.sinkhorn_sweep``) take
     their sums from one product with that plan each.  The iterates are
     those of log-domain Sinkhorn.  A scaling whose step leaves the offsets
-    the anchor serves (``dual.PLAN_OFFSET_MAX``, and
-    ``dual.SPARSE_SCALE_MAX`` for a sparse anchor) re-anchors at the maxima
-    of the axis it sums, and that anchor serves the later sums and checks
-    while it covers them.
+    the anchor serves (``dual.DualState._serves``: ``max a + max b`` within
+    the budget of the anchor's floor, each offset within
+    ``dual.OFFSET_RANGE``) re-anchors at the maxima of the axis it sums, and
+    that anchor serves the later sums and checks while it covers them.
     """
     if np.min(r) <= 0.0 or np.min(c) <= 0.0:
         raise DomainError("sinkhorn_project requires strictly positive marginals")

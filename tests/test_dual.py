@@ -9,7 +9,7 @@ from dense_reference import assert_no_less_accurate_than_lse, finite_diff_grad, 
 from otnewton import _kernels, dual, opcount
 from otnewton._kernels import SparsePlan, log_plan_matvec, log_plan_max
 from otnewton.driver import mdot
-from otnewton.dual import PLAN_OFFSET_MAX, SPARSE_SCALE_MAX, DualState
+from otnewton.dual import OFFSET_RANGE, SPARSE_SCALE_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
@@ -209,13 +209,24 @@ class TestAnchoredPlan:
         np.testing.assert_allclose(got, probe.log_cP, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(base, state.trial_log_col_sums(d_u, d_v, 0.0))
 
-    @pytest.mark.parametrize("size", [1.01 * PLAN_OFFSET_MAX, 10.0 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", ["budget", "range", 1000.0])
     def test_step_beyond_guard_reanchors_and_uses_the_cache(self, size):
         # The base sums come from the cache; each trial the anchor does not
-        # cover anchors at its column maxima (maxima 1, plan 4, product 1).
+        # serve anchors at its column maxima (maxima 1, plan 4, product 1).
+        # From the entry offsets (0, b0), the full step goes just beyond one
+        # part of the rule: "budget" to max a + max b = 1.01 times the
+        # anchor's budget within the range, "range" to a = 1.01 R within
+        # the budget, and 1000 far beyond the range.  The half step, from
+        # the anchor the full one took, leaves the range in b.
         state = anchored()
-        d_u = np.full(12, size)
-        d_v = np.zeros(12)
+        _, _, b0 = state.anchored_plan()
+        if size == "budget":
+            d_u = d_v = np.full(12, (1.01 * state._budget - b0.max()) / 2.0)
+        else:
+            d_u, d_v = np.full(12, 1.01 * OFFSET_RANGE if size == "range" else size), np.zeros(12)
+        a, b = d_u, b0 + d_v
+        assert (a.max() + b.max() > state._budget) == (size != "range")
+        assert (max(a.max(), b.max()) > OFFSET_RANGE) == (size != "budget")
         np.testing.assert_array_equal(state.base_log_col_sums(d_u, d_v), state.log_cP)
         C, gamma = state.problem.C, state.gamma
         for alpha in (1.0, 0.5):
@@ -223,9 +234,9 @@ class TestAnchoredPlan:
                 before = opcount.snapshot().get("t", 0)
                 got = state.trial_log_col_sums(d_u, d_v, alpha)
                 assert opcount.snapshot()["t"] - before == 1 + 4 + 1
-            u = state.u + alpha * d_u
+            u, v = state.u + alpha * d_u, state.v + alpha * d_v
             np.testing.assert_array_equal(state._anchor[1], -log_plan_max(C, gamma, u, 0))
-            assert_no_less_accurate_than_lse(C, gamma, u, state.v, cols=got)
+            assert_no_less_accurate_than_lse(C, gamma, u, v, cols=got)
 
     def test_scalings_match_lse(self):
         state = anchored()
@@ -396,8 +407,8 @@ class TestKeptColumnProduct:
         assert state._col_product is None
         state = anchored()
         assert not (state.u - state._anchor[0]).any()
-        state.set_potentials(state.u + 0.5, state.v - 2.0 * PLAN_OFFSET_MAX)
-        state.anchored_plan()  # beyond the guard: a new anchor at the column maxima
+        state.set_potentials(state.u + 0.5, state.v - 2.0 * OFFSET_RANGE)
+        state.anchored_plan()  # beyond the range: a new anchor at the column maxima
         assert state._col_product is None
         d = np.zeros(12)
         assert state.base_log_col_sums(d, d).tobytes() == fresh_base(state).tobytes()
@@ -432,10 +443,11 @@ class TestKeptColumnProduct:
 
 
 class TestSparseScaleBound:
-    """A sparse anchor serves offsets while max a + max b stays within
-    ``SPARSE_SCALE_MAX``, so a line search re-anchors only at trials whose
-    plan holds an entry above e^SPARSE_SCALE_MAX, which no anchor at maxima
-    (entries at most 1) can serve."""
+    """A sparse anchor at its flush floor serves offsets while max a + max b
+    stays within its budget, ``SPARSE_SCALE_MAX``, so a line search
+    re-anchors only at trials whose plan holds an entry above
+    e^SPARSE_SCALE_MAX, which no anchor at maxima (entries at most 1) can
+    serve."""
 
     @pytest.mark.parametrize("shift,anchors", [(0.5 * SPARSE_SCALE_MAX, [0, 0, 0, 0]),
                                                (1.5 * SPARSE_SCALE_MAX, [0, 0, 1, 1])])
@@ -448,10 +460,16 @@ class TestSparseScaleBound:
         # e^((1 - alpha) shift): at one and a half the bound, the anchor at
         # the state's column maxima serves alpha = 1 and 1/2, and each of
         # 1/4 and 1/8 anchors at its own.
+        # The plan has one tile, where flush_floor gives EXP_FLOOR and so a
+        # budget as large as a dense anchor's; the floor a larger plan would
+        # take at these targets gives the budget SPARSE_SCALE_MAX.
         monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
         monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
+        monkeypatch.setattr(dual, "flush_floor",
+                            lambda n, r, c: dual._log_drop_share(n, r, c) - SPARSE_SCALE_MAX)
         state = anchored()
         assert isinstance(state._plan, SparsePlan)
+        assert state._budget == pytest.approx(SPARSE_SCALE_MAX, abs=1e-12)  # up to rounding
         state.set_potentials(state.u, state.v + shift)
         C, gamma = state.problem.C, state.gamma
         top = log_plan_max(C, gamma, state.u, 0) + state.v

@@ -20,7 +20,7 @@ from otnewton._kernels import (BLOCK, EXP_FLOOR, LOG_OVERFLOW, PLAN_FLOOR, Spars
                                log_plan_max, materialize_plan,
                                plan_cost, plan_matvec, scale_plan, square_matvec, tile_rows)
 from otnewton.driver import round_plan
-from otnewton.dual import PLAN_OFFSET_MAX, SPARSE_SCALE_MAX, DualState
+from otnewton.dual import OFFSET_RANGE, SPARSE_SCALE_MAX, DualState
 from otnewton.errors import PlanOverflowError
 from otnewton.newton import DiscountedSystem
 from otnewton.problems import Problem, gen_marginal
@@ -315,7 +315,7 @@ class TestAnchoredPlanSums:
 
     @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
-    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 99.0, 200.0, 400.0, 600.0])
     def test_no_less_accurate_than_lse(self, cost, gamma, kind, size, monkeypatch):
         state = anchored_state(cost, kind, gamma, monkeypatch)
         if cost == "l1-line":
@@ -323,19 +323,26 @@ class TestAnchoredPlanSums:
         assert_sums_no_less_accurate_than_lse(state, size)
 
     @pytest.mark.parametrize("cost,gamma,size,passes", [
-        ("l1-line", 2.0 ** 14, 1.01 * PLAN_OFFSET_MAX, 12),
-        ("nonsymmetric", 2.0 ** 8, 1.01 * PLAN_OFFSET_MAX, 7),
-        ("l1-line", 2.0 ** 14, 10.0 * PLAN_OFFSET_MAX, 12),
-        ("nonsymmetric", 2.0 ** 8, 10.0 * PLAN_OFFSET_MAX, 12)])
+        ("l1-line", 2.0 ** 14, "budget", 12),
+        ("nonsymmetric", 2.0 ** 8, "budget", 12),
+        ("l1-line", 2.0 ** 14, "range", 7),
+        ("nonsymmetric", 2.0 ** 8, "range", 7),
+        ("l1-line", 2.0 ** 14, 1000.0, 12),
+        ("nonsymmetric", 2.0 ** 8, 1000.0, 12)])
     def test_beyond_guard_reanchors_at_the_maxima(self, cost, gamma, size, passes,
                                                   monkeypatch):
-        # The row sums anchor at the row maxima (maxima 1, plan 4, product
-        # 1).  The column sums come from that anchor when it covers the
-        # state (one product), else from one at the column maxima (6 more).
-        # At 10 times the guard the log plan's entries reach far beyond
-        # exp's overflow.
+        # Just beyond one part of the serving rule: "budget" puts
+        # max a + max b at 1.01 times the anchor's budget, each side within
+        # the range; "range" puts a at -1.01 R and b at 1.01 R within the
+        # budget; at 1000 the log plan's entries reach far beyond exp's
+        # overflow.  The row sums anchor at the row maxima (maxima 1, plan
+        # 4, product 1).  The column sums come from that anchor when it
+        # serves the state (one product), else from one at the column
+        # maxima (6 more).
         state = anchored_state(cost, "spiky-random", gamma, monkeypatch)
-        assert_sums_no_less_accurate_than_lse(state, size, passes)
+        at = {"budget": lambda n, _: offsets(n, 1.01 * state._budget),
+              "range": lambda n, _: offsets(n, 2.02 * OFFSET_RANGE, top=1.01 * OFFSET_RANGE)}
+        assert_sums_no_less_accurate_than_lse(state, size, passes, at=at.get(size, offsets))
 
     @pytest.mark.parametrize("n", [64, BLOCK + 17])
     def test_cost_is_the_untiled_sum(self, n):
@@ -357,7 +364,7 @@ class TestScaledNewtonSystem:
     and column sums, so only the plan differs.
     """
 
-    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 99.0, 200.0, 400.0, 600.0])
     def test_no_less_accurate_than_materialized(self, size, monkeypatch):
         state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 8, monkeypatch)
         assert_system_no_less_accurate_than_materialized(state, size)
@@ -521,13 +528,13 @@ class TestEntryRebalance:
         assert np.median(err) <= np.median(lse_err) + ulp
 
     def test_entry_offset_beyond_the_guard(self):
-        # A column target below e^-PLAN_OFFSET_MAX puts the entry offset
-        # beyond the guard: v still sets the column sums to c, the row sums
-        # anchor at the row maxima of the rebalanced state, and that anchor
-        # serves the Newton system.
+        # A column target below e^-OFFSET_RANGE puts the entry offset beyond
+        # the range: v still sets the column sums to c, the row sums anchor
+        # at the row maxima of the rebalanced state, and that anchor serves
+        # the Newton system.
         n, gamma = 8, 4.0
         c = np.full(n, 1.0)
-        c[0] = np.exp(-1.2 * PLAN_OFFSET_MAX)
+        c[0] = np.exp(-1.2 * OFFSET_RANGE)
         c /= c.sum()
         prob = Problem(C=np.random.default_rng(2).uniform(size=(n, n)),
                        r=np.full(n, 1.0 / n), c=c)
@@ -553,11 +560,11 @@ class TestReleasedPlan:
     scaled in place to the current potentials."""
 
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 8)])
-    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 99.0])
     def test_no_less_accurate_than_materialized(self, cost, gamma, size, monkeypatch):
         # Per entry, relative to long double, over the entries above
-        # e^(EXP_FLOOR + PLAN_OFFSET_MAX): below it, an entry the anchor
-        # flushed to 0 may have been scaled up to a nonzero value.
+        # e^(EXP_FLOOR + 100): below it, an entry the anchor flushed to 0
+        # may have been scaled up to a nonzero value (max a + max b = size).
         state = anchored_state(cost, "spiky-random", gamma, monkeypatch)
         a, b = offsets(state.n, size)
         state.set_potentials(state.u + a, state.v + b)
@@ -568,14 +575,14 @@ class TestReleasedPlan:
         ld = np.longdouble
         ref = np.exp(state.u.astype(ld)[:, None] + state.v.astype(ld)[None, :]
                      - ld(state.gamma) * state.problem.C.astype(ld))
-        big = ref >= np.exp(ld(EXP_FLOOR + PLAN_OFFSET_MAX))
+        big = ref >= np.exp(ld(EXP_FLOOR + 100.0))
         assert big.any()
         err = (np.abs(P - ref)[big] / ref[big]).astype(float)
         base_err = (np.abs(fresh - ref)[big] / ref[big]).astype(float)
         u = np.finfo(float).eps / 2
         assert err.max() <= base_err.max() + 4.0 * u
         assert np.median(err) <= np.median(base_err) + u
-        assert np.all(P[~big] <= np.exp(EXP_FLOOR + PLAN_OFFSET_MAX))
+        assert np.all(P[~big] <= np.exp(EXP_FLOOR + 100.0))
         assert P[P > 0].min() >= PLAN_FLOOR  # no subnormals
 
     def test_scaling_flushes_below_the_floor(self):
@@ -645,8 +652,8 @@ class TestSparseAnchor:
     loop's plain running sums of n terms can lose to BLAS by a few ulps.)
 
     The offsets are ones the anchor serves (``served_offsets``): up to
-    |a|_inf + |b|_inf = 0.99 ``PLAN_OFFSET_MAX``, a gauge shift with
-    max a + max b at most 0.99 ``SPARSE_SCALE_MAX``, which keeps each sum
+    |a|_inf + |b|_inf = 99, a gauge shift with max a + max b at most
+    0.99 ``SPARSE_SCALE_MAX``, its budget, which keeps each sum
     near its target.  The floor's bound is absolute, half an ulp of the
     smallest target, so these relative criteria hold for sums at least that
     target; ``TestFlushFloor`` and ``TestServedBound`` check the absolute
@@ -655,14 +662,14 @@ class TestSparseAnchor:
 
     @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
-    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 99.0])
     def test_sums_no_less_accurate_than_lse(self, cost, gamma, kind, size, monkeypatch):
         state = anchored_state(cost, kind, gamma, monkeypatch, sparse=True)
         assert state.plan_density <= 0.125
         assert_sums_no_less_accurate_than_lse(state, size, at=served_offsets)
 
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
-    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 99.0])
     def test_newton_system_no_less_accurate_than_materialized(self, cost, gamma, size,
                                                               monkeypatch):
         state = anchored_state(cost, "spiky-random", gamma, monkeypatch, sparse=True)
@@ -672,15 +679,16 @@ class TestSparseAnchor:
     @pytest.mark.parametrize("cost,gamma,size,passes", [
         ("l1-line", 2.0 ** 14, 1.01 * SPARSE_SCALE_MAX, 7),
         ("nonsymmetric", 2.0 ** 13, 1.01 * SPARSE_SCALE_MAX, 7),
-        ("l1-line", 2.0 ** 14, 0.99 * PLAN_OFFSET_MAX, 7),
-        ("nonsymmetric", 2.0 ** 13, 0.99 * PLAN_OFFSET_MAX, 7)])
+        ("l1-line", 2.0 ** 14, 99.0, 7),
+        ("nonsymmetric", 2.0 ** 13, 99.0, 7)])
     def test_beyond_the_scale_bound_reanchors_at_the_maxima(self, cost, gamma, size, passes,
                                                             monkeypatch):
-        # Within the guard, but at max a + max b = 1.01 SPARSE_SCALE_MAX: the
-        # anchor refuses the offsets, and the sums re-anchor at the maxima in
-        # CSR, as beyond the guard (``TestAnchoredPlanSums``).  The row sums
-        # anchor at the row maxima (maxima 1, plan 4, product 1), and that
-        # anchor serves the column sums (one product).
+        # Within the range, but at max a + max b = 1.01 SPARSE_SCALE_MAX, the
+        # sparse anchor's budget: the anchor refuses the offsets, and the
+        # sums re-anchor at the maxima in CSR, as beyond the rule on a dense
+        # anchor (``TestAnchoredPlanSums``).  The row sums anchor at the row
+        # maxima (maxima 1, plan 4, product 1), and that anchor serves the
+        # column sums (one product).
         state = anchored_state(cost, "spiky-random", gamma, monkeypatch, sparse=True)
         assert_sums_no_less_accurate_than_lse(
             state, size, passes, at=lambda n, size: offsets(n, size, top=1.01 * SPARSE_SCALE_MAX))
@@ -909,7 +917,7 @@ class TestFlushFloor:
         # n * e^(F + SPARSE_SCALE_MAX) is within half an ulp of the target.
         assert n * math.exp(F + SPARSE_SCALE_MAX) <= np.spacing(1e-6) / 2
         # The l2sq grid at n = 1024, whose smallest target late in a solve
-        # is about 9e-9: 84 above the floor the guard would give.
+        # is about 9e-9.
         late = dual.flush_floor(1024, *targets_with_min(1024, 9e-9))
         assert late == pytest.approx(-79.0, abs=0.5)
         assert dual.flush_floor(BLOCK, *targets_with_min(BLOCK, 1e-6)) == EXP_FLOOR
@@ -921,11 +929,12 @@ class TestFlushFloor:
 
     @pytest.mark.parametrize("cost,gamma", [("l1-line", 2.0 ** 14), ("nonsymmetric", 2.0 ** 13)])
     @pytest.mark.parametrize("kind", ["smooth-random", "spiky-random"])
-    @pytest.mark.parametrize("size", [0.0, 1.0, 0.99 * PLAN_OFFSET_MAX])
+    @pytest.mark.parametrize("size", [0.0, 1.0, 99.0, 200.0, 400.0, 690.0])
     def test_sums_lose_at_most_half_an_ulp_of_the_smallest_target(self, cost, gamma, kind, size,
                                                                   monkeypatch):
-        # At offsets the anchor serves, up to |a|_inf + |b|_inf = 99 with
-        # max a + max b = 0.99 SPARSE_SCALE_MAX, of narrow and of wide spread.
+        # At offsets the anchor serves, up to |a|_inf + |b|_inf = 690 (each
+        # side within OFFSET_RANGE) with max a + max b = 0.99
+        # SPARSE_SCALE_MAX, of narrow and of wide spread.
         state, base = floor_and_base_anchors(cost, kind, gamma, monkeypatch)
         for at in (served_offsets, wide_served_offsets):
             assert floor_loses_at_most_half_an_ulp(state, base, *at(state.n, size))
@@ -943,30 +952,33 @@ def floor_and_base_anchors(cost, kind, gamma, monkeypatch):
 
 
 def floor_loses_at_most_half_an_ulp(state, base, a, b):
-    """Whether the anchors of ``floor_and_base_anchors`` serve the offsets
-    (a, b); if so, asserts that each log row and column sum of ``state`` is
+    """Whether the anchor of ``state`` serves the offsets (a, b); if so,
+    asserts that the mass its floor drops from each log row and column sum
+    is within half an ulp of the smallest target, and, given ``base`` (the
+    anchors of ``floor_and_base_anchors``), that each sum of ``state`` is
     off its long-double value, in the linear domain, by at most ``base``'s
-    error plus half an ulp of the smallest target, and that the mass the
-    floor drops from each sum is within that half ulp."""
+    error plus that half ulp."""
     u0, v0 = state._anchor
-    for s in (state, base):
+    states = (state,) if base is None else (state, base)
+    for s in states:
         s.set_potentials(u0 + a, v0 + b)
     if state._plan_offsets(state.u, state.v) is None:
         return False
-    for s in (state, base):
+    for s in states:
         assert refresh_passes(s) == 2  # one product per side, no new anchor
     gamma, C = state.gamma, state.problem.C
     ld = np.longdouble
     half_ulp = np.spacing(min(state.r.min(), state.c.min())) / 2
-    ref_rows, ref_cols = long_double_sums(C, gamma, state.u, state.v)
-    for got, got_base, ref in ((state.log_rP, base.log_rP, ref_rows),
-                               (state.log_cP, base.log_cP, ref_cols)):
-        err = np.abs(np.exp(got.astype(ld)) - np.exp(ref))
-        base_err = np.abs(np.exp(got_base.astype(ld)) - np.exp(ref))
-        assert np.all(err <= base_err + half_ulp)
+    if base is not None:
+        ref_rows, ref_cols = long_double_sums(C, gamma, state.u, state.v)
+        for got, got_base, ref in ((state.log_rP, base.log_rP, ref_rows),
+                                   (state.log_cP, base.log_cP, ref_cols)):
+            err = np.abs(np.exp(got.astype(ld)) - np.exp(ref))
+            base_err = np.abs(np.exp(got_base.astype(ld)) - np.exp(ref))
+            assert np.all(err <= base_err + half_ulp)
     a, b = state.u - u0, state.v - v0
     L = log_plan(C, gamma, u0, v0)
-    floor = dual.flush_floor(state.n, state.r, state.c)
+    floor = anchor_floor(state)
     dropped = np.where(L < floor, np.exp(a.astype(ld)[:, None] + L + b.astype(ld)[None, :]),
                        0.0)
     assert dropped.sum(axis=1).max() <= half_ulp
@@ -974,27 +986,92 @@ def floor_loses_at_most_half_an_ulp(state, base, a, b):
     return True
 
 
+def anchor_floor(state):
+    """The floor the state's anchor flushed at: ``dual.flush_floor`` for a
+    sparse anchor, ``EXP_FLOOR`` for the dense buffer."""
+    if isinstance(state._plan, SparsePlan):
+        return dual.flush_floor(state.n, state.r, state.c)
+    return EXP_FLOOR
+
+
+def served_by_the_rule(state, a, b, margin=0.0):
+    """The serving rule restated from its parts: max a + max b within the
+    budget of the anchor's floor, each offset within ``OFFSET_RANGE``; with
+    ``margin``, by that much."""
+    n, t_min = state.n, min(state.r.min(), state.c.min())
+    share = math.log(t_min) - 54.0 * math.log(2.0) - math.log(n) if t_min > 0.0 else -math.inf
+    budget = max(SPARSE_SCALE_MAX, share - anchor_floor(state))
+    reach = max(np.abs(a).max(), np.abs(b).max())
+    return bool(a.max() + b.max() <= budget - margin and reach <= OFFSET_RANGE - margin)
+
+
+# One side's offsets: its largest entry and its span, in units of OFFSET_RANGE.
+SIDE = st.tuples(st.floats(-1.1, 1.1), st.floats(0.0, 1.6))
+
+
 class TestServedBound:
-    """A sparse anchor serves exactly the offsets its flush floor is safe at:
-    within the guard and at max a + max b <= ``SPARSE_SCALE_MAX``, where
-    each log sum loses at most half an ulp of the smallest target."""
+    """Every anchor serves exactly the offsets its floor is safe at, under
+    one rule: max a + max b within the budget the floor leaves
+    (``SPARSE_SCALE_MAX`` for a sparse anchor at its flush floor, about 640
+    for a dense one, which flushes only below e^EXP_FLOOR), and each offset
+    within ``OFFSET_RANGE``.  There the mass an anchor drops from a sum
+    stays within half an ulp of the smallest target, and a sparse anchor's
+    sums lose at most that half ulp against the same anchor at EXP_FLOOR.
+    The rule is convex: an anchor that serves two offsets serves every
+    offset between them."""
 
     @pytest.fixture(scope="class")
     def anchors(self):
         with pytest.MonkeyPatch.context() as m:
-            yield floor_and_base_anchors("nonsymmetric", "spiky-random", 2.0 ** 13, m)
+            state, base = floor_and_base_anchors("nonsymmetric", "spiky-random", 2.0 ** 13, m)
+            dense = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 13, m)
+            yield {False: (state, base), True: (dense, None)}
 
-    @settings(max_examples=60, deadline=None)
-    @given(lo_a=st.floats(-60.0, 30.0), lo_b=st.floats(-60.0, 30.0),
-           span_a=st.floats(0.0, 60.0), span_b=st.floats(0.0, 60.0),
-           seed=st.integers(0, 2 ** 16))
-    def test_serves_exactly_where_the_floor_is_safe(self, anchors, lo_a, lo_b, span_a,
-                                                    span_b, seed):
-        state, base = anchors
+    @settings(max_examples=100, deadline=None)
+    @given(dense=st.booleans(), ends=st.tuples(SIDE, SIDE, SIDE, SIDE),
+           at_budget=st.booleans(), slack=st.floats(-20.0, 20.0), seed=st.integers(0, 2 ** 16))
+    def test_serves_exactly_where_the_floor_is_safe(self, anchors, dense, ends, at_budget,
+                                                    slack, seed):
+        # Two offsets (a, b), each side from its largest entry down over its
+        # span; with ``at_budget`` the first has max a = max b, their sum
+        # within 20 of the anchor's budget.
+        state, base = anchors[dense]
         rng = np.random.default_rng(seed)
-        a, b = (lo + span * rng.permutation(np.linspace(0.0, 1.0, state.n))
-                for lo, span in ((lo_a, span_a), (lo_b, span_b)))
-        served = floor_loses_at_most_half_an_ulp(state, base, a, b)
-        a, b = state.u - state._anchor[0], state.v - state._anchor[1]
-        guard = np.abs(a).max() + np.abs(b).max() <= PLAN_OFFSET_MAX
-        assert served == (guard and a.max() + b.max() <= SPARSE_SCALE_MAX)
+        offs = [(top - span) * OFFSET_RANGE + span * OFFSET_RANGE * rng.permutation(
+            np.linspace(0.0, 1.0, state.n)) for top, span in ends]
+        if at_budget:
+            for x in offs[:2]:
+                x += 0.5 * (state._budget + slack) - x.max()
+        u0, v0 = state._anchor
+        inside = []
+        for a, b in (offs[:2], offs[2:]):
+            served = floor_loses_at_most_half_an_ulp(state, base, a, b)
+            a, b = state.u - u0, state.v - v0  # as the state sees them
+            assert served == served_by_the_rule(state, a, b)
+            inside.append((a, b) if served_by_the_rule(state, a, b, margin=1e-9) else None)
+        # Convexity, for ends served by more than the rounding of a point
+        # between them.
+        if all(inside):
+            (a0, b0), (a1, b1) = inside
+            for t in np.linspace(0.0, 1.0, 11):
+                assert state._serves((1 - t) * a0 + t * a1, (1 - t) * b0 + t * b1)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("t_min", [0.0, 1e-300])
+    def test_serves_its_entry_state_at_a_zero_or_tiny_target(self, sparse, t_min, monkeypatch):
+        # At a zero or tiny target the budget is SPARSE_SCALE_MAX, for a
+        # dense anchor too: an anchor at the column maxima still serves its
+        # own potentials, and the offsets (0, b) with max b <= 0 that an
+        # entry rebalance leaves.
+        state = anchored_state("nonsymmetric", "spiky-random", 2.0 ** 13, monkeypatch,
+                               sparse=sparse)
+        r = state.r.copy()
+        r[0] = t_min
+        state.set_targets(r, state.c)
+        state.set_gamma(state.gamma)  # drops the anchor
+        _, a, _ = state.anchored_plan()
+        assert not a.any() and state._budget == SPARSE_SCALE_MAX
+        assert state._serves(a, np.zeros(state.n))
+        b = -OFFSET_RANGE * np.random.default_rng(4).random(state.n)
+        b[0] = 0.0
+        assert state._serves(a, b) and not state._serves(a, b + SPARSE_SCALE_MAX + 1.0)

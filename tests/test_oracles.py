@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 import otnewton
 from otnewton import dual, opcount
 from otnewton._kernels import SparsePlan
-from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.dual import OFFSET_RANGE, DualState
 from otnewton.errors import DomainError, NonconvergenceError, PlanOverflowError, RefusalError
 from otnewton.oracles import EXACT_MAX_N, exact_ot_small, sinkhorn_project
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
@@ -253,12 +253,12 @@ class TestAbsorbedSinkhorn:
     @pytest.mark.parametrize("side", ["rows", "cols"])
     def test_step_across_the_guard_reanchors_once(self, side, calls):
         # One potential far off its target mass, anchored where it is: the
-        # exact step on that side moves it beyond the guard, so the other
-        # side's sums anchor at the maxima of the axis they sum, and that
-        # anchor covers the next gradient check.
+        # exact step on that side moves it beyond the range the anchor
+        # serves, so the other side's sums anchor at the maxima of the axis
+        # they sum, and that anchor covers the next gradient check.
         state = make_state(8, seed=9, gamma=4.0, spread=0.0)
         u, v = state.u.copy(), state.v.copy()
-        (u if side == "rows" else v)[0] -= 1.5 * PLAN_OFFSET_MAX
+        (u if side == "rows" else v)[0] -= 1.5 * OFFSET_RANGE
         state.set_potentials(u, v)
         state._anchor_plan(state.u, state.v)
         state.refresh()

@@ -7,7 +7,7 @@ from dense_reference import plan_at
 
 from otnewton.core import chi_sq_div
 from otnewton import dual
-from otnewton.dual import PLAN_OFFSET_MAX, DualState
+from otnewton.dual import OFFSET_RANGE, DualState
 from otnewton.errors import DomainError, NonconvergenceError
 from otnewton import projector
 from otnewton.newton import DiscountedSystem, NewtonResult
@@ -323,8 +323,8 @@ class TestAnchoring:
 
     def test_one_anchor_per_projection(self, monkeypatch):
         # The entry column rebalance anchors at the column maxima, and every
-        # later sum and system comes from that plan while the offsets stay
-        # within the guard: no sum takes maxima to anchor again.  Row
+        # later sum and system comes from that plan while it serves the
+        # offsets: no sum takes maxima to anchor again.  Row
         # anchors would take theirs through dual.log_plan_max.
         maxima = []
         calls = spy_materializations(monkeypatch, maxima)
@@ -345,11 +345,12 @@ class TestAnchoring:
         state.rebalance_columns()
         u0, v0 = state.u, state.v
         # The entry anchors at the column maxima: offsets (0, b0) with
-        # b0 <= 0, which a gauge shift by s moves to (s, b0 - s), of size
-        # 2 s + |b0|_inf.
+        # b0 <= 0, which a gauge shift by s moves to (s, b0 - s): the same
+        # max a + max b, and b reaching -(s + |b0|_inf), which leaves the
+        # range past s = room.
         _, a0, b0 = state.anchored_plan()
         assert not a0.any() and b0.max() <= 0.0
-        room = (PLAN_OFFSET_MAX - np.abs(b0).max()) / 2.0
+        room = OFFSET_RANGE - np.abs(b0).max()
         d = np.linspace(-1.0, 1.0, 16)
         ref = DiscountedSystem(plan_at(state), state.row_sums(),
                                state.col_sums()).round_trip(d)
@@ -361,6 +362,6 @@ class TestAnchoring:
             sys = DiscountedSystem.from_state(state)
             assert calls == anchors
             np.testing.assert_allclose(sys.round_trip(d), ref, rtol=1e-12)
-        state.set_potentials(u0 - s, v0 + s)  # offsets 4 s from the last anchor
+        state.set_potentials(u0 - s, v0 + s)  # offsets (-2 s, b0 + 2 s) from the last anchor
         state.rebalance_columns()
         assert calls == [True, True, True]
