@@ -20,10 +20,8 @@ below ``PLAN_FLOOR`` = e^-700 (a normal number, so a plan never holds a
 subnormal).  A plan tile with no log entry below the floor is
 exponentiated as it is, with no mask, clamp or flush, which would not
 change it.  The square of an entry below 2^-511 is still subnormal, so
-``square_matvec`` scales the entries by an exact power of two, chosen from
-a bound on them, before it squares them, and scales the result back,
-unless a bound below the entries shows that no square or term would be
-subnormal.
+``square_matvec`` always scales the entries by an exact power of two, chosen
+from a bound above them, before it squares them, and scales the result back.
 
 ``materialize_plan`` is the one plan builder.  Given no column potential,
 it anchors the plan at the column maxima ``m``, ``v = -m``, and a dense
@@ -134,8 +132,8 @@ def _check_overflow(top):
 
 def _exp_tile(b, floor=EXP_FLOOR):
     """exp of the log-plan tile ``b`` in place, entries below ``EXP_FLOOR``
-    set to 0; returns ``(nnz, low)``: the count of log entries at or above
-    ``floor`` (at least ``EXP_FLOOR``) and the smallest log entry.
+    set to 0; returns the count of log entries at or above ``floor`` (at
+    least ``EXP_FLOOR``).
 
     A tile with no entry below ``floor`` counts whole, with no compare, and
     one with none below ``EXP_FLOOR`` skips the mask, the clamp and the
@@ -147,14 +145,14 @@ def _exp_tile(b, floor=EXP_FLOOR):
         nnz = np.count_nonzero(b >= floor)
     if not low < EXP_FLOOR:
         np.exp(b, out=b)
-        return nnz, low
+        return nnz
     flushed = b < EXP_FLOOR
     if floor == EXP_FLOOR:
         nnz -= np.count_nonzero(flushed)
     np.maximum(b, EXP_FLOOR, out=b)
     np.exp(b, out=b)
     np.copyto(b, 0.0, where=flushed)
-    return nnz, low
+    return nnz
 
 
 def _log_tile(C, gamma, u, v, b):
@@ -169,9 +167,8 @@ def _log_tile(C, gamma, u, v, b):
 
 def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOOR):
     """exp(u 1^T + 1 v^T - gamma C), with entries that would overflow rejected;
-    returns ``(plan, v, nnz, low)``: nnz the count of log entries at or above
-    the log ``floor`` (raised to ``EXP_FLOOR`` if below it), and ``low`` the
-    log of a bound below every nonzero entry.
+    returns ``(plan, v, nnz)``: nnz the count of log entries at or above the
+    log ``floor`` (raised to ``EXP_FLOOR`` if below it).
 
     With ``v`` None the plan is anchored at the column maxima,
     ``v = -log_plan_max(C, gamma, u, 0)``, so each column's largest entry
@@ -185,7 +182,7 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOO
     into ``out`` when given) unless ``max_nnz`` is given: then it is a
     ``SparsePlan`` built tile by tile, with no n-by-n array, from the log
     entries at or above ``floor``, which alone are checked for overflow and
-    exponentiated; the build stops with ``(None, v, nnz, low)`` once the
+    exponentiated; the build stops with ``(None, v, nnz)`` once the
     count passes ``max_nnz``.
     A dense plan's entries whose log is below ``EXP_FLOOR`` come out as
     exactly 0, whatever ``floor`` is; a sparse plan holds the dense plan's
@@ -194,7 +191,7 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOO
     """
     opcount.add(4)
     n, m = C.shape
-    floor, low = max(floor, EXP_FLOOR), math.inf
+    floor = max(floor, EXP_FLOOR)
     if max_nnz is None:
         if out is None:
             out = np.empty((n, m))
@@ -204,9 +201,8 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOO
         nnz = 0
         for lo, hi, b in row_tiles(n, m, out):
             _log_tile(None if anchored else C[lo:hi], gamma, u[lo:hi], v, b)
-            kept, tile_low = _exp_tile(b, floor)
-            nnz, low = nnz + kept, min(low, tile_low)
-        return out, v, nnz, max(low, EXP_FLOOR)
+            nnz += _exp_tile(b, floor)
+        return out, v, nnz
     if v is None:
         v = -log_plan_max(C, gamma, u, 0)
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -216,17 +212,15 @@ def materialize_plan(C, gamma, u, v=None, out=None, max_nnz=None, floor=EXP_FLOO
         flat = np.flatnonzero(b >= floor)
         kept = b.ravel()[flat]
         _check_overflow(kept.max(initial=-math.inf))
-        low = floor if len(kept) < b.size else min(low, float(kept.min()))
         nnz += len(kept)
         if nnz > max_nnz:
-            return None, v, nnz, low
+            return None, v, nnz
         data.append(np.exp(kept, out=kept))
         row, col = np.divmod(flat, m)
         indices.append(col.astype(np.int32))
         indptr[lo + 1:hi + 1] = np.bincount(row, minlength=hi - lo)
     np.cumsum(indptr, out=indptr)
-    return (SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), v,
-            nnz, low)
+    return SparsePlan((n, m), indptr, np.concatenate(indices), np.concatenate(data)), v, nnz
 
 
 class SparsePlan:
@@ -316,28 +310,19 @@ def scale_plan(P, x, y):
     return P
 
 
-def _square_exp(top, w, log_low=None):
+def _square_exp(top, w):
     """The k that ``square_matvec`` scales the entries by, for entries at most
     ``top`` and weights ``w``: the largest with every square and every
     weighted term below 2^_SCALED_EXP, so the squares and the row sums stay
-    finite whatever ``w`` is.  At most 1023, so that 2^k is finite.
-
-    0 instead of a positive k when ``log_low`` bounds the log of every
-    nonzero entry from below, the weights are all positive, and the bound
-    keeps every unscaled square and term at least 2^-1021: then nothing is
-    subnormal and the scaling would change no bit."""
+    finite whatever ``w`` is.  At most 1023, so that 2^k is finite."""
     if not top > 0.0:
         return 0
     w_max = float(np.abs(w).max()) if w.size else 0.0
     k = (_SCALED_EXP - 2 * math.frexp(top)[1] - max(0, math.frexp(w_max)[1])) // 2
-    if k > 0 and log_low is not None and w.size:
-        w_min = float(w.min())
-        if w_min > 0.0 and 2.0 * log_low + min(0.0, math.log(w_min)) >= -1021 * math.log(2.0):
-            return 0
     return min(k, 1023)
 
 
-def square_matvec(P, w, top=None, log_low=None):
+def square_matvec(P, w, top=None):
     """(P * P) @ w without materializing the squared matrix (for a
     ``SparsePlan``, the squared entries are one length-nnz array).
 
@@ -349,26 +334,26 @@ def square_matvec(P, w, top=None, log_low=None):
     weights below 1, k = 494, so the squares of all entries above 2^-1005
     are normal.  k comes from ``top``, a bound on the entries: a
     ``SparsePlan``'s own ``top`` (the argument is ignored), else the given
-    one, else the plan's largest entry (one more read).  Given ``log_low``,
-    a bound below the log of every nonzero entry (``materialize_plan``'s
-    ``low``), the scaling pass is skipped where it would change no bit.
+    one, else the plan's largest entry (one more read).  The entries are
+    scaled whatever they are (by 1 when k = 0); the one rule that skips a
+    scaling, where no term can be subnormal, is ``_csr_matvec``'s.
     """
     opcount.add(2)
     if isinstance(P, SparsePlan):
-        k = _square_exp(P.top, w, log_low)
+        k = _square_exp(P.top, w)
         scale = math.ldexp(1.0, k)
         *shape, data = P.rows
-        sq = np.multiply(data, scale) if k else np.empty_like(data)
-        np.square(sq if k else data, out=sq)
+        sq = np.multiply(data, scale)
+        np.square(sq, out=sq)
         return _csr_matvec((*shape, sq), (P.top * scale) ** 2, (P.bottom * scale) ** 2, w,
                            2 * k)
-    k = _square_exp(float(P.max()) if top is None else top, w, log_low)
+    k = _square_exp(float(P.max()) if top is None else top, w)
     scale = math.ldexp(1.0, k)
     out = np.empty(P.shape[0])
     for lo, hi, b in row_tiles(*P.shape):
-        np.square(np.multiply(P[lo:hi], scale, out=b) if k else P[lo:hi], out=b)
+        np.square(np.multiply(P[lo:hi], scale, out=b), out=b)
         out[lo:hi] = b @ w
-    return np.ldexp(out, -2 * k, out=out) if k else out
+    return np.ldexp(out, -2 * k, out=out)
 
 
 def plan_matvec(P, x, transpose=False):

@@ -8,7 +8,7 @@ the plan at ``(u0 + a, v0 + b)`` is ``D(e^a) P0 D(e^b)``, so its column sums
 are ``b + log(P0^T e^(a - max a)) + max a`` (rows alike), one matrix-vector
 product, and ``newton.DiscountedSystem`` applies it by the same two
 diagonal scalings.  An anchor serves offsets ``(a, b)`` under one rule
-(``DualState._serves``): ``max a + max b`` stays within a budget that the
+(``DualState.serves``): ``max a + max b`` stays within a budget that the
 floor it flushed at leaves, which bounds what its entries flushed to 0
 could add, and each offset within ``OFFSET_RANGE``, which keeps the
 scalings normal.
@@ -84,7 +84,7 @@ from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, log_plan_matvec, log_plan_m
                        materialize_plan, scale_plan)
 from .errors import DomainError
 
-# The serving rule (DualState._serves).  An anchor flushed to 0 each entry
+# The serving rule (DualState.serves).  An anchor flushed to 0 each entry
 # whose log lies below its floor F: flush_floor(n, r, c) for a sparse
 # anchor, EXP_FLOOR for the dense buffer.  At offsets (a, b) a dropped entry
 # enters a sum or a Newton product scaled by e^(a_i + b_j), at most
@@ -189,8 +189,7 @@ class DualState:
         self._plan = None  # the anchored plan, or the dense buffer kept for the next
         self._anchor = None  # (u0, v0) that _plan is the plan of
         self._anchor_nnz = None  # entries of the last anchored plan at or above its floor
-        self._anchor_low = None  # log of a bound below its nonzero entries
-        self._budget = None  # the largest max a + max b the anchor serves
+        self.budget = None  # the largest max a + max b the anchor serves
         self._col_product = None  # (a, log(P0^T e^a)) last taken from the anchor
         self.problem = problem
         n = problem.n
@@ -273,14 +272,13 @@ class DualState:
         if sparse_anchor(n, self._anchor_nnz):
             self._drop_anchor()
             self._plan = None  # the CSR replaces the dense buffer, never sits beside it
-            plan, v, nnz, low = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n),
-                                                 floor=floor)
+            plan, v, nnz = materialize_plan(C, gamma, u, v, max_nnz=sparse_limit(n),
+                                            floor=floor)
         if plan is None:
-            plan, v, nnz, low = materialize_plan(C, gamma, u, v, out=self._buffer(),
-                                                 floor=floor)
+            plan, v, nnz = materialize_plan(C, gamma, u, v, out=self._buffer(), floor=floor)
             floor = EXP_FLOOR  # what the dense buffer flushes below
-        self._plan, self._anchor_nnz, self._anchor_low = plan, nnz, low
-        self._budget = max(SPARSE_SCALE_MAX, _log_drop_share(n, self.r, self.c) - floor)
+        self._plan, self._anchor_nnz = plan, nnz
+        self.budget = max(SPARSE_SCALE_MAX, _log_drop_share(n, self.r, self.c) - floor)
         self._anchor = (u, v)
 
     @property
@@ -291,19 +289,12 @@ class DualState:
             return math.nan
         return self._anchor_nnz / self.n ** 2
 
-    @property
-    def anchor_log_low(self):
-        """The log of a bound below every nonzero entry of the anchored plan,
-        for ``newton.DiscountedSystem``'s squared product; None when the
-        state holds none."""
-        return None if self._anchor is None else self._anchor_low
-
-    def _serves(self, a, b):
+    def serves(self, a, b):
         """Whether the anchor serves sums at offsets (a, b): ``max a + max b``
         within its budget, and each offset within ``OFFSET_RANGE`` (the
         serving rule above).  Four reductions; a NaN offset is not served."""
         top_a, top_b = a.max(), b.max()
-        return bool(top_a + top_b <= self._budget and top_a <= OFFSET_RANGE
+        return bool(top_a + top_b <= self.budget and top_a <= OFFSET_RANGE
                     and top_b <= OFFSET_RANGE and a.min() >= -OFFSET_RANGE
                     and b.min() >= -OFFSET_RANGE)
 
@@ -313,7 +304,7 @@ class DualState:
             return None
         u0, v0 = self._anchor
         a, b = u - u0, v - v0
-        return (a, b) if self._serves(a, b) else None
+        return (a, b) if self.serves(a, b) else None
 
     def _serving_anchor(self, u, v, axis):
         """The anchor ``(u0, v0)`` that serves the sums over ``axis`` (0:
@@ -341,14 +332,14 @@ class DualState:
         as the column sums do.  ``P0`` is the state's buffer or a
         ``SparsePlan``: it stays valid until the state anchors again, which
         in the projection loop happens at most once per temperature while
-        the anchor serves the offsets (``_serves``).
+        the anchor serves the offsets (``serves``).
 
         Precondition: the state's column offsets at its column maxima are
         served, as after a column rebalance, which leaves ``max b <= 0``.  A
         new anchor at the column maxima has ``a = 0`` and is returned with
         its column offsets ``b`` unchecked, since they stay outside the
         column sums; the Newton system, which scales by ``e^b``, needs them
-        served.
+        served and checks them (``newton.DiscountedSystem.from_state``).
         """
         u0, v0 = self._serving_anchor(self.u, self.v, 0)
         return self._plan, self.u - u0, self.v - v0
@@ -451,7 +442,7 @@ class DualState:
         accepted step or a chi-square sweep: the same evaluation path with no
         pass.  Otherwise they take one product."""
         off = self._plan_offsets(self.u, self.v)
-        if off is None or not self._serves(off[0] + d_u, off[1] + d_v):
+        if off is None or not self.serves(off[0] + d_u, off[1] + d_v):
             return self.log_cP
         a, b = off
         kept = self._col_product
@@ -470,7 +461,7 @@ class DualState:
         of the sums as in log-sum-exp.  Given potentials and their log
         column sums (all three, or a ``TypeError``), installs
         ``(u, v + (log c - log_cols))`` with no column product.  Should the
-        offsets leave what the anchor serves (``_serves``), v is still exact
+        offsets leave what the anchor serves (``serves``), v is still exact
         (no scaling enters it); the row sums then re-anchor at the row
         maxima.
         """

@@ -26,6 +26,7 @@ flags it, or raises ``StagnationError`` when even that is missed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +71,22 @@ class DiscountedSystem:
     ``_kernels.SparsePlan``; the offsets ``a`` and ``b`` default to 0, a
     system of the plan ``P`` itself.  Each product costs the passes of
     the unscaled one plus length-n multiplies.  ``top`` bounds the entries
-    of a dense ``P`` for ``diag_prc``'s squared product; left None, it is
-    the plan's largest entry.  ``log_low``, when given, bounds the log of
-    every nonzero entry of ``P`` from below, so that the squared product
-    can skip its scaling (``_kernels.square_matvec``).
+    of a dense ``P`` for ``diag_prc``'s squared product, which scales by the
+    power of two that bound gives (``_kernels.square_matvec``); left None,
+    it is the plan's largest entry.  Row and column sums must be finite and
+    positive (a NaN sum would leave CG to run out its iterations), else
+    ``ConditioningError``.
     """
 
-    def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None, log_low=None):
+    def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None):
         self.P = P
         self._top = top
-        self._log_low = log_low
         self.rP = np.asarray(rP, dtype=np.float64)
         self.cP = np.asarray(cP, dtype=np.float64)
-        if np.any(self.rP <= 0.0) or np.any(self.cP <= 0.0):
-            raise ConditioningError("plan row/column sums must be strictly positive")
+        # A NaN fails every test, as the min and max of an array holding one are NaN.
+        if not (self.rP.min() > 0.0 and self.cP.min() > 0.0
+                and self.rP.max() < math.inf and self.cP.max() < math.inf):
+            raise ConditioningError("plan row/column sums must be finite and strictly positive")
         self.n = P.shape[0]
         e_b = np.exp(b)
         self._e_a = np.exp(a)
@@ -101,20 +104,27 @@ class DiscountedSystem:
 
         The plan is the state's buffer: the system is valid until the state
         anchors again, which happens when a new temperature starts or a sum
-        leaves the offsets the anchor serves (``DualState._serves``), never
+        leaves the offsets the anchor serves (``DualState.serves``), never
         while the projection loop uses the system (a line search trial that
         re-anchors comes after it).
 
-        Precondition: the state's column offsets at its column maxima are
-        served, as after a column rebalance, which leaves ``max b <= 0``
-        (``DualState.anchored_plan``).  The projector builds the system
-        only after one.
+        The offsets must be served, as after a column rebalance, which leaves
+        ``max b <= 0``: the projector builds the system only after one.  A
+        new anchor at the column maxima returns its column offsets unchecked
+        (``DualState.anchored_plan``), and the scalings ``e^b`` and ``e^2b``
+        of offsets it does not serve lose the products' accuracy, so they
+        raise ``ConditioningError`` naming the largest column offset and the
+        anchor's budget.  The check is ``serves``' four reductions.
         """
         P0, a, b = state.anchored_plan()
+        if not state.serves(a, b):
+            raise ConditioningError(
+                "the state's offsets leave what its anchored plan serves; "
+                "rebalance the columns first",
+                diagnostics={"max_col_offset": float(b.max()), "budget": state.budget})
         # Every anchor is taken at maxima, so its entries are at most 1
         # (up to rounding for a row anchor: all below 2, as the bound needs).
-        return cls(P0, state.row_sums(), state.col_sums(), a, b, top=1.0,
-                   log_low=state.anchor_log_low)
+        return cls(P0, state.row_sums(), state.col_sums(), a, b, top=1.0)
 
     def transposed(self, d):
         """P0^T (e^a d), the unscaled half of ``round_trip`` and ``apply_pc``; one pass."""
@@ -145,8 +155,7 @@ class DiscountedSystem:
         """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1]."""
         if self._mu is None:
             # square_matvec runs first, so no n-vector temporary sits beside its tile.
-            self._mu = (square_matvec(self.P, self._w, self._top, self._log_low)
-                        * self._e_a ** 2 / self.rP)
+            self._mu = square_matvec(self.P, self._w, self._top) * self._e_a ** 2 / self.rP
         return self._mu
 
 
@@ -166,7 +175,7 @@ def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None, F_d0=None):
     if max_iters is None:
         max_iters = 10 * sys.n
     M = sys.rP * (1.0 - rho * sys.diag_prc())
-    if np.any(M <= 0.0):
+    if not np.all(M > 0.0):
         raise ConditioningError("preconditioner has a nonpositive diagonal entry")
 
     if d0 is None:
@@ -183,7 +192,7 @@ def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None, F_d0=None):
     for k in range(1, max_iters + 1):
         q = sys.apply_F(rho, p)
         pq = float(p @ q)
-        if pq <= 0.0:
+        if not pq > 0.0:
             raise ConditioningError(f"CG breakdown: curvature {pq:.3g} along search direction")
         alpha = rz / pq
         x += alpha * p

@@ -2,8 +2,9 @@
 solver against."""
 
 import numpy as np
+from scipy.special import logsumexp
 
-from otnewton._kernels import EXP_FLOOR, materialize_plan
+from otnewton._kernels import materialize_plan
 from otnewton.dual import DualState
 
 
@@ -19,34 +20,6 @@ def log_plan(C, gamma, u, v):
     return (-gamma * C + u[:, None]) + v[None, :]
 
 
-def lse_row_sums(C, gamma, u, v):
-    """u + log-sum-exp over the rows of ``1 v^T - gamma C``: the log row sums
-    of the plan at (u, v), untiled.
-
-    Each row is shifted by its maximum, clamped at ``EXP_FLOOR`` (each row
-    sum is at least 1 after the shift, and the n * e^-700 the clamp can add
-    is far below half an ulp), exponentiated and summed pairwise by numpy.
-    Rows whose entries are all -inf reduce to -inf.
-    """
-    X = np.multiply(np.ascontiguousarray(C), -gamma)
-    X += v[None, :]
-    m = X.max(axis=1)
-    finite = np.isfinite(m)
-    shift = np.where(finite, m, 0.0)
-    X -= shift[:, None]
-    np.maximum(X, EXP_FLOOR, out=X)
-    np.exp(X, out=X)
-    with np.errstate(divide="ignore"):
-        s = shift + np.log(X.sum(axis=1))
-    return u + np.where(finite, s, -np.inf)
-
-
-def lse_col_sums(C, gamma, u, v):
-    """The log column sums of the plan at (u, v), as ``lse_row_sums`` of the
-    transposed cost."""
-    return lse_row_sums(np.ascontiguousarray(C.T), gamma, v, u)
-
-
 def long_double_sums(C, gamma, u, v):
     """Log row and column sums of the plan at (u, v), in np.longdouble."""
     ld = np.longdouble
@@ -58,15 +31,18 @@ def assert_no_less_accurate_than_lse(C, gamma, u, v, rows=None, cols=None):
     """The log row and column sums ``rows`` and ``cols`` (either may be None)
     of the plan at (u, v) meet ``TestAnchoredPlanSums``' criterion: over
     all of them, their largest and median errors against long double do not
-    exceed those of ``lse_row_sums`` and ``lse_col_sums``, up to two ulps and
-    one ulp of the log sums."""
+    exceed those of scipy's log-sum-exp, each side's potential kept outside
+    it (``u + logsumexp(1 v^T - gamma C)`` over rows, columns alike), up to
+    two ulps and one ulp of the log sums."""
     ref_rows, ref_cols = long_double_sums(C, gamma, u, v)
+    K = -gamma * C
     got, err, lse_err = [], [], []
-    for sums, ref, lse in ((rows, ref_rows, lse_row_sums), (cols, ref_cols, lse_col_sums)):
+    for sums, ref, x, y, axis in ((rows, ref_rows, u, v[None, :], 1),
+                                  (cols, ref_cols, v, u[:, None], 0)):
         if sums is not None:
             got.append(sums)
             err.append(np.abs(sums - ref).astype(float))
-            lse_err.append(np.abs(lse(C, gamma, u, v) - ref).astype(float))
+            lse_err.append(np.abs(x + logsumexp(K + y, axis=axis) - ref).astype(float))
     err, lse_err = np.concatenate(err), np.concatenate(lse_err)
     ulp = np.spacing(np.abs(np.concatenate(got)).max())
     assert err.max() <= lse_err.max() + 2.0 * ulp

@@ -221,11 +221,11 @@ class TestAnchoredPlan:
         state = anchored()
         _, _, b0 = state.anchored_plan()
         if size == "budget":
-            d_u = d_v = np.full(12, (1.01 * state._budget - b0.max()) / 2.0)
+            d_u = d_v = np.full(12, (1.01 * state.budget - b0.max()) / 2.0)
         else:
             d_u, d_v = np.full(12, 1.01 * OFFSET_RANGE if size == "range" else size), np.zeros(12)
         a, b = d_u, b0 + d_v
-        assert (a.max() + b.max() > state._budget) == (size != "range")
+        assert (a.max() + b.max() > state.budget) == (size != "range")
         assert (max(a.max(), b.max()) > OFFSET_RANGE) == (size != "budget")
         np.testing.assert_array_equal(state.base_log_col_sums(d_u, d_v), state.log_cP)
         C, gamma = state.problem.C, state.gamma
@@ -469,7 +469,7 @@ class TestSparseScaleBound:
                             lambda n, r, c: dual._log_drop_share(n, r, c) - SPARSE_SCALE_MAX)
         state = anchored()
         assert isinstance(state._plan, SparsePlan)
-        assert state._budget == pytest.approx(SPARSE_SCALE_MAX, abs=1e-12)  # up to rounding
+        assert state.budget == pytest.approx(SPARSE_SCALE_MAX, abs=1e-12)  # up to rounding
         state.set_potentials(state.u, state.v + shift)
         C, gamma = state.problem.C, state.gamma
         top = log_plan_max(C, gamma, state.u, 0) + state.v

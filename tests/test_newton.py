@@ -196,6 +196,36 @@ class TestPcgSolve:
             pcg_solve(sys, 0.5, b, tol_l1=0.0)
 
 
+class TestNonFiniteValues:
+    """A NaN or infinite sum, or a NaN that reaches CG, ends the solve at
+    once with ``ConditioningError``, not after ``10 n`` CG iterations."""
+
+    @staticmethod
+    def uniform_plan(n=64):
+        P = np.full((n, n), 1.0 / n ** 2)
+        return P, P.sum(axis=1), P.sum(axis=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["rP", "cP"])
+    def test_system_rejects_a_sum(self, side, bad):
+        P, rP, cP = self.uniform_plan()
+        {"rP": rP, "cP": cP}[side][3] = bad
+        with pytest.raises(ConditioningError):
+            DiscountedSystem(P, rP, cP)
+
+    def test_nan_preconditioner_is_refused(self):
+        P, rP, cP = self.uniform_plan()
+        P[3, 5] = math.nan  # diag_prc is NaN in row 3
+        with pytest.raises(ConditioningError, match="preconditioner"):
+            pcg_solve(DiscountedSystem(P, rP, cP), 0.5, np.ones(64), tol_l1=1e-10)
+
+    def test_nan_curvature_is_refused(self):
+        b = np.ones(64)
+        b[3] = math.nan
+        with pytest.raises(ConditioningError, match="curvature"):
+            pcg_solve(DiscountedSystem(*self.uniform_plan()), 0.5, b, tol_l1=1e-10)
+
+
 class TestNewtonSolve:
     def test_zero_gradient_short_circuits(self):
         sys = random_system(6, seed=40)

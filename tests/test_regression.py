@@ -96,9 +96,9 @@ def l2sq_plans():
     materialize = dual.materialize_plan
 
     def spy(C, gamma, *args, **kwargs):
-        plan, v, nnz, low = materialize(C, gamma, *args, **kwargs)
+        plan, v, nnz = materialize(C, gamma, *args, **kwargs)
         plans.append((math.log2(gamma), isinstance(plan, SparsePlan), nnz / C.size))
-        return plan, v, nnz, low
+        return plan, v, nnz
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dual, "materialize_plan", spy)
