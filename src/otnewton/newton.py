@@ -8,15 +8,22 @@ distribution rP, and the coefficient matrix of the reduced Newton system is
 
 which is symmetric positive-definite.  Solving ``F(rho) d = -grad_u`` for a
 sequence of discounts rho approaching 1 yields a direction whose
-*undiscounted* residual satisfies the truncated-Newton forcing test.  All
-products are evaluated as two ``_kernels.plan_matvec`` passes; P_rc is never
-formed.  The system holds a materialized plan ``P0`` and offsets ``(a, b)``
-and applies the plan ``P = D(e^a) P0 D(e^b)`` by diagonal scaling, so a
-projection materializes one plan per temperature (the state's anchored plan,
-see ``dual``), not one per Newton step.  ``P0`` is dense or, at late
+*undiscounted* residual satisfies the truncated-Newton forcing test.  The
+system holds a materialized plan ``P0`` and offsets ``(a, b)`` and applies
+the plan ``P = D(e^a) P0 D(e^b)`` by diagonal scaling, so a projection
+materializes one plan per temperature (the state's anchored plan, see
+``dual``), not one per Newton step.  ``P0`` is dense or, at late
 temperatures where most of its entries are exact zeros, a
-``_kernels.SparsePlan``; the kernels serve both, so the system is the same
-code either way.
+``_kernels.SparsePlan``; the kernels serve both.
+
+A product with ``D(rP) P_rc`` is two ``_kernels.plan_matvec`` passes, and
+``P_rc`` is never formed, except in a dense system of at most
+``EXPLICIT_MAX_N`` rows.  Such a system forms the round-trip matrix
+``K = S S^T = D(rP) P_rc``, ``S = D(e^a) P0 D(e^b / sqrt(cP))``, once, and
+applies ``F(rho) = D(rP) - rho K``, formed once per rho, as one gemv: at
+small n a CG iteration is bound by per-call dispatch, and one product costs
+less than two.  Its products are counted as the passes of the products they
+replace (see ``opcount``).
 
 When annealing reaches ``RHO_CAP`` without meeting the forcing test,
 ``newton_solve`` accepts the direction under the relaxed forcing term
@@ -31,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import plan_matvec, square_matvec
+from . import opcount
+from ._kernels import PLAN_FLOOR, _square_exp, plan_matvec, square_matvec
 from .errors import ConditioningError, NonconvergenceError, StagnationError
 
 # Annealing stops once 1 - rho falls below this: with the relaxed exit, or
@@ -47,6 +55,15 @@ RHO_DECAY = 4.0
 CG_TOL_FRACTION = 0.25
 # Recompute the true residual after this many CG recurrence updates.
 TRUE_RESIDUAL_REFRESH = 50
+# Largest n at which a dense system forms its round-trip matrix K.  A CG
+# iteration then saves a call's dispatch and n^2 of its 2 n^2 multiply-adds,
+# and forming K costs n^3, so a system breaks even after fewer iterations at
+# small n.  Explicit over two-product time, min of 5 interleaved runs (2 vCPUs,
+# 2 OpenBLAS threads): eight mixed instances to 2^18 (random costs, CG heavy)
+# take 0.95 at n = 64, 0.86 at 100 and 0.90-0.92 at 128, but 0.97 at 144 and
+# 0.94-1.23 over two sweeps at 196 and 256; six grid solves to 2^14 take
+# 0.94-1.04 at every n from 64 to 256.
+EXPLICIT_MAX_N = 128
 
 
 @dataclass
@@ -76,6 +93,11 @@ class DiscountedSystem:
     it is the plan's largest entry.  Row and column sums must be finite and
     positive (a NaN sum would leave CG to run out its iterations), else
     ``ConditioningError``.
+
+    A dense system of at most ``EXPLICIT_MAX_N`` rows forms the round-trip
+    matrix ``K`` when it is built (``_round_trip_matrix``): ``round_trip``
+    is then ``K d``, ``apply_F`` one product with ``F(rho)``, and
+    ``diag_prc`` reads ``diag(K) / rP``.
     """
 
     def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None):
@@ -94,6 +116,39 @@ class DiscountedSystem:
         self._pc_scale = e_b / self.cP
         self._w = e_b * self._pc_scale
         self._mu = None
+        self._K = None
+        self._F = None  # (rho, F(rho)) of the last rho applied
+        if isinstance(P, np.ndarray) and self.n <= EXPLICIT_MAX_N:
+            self._K = self._round_trip_matrix()
+
+    def _round_trip_matrix(self):
+        """K = D(e^a) P D(w) P^T D(e^a), w = e^2b / cP; not counted, as its
+        products count the passes of the ones they replace.
+
+        K is one gemm of two row-major arrays, the plan and
+        T = (P D(2^2k w))^T, the only n-by-n arrays made besides K.  The
+        other forms vary with the thread count (OpenBLAS, at n = 100): numpy
+        takes ``S @ S.T`` as syrk, and a product with a transposed view as a
+        transposed gemm.  2^k is the power of two that
+        ``_kernels.square_matvec`` scales entries by (``_square_exp``), from
+        a bound of at least 1 on the plan's entries, so every term of the
+        product is finite, T too, and is normal where the scaled square
+        would be.  The product is then scaled by e^a 2^-k on each side.
+        Entries of T and K below ``PLAN_FLOOR`` are set to 0, so no BLAS
+        operand is subnormal.
+        """
+        top = float(self.P.max()) if self._top is None else self._top
+        k = _square_exp(max(top, 1.0), self._w)
+        T = np.ascontiguousarray(self.P.T)
+        T *= np.ldexp(self._w, 2 * k)[:, None]
+        np.putmask(T, T < PLAN_FLOOR, 0.0)
+        K = self.P @ T
+        del T  # a broadcast product takes an n-by-n buffer in numpy
+        c = np.full(self.n, np.ldexp(self._e_a, -k))  # e^a 2^-k, also for a scalar a
+        K *= c[:, None]
+        K *= c
+        np.putmask(K, K < PLAN_FLOOR, 0.0)
+        return K
 
     @classmethod
     def from_state(cls, state):
@@ -114,10 +169,13 @@ class DiscountedSystem:
         (``DualState.anchored_plan``), and the scalings ``e^b`` and ``e^2b``
         of offsets it does not serve lose the products' accuracy, so they
         raise ``ConditioningError`` naming the largest column offset and the
-        anchor's budget.  The check is ``serves``' four reductions.
+        anchor's budget.  A reused anchor was checked as it served the
+        offsets, and has ``a != 0`` (a new one has ``a = 0``, as it is taken
+        at the state's u), so only ``a = 0`` takes ``serves``' four
+        reductions.
         """
         P0, a, b = state.anchored_plan()
-        if not state.serves(a, b):
+        if not a.any() and not state.serves(a, b):
             raise ConditioningError(
                 "the state's offsets leave what its anchored plan serves; "
                 "rebalance the columns first",
@@ -132,8 +190,12 @@ class DiscountedSystem:
 
     def round_trip(self, d, pt=None):
         """Q = P (P^T d / cP), the off-diagonal part of F(1) d; two passes,
-        or one when the caller passes ``pt = transposed(d)``."""
+        or one when the caller passes ``pt = transposed(d)``.  Without ``pt``
+        an explicit system takes ``K d``, counted as the two passes."""
         if pt is None:
+            if self._K is not None:
+                opcount.add(2)
+                return self._K.dot(d)
             pt = self.transposed(d)
         return self._e_a * plan_matvec(self.P, self._w * pt)
 
@@ -144,18 +206,43 @@ class DiscountedSystem:
             pt = self.transposed(d)
         return self._pc_scale * pt
 
+    def _column_step(self, d, pt):
+        """d_v = -P_c d after the round trip of d: scaled from its transposed
+        half ``pt``, or, after an explicit ``K d`` (``pt`` None), from a
+        transposed product that ``K d``'s two passes already count."""
+        if pt is None:
+            pt = self.P.T @ (self._e_a * d)
+        return -self._pc_scale * pt
+
     def apply_F(self, rho, d):
-        """F(rho) @ d = rP * d - rho * round_trip(d)."""
-        out = self.rP * d
-        if rho != 0.0:
+        """F(rho) @ d = rP * d - rho * round_trip(d); for an explicit system
+        one product with F(rho), formed when rho changes, counted as the
+        round trip's two passes."""
+        if rho == 0.0:
+            return self.rP * d
+        if self._K is None:
+            out = self.rP * d
             out -= rho * self.round_trip(d)
-        return out
+            return out
+        if self._F is None or self._F[0] != rho:
+            F = np.multiply(self._K, -rho, out=None if self._F is None else self._F[1])
+            F.reshape(-1)[::self.n + 1] += self.rP
+            self._F = (rho, F)
+        opcount.add(2)
+        return self._F[1].dot(d)
 
     def diag_prc(self):
-        """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1]."""
+        """mu = diag(P_rc); mu_i = sum_j P_ij^2 / (rP_i cP_j), each in (0, 1].
+        For an explicit system diag(K) / rP, counted as the squared
+        product's two passes."""
         if self._mu is None:
-            # square_matvec runs first, so no n-vector temporary sits beside its tile.
-            self._mu = square_matvec(self.P, self._w, self._top) * self._e_a ** 2 / self.rP
+            if self._K is not None:
+                opcount.add(2)
+                self._mu = np.diagonal(self._K) / self.rP
+            else:
+                # square_matvec runs first, so no n-vector temporary sits beside its tile.
+                self._mu = (square_matvec(self.P, self._w, self._top) * self._e_a ** 2
+                            / self.rP)
         return self._mu
 
 
@@ -170,45 +257,54 @@ def pcg_solve(sys, rho, b, tol_l1, d0=None, max_iters=None, F_d0=None):
     """
     if not 0.0 <= rho < 1.0:
         raise ConditioningError(f"pcg_solve needs rho in [0, 1), got {rho}")
-    if tol_l1 <= 0.0:
-        raise ConditioningError("tol_l1 must be positive")
+    if not tol_l1 > 0.0:
+        raise ConditioningError(f"tol_l1 must be positive, got {tol_l1}")
     if max_iters is None:
         max_iters = 10 * sys.n
     M = sys.rP * (1.0 - rho * sys.diag_prc())
     if not np.all(M > 0.0):
         raise ConditioningError("preconditioner has a nonpositive diagonal entry")
 
+    # x and r share one buffer, and p and -q another, so one multiply-add
+    # takes both CG updates: r + alpha (-q) is r - alpha q, bit for bit.
+    # ndarray.dot and np.add.reduce are the dot and the sum of `@` and
+    # ndarray.sum, bit for bit, with less dispatch per call.
+    xr = np.empty((2, sys.n))
+    x, r = xr
     if d0 is None:
-        x = np.zeros(sys.n)
-        r = b.copy()
+        x.fill(0.0)
+        r[:] = b
     else:
-        x = np.array(d0, dtype=np.float64, copy=True)
-        r = b - (sys.apply_F(rho, x) if F_d0 is None else F_d0)
-    if np.abs(r).sum() <= tol_l1:
+        x[:] = d0
+        np.subtract(b, sys.apply_F(rho, x) if F_d0 is None else F_d0, out=r)
+    if np.add.reduce(np.abs(r)) <= tol_l1:
         return x, 0
-    z = r / M
-    p = z.copy()
-    rz = float(r @ z)
+    pq = np.empty((2, sys.n))
+    p, neg_q = pq
+    z = np.divide(r, M)
+    p[:] = z
+    rz = float(r.dot(z))
     for k in range(1, max_iters + 1):
         q = sys.apply_F(rho, p)
-        pq = float(p @ q)
-        if not pq > 0.0:
-            raise ConditioningError(f"CG breakdown: curvature {pq:.3g} along search direction")
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
+        curvature = float(p.dot(q))
+        if not curvature > 0.0:
+            raise ConditioningError(
+                f"CG breakdown: curvature {curvature:.3g} along search direction")
+        np.negative(q, out=neg_q)
+        xr += (rz / curvature) * pq
         if k % TRUE_RESIDUAL_REFRESH == 0:
-            r = b - sys.apply_F(rho, x)
-        if np.abs(r).sum() <= tol_l1:
+            np.subtract(b, sys.apply_F(rho, x), out=r)
+        if np.add.reduce(np.abs(r)) <= tol_l1:
             return x, k
-        z = r / M
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        np.divide(r, M, out=z)
+        rz_new = float(r.dot(z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise NonconvergenceError(
         f"CG did not reach tol {tol_l1:.3g} in {max_iters} iterations",
         best=x,
-        diagnostics={"rho": rho, "residual_l1": float(np.abs(r).sum())},
+        diagnostics={"rho": rho, "residual_l1": float(np.add.reduce(np.abs(r)))},
     )
 
 
@@ -223,9 +319,10 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
     direction is returned with ``relaxed`` set if its residual is at most
     ``ETA_MAX * ||grad_u||_1``, and ``StagnationError`` is raised otherwise.
     The result carries the column step ``d_v = -P_c d_u``, scaled from the
-    transposed product of the last forcing test.
+    transposed product of the last forcing test (an explicit system takes
+    that product only on return).
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ConditioningError(f"eta must be positive, got {eta}")
     if not 0.0 <= rho0 < 1.0:
         raise ConditioningError(f"rho0 must be in [0, 1), got {rho0}")
@@ -239,16 +336,17 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
     cg_tol = CG_TOL_FRACTION * eta * grad_norm
     while True:
         # F(rho) d = rP d - rho Q: one Q serves the residual and the warm
-        # start, and its transposed half gives the returned d_v.
-        pt = sys.transposed(d)
+        # start, and its transposed half gives the returned d_v (taken on
+        # return only, after an explicit system's K d).
+        pt = None if sys._K is not None else sys.transposed(d)
         Q = sys.round_trip(d, pt)
         res_norm = float(np.abs((sys.rP * d - Q) + grad_u).sum())
         if res_norm <= eta * grad_norm:
-            return NewtonResult(d, rho_used, total_cg, res_norm, d_v=-sys.apply_pc(d, pt))
+            return NewtonResult(d, rho_used, total_cg, res_norm, d_v=sys._column_step(d, pt))
         if 1.0 - rho < RHO_CAP:
             if res_norm <= ETA_MAX * grad_norm:
                 return NewtonResult(d, rho_used, total_cg, res_norm, relaxed=True,
-                                    d_v=-sys.apply_pc(d, pt))
+                                    d_v=sys._column_step(d, pt))
             raise StagnationError(
                 f"discount reached {rho} without meeting the forcing test "
                 f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})",

@@ -15,7 +15,12 @@ its own; the final plan's cost, ``plan_cost``, is one pass too), and
 ``driver.round_plan``.  A
 kernel on a sparse plan (``_kernels.SparsePlan``) counts as the dense pass
 it replaces, although it touches only the nonzeros: the count stays a
-measure of the algorithm, not of the storage.  A sparse build
+measure of the algorithm, not of the storage.  So does a small dense
+``newton.DiscountedSystem`` that forms its round-trip matrix K (at most
+``newton.EXPLICIT_MAX_N`` rows): a product with K or with F(rho) counts
+the 2 passes of the two plan products it replaces, reading diag(K) the
+squared product's 2, the transposed product that gives the column step on
+return none (its round trip counted it), and forming K nothing.  A sparse build
 that stops past its limit counts its 4 passes before the dense one.
 
 The convention is identical for every solver, so totals are comparable

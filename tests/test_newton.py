@@ -5,23 +5,35 @@ import pytest
 import scipy.linalg
 from dense_reference import dense_F, dense_plan, dense_prc
 
+from otnewton import newton, opcount
 from otnewton.dual import DualState
-from otnewton import newton
 from otnewton.errors import ConditioningError, NonconvergenceError, StagnationError
-from otnewton.newton import DiscountedSystem, newton_solve, next_rho0, pcg_solve
+from otnewton.newton import (EXPLICIT_MAX_N, DiscountedSystem, newton_solve, next_rho0,
+                             pcg_solve)
 from otnewton.problems import Problem, gen_marginal, grid_points_cost
 
 
-def random_system(n, seed=0, gamma=4.0):
-    """System from a random dual state with strictly positive plan entries."""
+def random_state(n, seed=0, gamma=4.0):
+    """A random dual state with strictly positive plan entries."""
     C = grid_points_cost(n, "l1") if n > 1 else np.zeros((1, 1))
     r = gen_marginal(n, "smooth-random", seed)
     c = gen_marginal(n, "spiky-random", seed + 100)
     rng = np.random.default_rng(seed + 7)
-    state = DualState(Problem(C=C, r=r, c=c), gamma,
-                      u=np.log(r) + 0.3 * rng.standard_normal(n),
-                      v=np.log(c) + 0.3 * rng.standard_normal(n))
-    return DiscountedSystem.from_state(state)
+    return DualState(Problem(C=C, r=r, c=c), gamma,
+                     u=np.log(r) + 0.3 * rng.standard_normal(n),
+                     v=np.log(c) + 0.3 * rng.standard_normal(n))
+
+
+def random_system(n, seed=0, gamma=4.0):
+    """System from a random dual state with strictly positive plan entries."""
+    return DiscountedSystem.from_state(random_state(n, seed, gamma))
+
+
+@pytest.fixture(params=[64, 144], ids=lambda n: f"n{n}")
+def n(request):
+    """A dense system size on each side of ``EXPLICIT_MAX_N``: the explicit
+    round-trip matrix at 64, the two plan products at 144."""
+    return request.param
 
 
 def independence_system(r, c):
@@ -37,23 +49,23 @@ def prc_spectrum(sys):
 
 
 class TestOperators:
-    def test_prc_fixes_ones(self):
-        sys = random_system(8, seed=1)
-        np.testing.assert_allclose(sys.round_trip(np.ones(8)) / sys.rP, np.ones(8), atol=1e-12)
+    def test_prc_fixes_ones(self, n):
+        sys = random_system(n, seed=1)
+        np.testing.assert_allclose(sys.round_trip(np.ones(n)) / sys.rP, np.ones(n), atol=1e-12)
 
     def test_prc_independence_rank_one(self):
         sys = independence_system(np.array([0.5, 0.5]), np.array([0.3, 0.7]))
         out = sys.round_trip(np.array([1.0, -1.0])) / sys.rP
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-15)
 
-    def test_prc_matches_dense(self):
-        sys = random_system(8, seed=2)
-        d = np.random.default_rng(3).standard_normal(8)
+    def test_prc_matches_dense(self, n):
+        sys = random_system(n, seed=2)
+        d = np.random.default_rng(3).standard_normal(n)
         np.testing.assert_allclose(sys.round_trip(d) / sys.rP, dense_prc(sys) @ d, rtol=1e-12)
 
-    def test_pc_fixes_ones(self):
-        sys = random_system(8, seed=4)
-        np.testing.assert_allclose(sys.apply_pc(np.ones(8)), np.ones(8), atol=1e-12)
+    def test_pc_fixes_ones(self, n):
+        sys = random_system(n, seed=4)
+        np.testing.assert_allclose(sys.apply_pc(np.ones(n)), np.ones(n), atol=1e-12)
 
     def test_pc_independence(self):
         r = np.array([0.6, 0.4])
@@ -62,29 +74,29 @@ class TestOperators:
         d = np.array([1.0, 2.0])
         np.testing.assert_allclose(sys.apply_pc(d), np.full(2, r @ d), rtol=1e-14)
 
-    def test_pc_matches_dense(self):
-        sys = random_system(8, seed=5)
-        d = np.random.default_rng(6).standard_normal(8)
+    def test_pc_matches_dense(self, n):
+        sys = random_system(n, seed=5)
+        d = np.random.default_rng(6).standard_normal(n)
         dense = (dense_plan(sys).T / sys.cP[:, None]) @ d
         np.testing.assert_allclose(sys.apply_pc(d), dense, rtol=1e-12)
 
-    def test_F_at_rho_zero_is_diagonal(self):
-        sys = random_system(6, seed=7)
-        d = np.random.default_rng(8).standard_normal(6)
+    def test_F_at_rho_zero_is_diagonal(self, n):
+        sys = random_system(n, seed=7)
+        d = np.random.default_rng(8).standard_normal(n)
         np.testing.assert_allclose(sys.apply_F(0.0, d), sys.rP * d, rtol=1e-14)
 
-    def test_F_on_ones_shrinks_by_rho(self):
-        sys = random_system(6, seed=9)
+    def test_F_on_ones_shrinks_by_rho(self, n):
+        sys = random_system(n, seed=9)
         for rho in (0.0, 0.5, 0.9):
-            np.testing.assert_allclose(sys.apply_F(rho, np.ones(6)),
+            np.testing.assert_allclose(sys.apply_F(rho, np.ones(n)),
                                        (1.0 - rho) * sys.rP, rtol=0, atol=1e-13)
 
-    def test_F_symmetry_and_gerschgorin_bounds(self):
-        sys = random_system(8, seed=10)
+    def test_F_symmetry_and_gerschgorin_bounds(self, n):
+        sys = random_system(n, seed=10)
         rng = np.random.default_rng(11)
         rho = 0.9
         for _ in range(5):
-            x, y = rng.standard_normal((2, 8))
+            x, y = rng.standard_normal((2, n))
             assert sys.apply_F(rho, x) @ y == pytest.approx(x @ sys.apply_F(rho, y), rel=1e-12)
         evals = np.linalg.eigvalsh(dense_F(sys, rho))
         assert evals.min() >= (1.0 - rho) * sys.rP.min() - 1e-12
@@ -101,11 +113,67 @@ class TestOperators:
         sys = DiscountedSystem(P, P.sum(axis=1), P.sum(axis=0))
         assert sys.diag_prc().min() > 1.0 - 1e-6
 
-    def test_diag_prc_matches_dense(self):
-        sys = random_system(8, seed=12)
+    def test_diag_prc_matches_dense(self, n):
+        sys = random_system(n, seed=12)
         np.testing.assert_allclose(sys.diag_prc(), np.diag(dense_prc(sys)), rtol=1e-12)
         mu = sys.diag_prc()
         assert np.all(mu > 0.0) and np.all(mu <= 1.0 + 1e-15)
+
+
+class TestExplicitSystem:
+    """A dense system of at most ``EXPLICIT_MAX_N`` rows applies its round
+    trip as one product with ``K``: the same operators as two plan
+    products, to 1e-13 of their scale, counted as the same passes."""
+
+    @staticmethod
+    def both_systems(n, monkeypatch):
+        # Offsets on both sides, so the scalings by e^a and e^b enter K.
+        state = random_state(n, seed=80)
+        state.anchored_plan()  # anchors at the column maxima; u then moves off it
+        state.set_potentials(state.u + np.random.default_rng(81).uniform(-1, 1, n), state.v)
+        explicit = DiscountedSystem.from_state(state)
+        monkeypatch.setattr(newton, "EXPLICIT_MAX_N", 0)
+        plain = DiscountedSystem.from_state(state)
+        assert explicit._K is not None and plain._K is None
+        assert explicit.P is plain.P
+        return explicit, plain
+
+    @staticmethod
+    def passes(fn, *args):
+        before = opcount.total()
+        return fn(*args), opcount.total() - before
+
+    @pytest.mark.parametrize("n", [16, EXPLICIT_MAX_N])
+    def test_matches_two_product_system(self, n, monkeypatch):
+        explicit, plain = self.both_systems(n, monkeypatch)
+        d = np.random.default_rng(82).standard_normal(n)
+        abs_d = np.abs(d)
+        cases = (  # (operator, its scale: the plain operator on |d|)
+            (lambda s: s.round_trip(d), lambda: plain.round_trip(abs_d)),
+            (lambda s: s.apply_F(0.9, d),
+             lambda: plain.rP * abs_d + 0.9 * plain.round_trip(abs_d)),
+            (lambda s: s.apply_F(1.0, d), lambda: plain.rP * abs_d + plain.round_trip(abs_d)),
+            (lambda s: s.apply_pc(d), lambda: plain.apply_pc(abs_d)),
+            (lambda s: s.diag_prc(), plain.diag_prc),
+        )
+        for op, scale in cases:
+            got, got_passes = self.passes(op, explicit)
+            ref, ref_passes = self.passes(op, plain)
+            assert got_passes == ref_passes > 0
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale())
+
+    def test_newton_solve_matches_and_counts_the_same(self, monkeypatch):
+        n = 64
+        explicit, plain = self.both_systems(n, monkeypatch)
+        grad = np.random.default_rng(83).standard_normal(n) * 0.01
+        grad -= grad.mean()
+        got, got_passes = self.passes(newton_solve, grad, explicit, 1e-3)
+        ref, ref_passes = self.passes(newton_solve, grad, plain, 1e-3)
+        assert got_passes == ref_passes
+        assert (got.cg_iters, got.rho_final) == (ref.cg_iters, ref.rho_final) and got.cg_iters
+        scale = np.abs(ref.d_u).max()
+        np.testing.assert_allclose(got.d_u, ref.d_u, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(got.d_v, ref.d_v, rtol=0, atol=1e-9 * scale)
 
 
 class TestStochasticMatrixProperties:
@@ -148,9 +216,9 @@ class TestPreconditionedSpectrum:
 
 
 class TestPcgSolve:
-    def test_diagonal_system_one_iteration(self):
-        sys = random_system(8, seed=30)
-        b = np.random.default_rng(31).standard_normal(8)
+    def test_diagonal_system_one_iteration(self, n):
+        sys = random_system(n, seed=30)
+        b = np.random.default_rng(31).standard_normal(n)
         d, iters = pcg_solve(sys, 0.0, b, tol_l1=1e-12)
         assert iters <= 1
         np.testing.assert_allclose(d, b / sys.rP, rtol=1e-10)
@@ -163,37 +231,58 @@ class TestPcgSolve:
         np.testing.assert_allclose(d, ref, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("rho", [0.0, 0.9, 0.99])
-    def test_matches_dense_solve(self, rho):
-        sys = random_system(32, seed=33)
-        b = np.random.default_rng(34).standard_normal(32) * 0.01
+    def test_matches_dense_solve(self, rho, n):
+        sys = random_system(n, seed=33)
+        b = np.random.default_rng(34).standard_normal(n) * 0.01
         d, _ = pcg_solve(sys, rho, b, tol_l1=1e-14)
         ref = scipy.linalg.solve(dense_F(sys, rho), b, assume_a="pos")
         rel = np.abs(d - ref).max() / np.abs(ref).max()
         assert rel <= 1e-8
 
-    def test_warm_start_zero_iterations(self):
-        sys = random_system(8, seed=35)
-        b = np.random.default_rng(36).standard_normal(8)
+    def test_warm_start_zero_iterations(self, n):
+        sys = random_system(n, seed=35)
+        b = np.random.default_rng(36).standard_normal(n)
         d, _ = pcg_solve(sys, 0.7, b, tol_l1=1e-12)
         d2, iters = pcg_solve(sys, 0.7, b, tol_l1=1e-10, d0=d)
         assert iters == 0
         np.testing.assert_array_equal(d2, d)
 
-    def test_budget_exhaustion_carries_best(self):
-        sys = random_system(32, seed=37)
-        b = np.random.default_rng(38).standard_normal(32)
+    def test_budget_exhaustion_carries_best(self, n):
+        sys = random_system(n, seed=37)
+        b = np.random.default_rng(38).standard_normal(n)
         with pytest.raises(NonconvergenceError) as err:
             pcg_solve(sys, 0.9999, b, tol_l1=1e-15, max_iters=2)
         assert err.value.best is not None
-        assert err.value.best.shape == (32,)
+        assert err.value.best.shape == (n,)
 
-    def test_rejects_bad_inputs(self):
+    def test_a_second_solve_keeps_the_first_results(self, n):
+        # The loop works in buffers: neither a returned direction nor a
+        # NonconvergenceError's best may be one that a later solve reuses.
+        sys = random_system(n, seed=37)
+        b = np.random.default_rng(38).standard_normal(n)
+        d, iters = pcg_solve(sys, 0.9, b, tol_l1=1e-10)
+        with pytest.raises(NonconvergenceError) as err:
+            pcg_solve(sys, 0.9999, b, tol_l1=1e-15, max_iters=2)
+        assert iters > 2
+        kept, best = d.copy(), err.value.best.copy()
+        pcg_solve(sys, 0.5, -b, tol_l1=1e-10)
+        pcg_solve(sys, 0.9, 2.0 * b, tol_l1=1e-10, d0=d)
+        with pytest.raises(NonconvergenceError):
+            pcg_solve(sys, 0.9999, -b, tol_l1=1e-15, max_iters=3)
+        np.testing.assert_array_equal(d, kept)
+        np.testing.assert_array_equal(err.value.best, best)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_rejects_bad_inputs(self, tol):
+        # A NaN tolerance is refused at once, not after 10 n iterations.
         sys = random_system(4, seed=39)
         b = np.ones(4)
         with pytest.raises(ConditioningError):
             pcg_solve(sys, 1.0, b, tol_l1=1e-10)
-        with pytest.raises(ConditioningError):
-            pcg_solve(sys, 0.5, b, tol_l1=0.0)
+        with pytest.raises(ConditioningError, match="tol_l1 must be positive"):
+            pcg_solve(sys, 0.5, b, tol_l1=tol)
+        with pytest.raises(ConditioningError, match="eta must be positive"):
+            newton_solve(b - 1.5, sys, eta=tol)
 
 
 class TestNonFiniteValues:

@@ -44,7 +44,7 @@ PINNED = {
     "l1-grid": (
         l1_grid, 2.0 ** 14, "newton",
         {"mirror_descent": 113, "chi_sinkhorn": 10, "newton_solve": 1268, "total": 1391},
-        0.16362403999542896,
+        0.16362403999542524,
         [(3, 15, 5, 0), (4, 74, 0, 0), (2, 29, 0, 0), (1, 11, 0, 0), (1, 48, 0, 0),
          (2, 64, 0, 0), (1, 13, 0, 0), (2, 83, 0, 0), (1, 17, 0, 0), (2, 82, 0, 0),
          (1, 27, 0, 0), (1, 14, 0, 0), (1, 44, 0, 0)],
@@ -53,7 +53,7 @@ PINNED = {
         uniform_nonsymmetric, 2.0 ** 14, "newton",
         {"mirror_descent": 121, "chi_sinkhorn": 2, "newton_solve": 3664, "line_search": 1,
          "total": 3788},
-        0.0366378491356603,
+        0.036637849135662065,
         [(2, 3, 1, 0), (2, 8, 0, 0), (2, 15, 0, 0), (3, 31, 0, 0), (3, 64, 0, 0),
          (3, 83, 0, 0), (4, 222, 0, 1), (2, 160, 0, 0), (3, 274, 0, 0), (4, 383, 0, 0),
          (2, 198, 0, 0), (1, 32, 0, 0), (1, 39, 0, 0), (2, 141, 0, 0)],

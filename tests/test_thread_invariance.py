@@ -3,12 +3,15 @@
 A dense plan product is one BLAS gemv, which sums each output entry in one
 order whatever the thread count; a sparse one runs scipy's sequential CSR
 loop; the cost is a fixed-order sum; and BLAS dots over vectors of up to
-10 000 entries do not depend on the thread count.  A probe evaluates each
-quantity in a child process at one and at two threads and prints a digest of
-its bits, per anchor layout and size.  The "signed" layout is a sparse
-anchor at the flush floor, served at offsets of opposite sign on the two
-sides: a near -30 and b near +30, so |a|_inf + |b|_inf is about 61 and
-max a + max b about 1, within ``dual.SPARSE_SCALE_MAX``.
+10 000 entries do not depend on the thread count.  A Newton system of at
+most ``EXPLICIT_MAX_N`` rows forms its round-trip matrix by gemm, whose bits
+do not vary with the threads either (syrk's do, at n = 100 for one).  A
+probe evaluates each quantity in a child process at one and at two threads
+and prints a digest of its bits, per anchor layout and size.  The "signed"
+layout is a sparse anchor at the flush floor, served at offsets of
+opposite sign on the two sides: a near -30 and b near +30, so
+|a|_inf + |b|_inf is about 61 and max a + max b about 1, within
+``dual.SPARSE_SCALE_MAX``.
 """
 
 import json
@@ -21,12 +24,18 @@ import pytest
 
 import otnewton
 from otnewton._kernels import BLOCK
+from otnewton.newton import EXPLICIT_MAX_N
 
-ANCHORS = [("dense", 64), ("dense", BLOCK + 17), ("dense", 1024), ("dense", 2048),
-           ("sparse", BLOCK + 17), ("sparse", 1024), ("sparse", 2048), ("signed", 1024)]
+# (layout, n, log2 gamma).  The Newton systems at n = 100 and EXPLICIT_MAX_N
+# form their round-trip matrix; at 2^3 the plan keeps every entry, so its
+# sums run over whole rows, as syrk's that vary with the threads do.
+ANCHORS = [("dense", 64, 14), ("dense", 100, 3), ("dense", EXPLICIT_MAX_N, 3),
+           ("dense", BLOCK + 17, 14), ("dense", 1024, 14), ("dense", 2048, 14),
+           ("sparse", BLOCK + 17, 14), ("sparse", 1024, 14), ("sparse", 2048, 14),
+           ("signed", 1024, 14)]
 QUANTITIES = ["row-sums", "col-sums", "newton-product", "diag-prc", "cg-direction",
               "trial-col-sums", "dual-value", "cost"]
-CASES = [f"{layout}-{n}-{q}" for layout, n in ANCHORS for q in QUANTITIES] + ["dot-10000"]
+CASES = [f"{layout}-{n}-{q}" for layout, n, _ in ANCHORS for q in QUANTITIES] + ["dot-10000"]
 
 PROBE = """
 import hashlib, json, sys
@@ -45,11 +54,11 @@ def digest(*xs):
     return h.hexdigest()
 
 
-for layout, n in json.loads(sys.argv[1]):
+for layout, n, log_gamma in json.loads(sys.argv[1]):
     # The L1 line at 2^14 keeps about 8% of its entries.  The potentials are
     # the double c-transform of zero scaled by gamma, as late in a solve,
     # then moved off the anchor by offsets of size 1.
-    gamma, x = 2.0 ** 14, np.arange(n) / (n - 1)
+    gamma, x = 2.0 ** log_gamma, np.arange(n) / (n - 1)
     C = np.abs(x[:, None] - x[None, :])
     f = C.min(axis=1)
     g = (C - f[:, None]).min(axis=0)

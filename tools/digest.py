@@ -14,7 +14,10 @@ digest over all instances closes each workload.  The output is JSON.
 
 ``--compare`` names the instances whose digests differ between two outputs,
 with the anchors of each side, the relative move of the primal cost and
-``certified_gap / error_bound`` of each side.
+``certified_gap / error_bound`` of each side.  It ends each workload with a
+summary line: the number of instances whose anchor counts moved, the
+largest relative move of the primal cost and the largest move of
+``certified_gap / error_bound``.
 """
 
 from __future__ import annotations
@@ -71,21 +74,29 @@ def digest_workload(name, count):
 
 
 def compare(old, new):
-    """Lines naming each instance whose digest differs between two outputs."""
+    """Lines naming each instance whose digest differs between two outputs,
+    and a summary line per workload."""
     lines = []
     for wo, wn in zip(old, new):
         moved = []
+        anchors_moved, primal_move, ratio_move = 0, 0.0, 0.0
         for a, b in zip(wo["instances"], wn["instances"]):
+            rel = abs(b["primal"] - a["primal"]) / abs(a["primal"])
+            ratio_a = a["certified_gap"] / a["error_bound"]
+            ratio_b = b["certified_gap"] / b["error_bound"]
+            anchors_moved += a["anchors"] != b["anchors"]
+            primal_move = max(primal_move, rel)
+            ratio_move = max(ratio_move, abs(ratio_b - ratio_a))
             if a["sha256"] != b["sha256"]:
-                rel = abs(b["primal"] - a["primal"]) / abs(a["primal"])
                 moved.append(f"  {a['label']}: anchors {a['anchors']} -> {b['anchors']}, "
                              f"primal moved {rel:.2e} relative, gap / bound "
-                             f"{a['certified_gap'] / a['error_bound']:.6g} -> "
-                             f"{b['certified_gap'] / b['error_bound']:.6g}")
+                             f"{ratio_a:.6g} -> {ratio_b:.6g}")
         same = "same" if wo["digest"] == wn["digest"] else "differs"
-        lines.append(f"{wo['workload']}: digest {same}, "
-                     f"{len(moved)} of {len(wo['instances'])} instances moved")
+        count = len(wo["instances"])
+        lines.append(f"{wo['workload']}: digest {same}, {len(moved)} of {count} instances moved")
         lines.extend(moved)
+        lines.append(f"  summary: anchors moved on {anchors_moved} of {count}, primal moved "
+                     f"at most {primal_move:.2e} relative, gap / bound at most {ratio_move:.2e}")
     return lines
 
 
