@@ -15,13 +15,19 @@ paths sit just below it: numpy's SIMD ``exp`` falls back to a scalar loop,
 about 18x slower, for any vector holding an argument below about -707.7
 (about 120x where its output is subnormal), and BLAS products on subnormal
 operands run several times slower than on normal ones.  So
-``materialize_plan`` and ``scale_plan`` write exactly 0 for every entry
-below ``PLAN_FLOOR`` = e^-700 (a normal number, so a plan never holds a
-subnormal).  A plan tile with no log entry below the floor is
+``materialize_plan`` writes exactly 0 for every entry whose log is below
+``EXP_FLOOR``, and the linear-domain passes (``scale_plan``, ``round_plan``
+and ``round_trip_matrix``) set every entry below ``PLAN_FLOOR`` = e^-700 (a
+normal number) to 0 through one flush, ``_flush``, so a plan never holds a
+subnormal.  A plan tile with no log entry below the floor is
 exponentiated as it is, with no mask, clamp or flush, which would not
 change it.  The square of an entry below 2^-511 is still subnormal, so
 ``square_matvec`` always scales the entries by an exact power of two, chosen
-from a bound above them, before it squares them, and scales the result back.
+from a bound above them, before it squares them, and scales the result back;
+``round_trip_matrix``, the Newton system's explicit ``D(e^a) P D(w) P^T
+D(e^a)`` at small n, takes the same power of two.  Every flush below the
+plan floor and every power-of-two scaling of the library is in one of
+these kernels.
 
 ``materialize_plan`` is the one plan builder.  Given no column potential,
 it anchors the plan at the column maxima ``m``, ``v = -m``, and a dense
@@ -70,7 +76,7 @@ import math
 import numpy as np
 
 from . import opcount
-from .errors import DimensionError, PlanOverflowError
+from .errors import DegenerateInputError, DimensionError, DomainError, PlanOverflowError
 
 BLOCK = 256
 
@@ -292,6 +298,14 @@ def _csr_matvec(csr, top, bottom, x, shift=0):
     return np.ldexp(y, -(k + shift), out=y) if k + shift else y
 
 
+def _flush(b):
+    """Set the entries of ``b`` below ``PLAN_FLOOR`` to 0 in place: the one
+    linear-domain flush, after a pass that can take entries near the floor
+    below it or to a subnormal.  Negative entries and -0.0 become 0 too, a
+    NaN stays."""
+    np.copyto(b, 0.0, where=b < PLAN_FLOOR)
+
+
 def scale_plan(P, x, y):
     """P <- D(x) P D(y) in place, with entries below ``PLAN_FLOOR`` set to 0.
 
@@ -300,13 +314,60 @@ def scale_plan(P, x, y):
     keeps the plan free of both.
     """
     opcount.add(1)
-    n = P.shape[0]
-    rows = tile_rows(P.shape[1])
-    for lo in range(0, n, rows):
-        b = P[lo:lo + rows]
-        np.multiply(b, x[lo:lo + rows, None], out=b)
+    for lo, hi, b in row_tiles(*P.shape, P):
+        np.multiply(b, x[lo:hi, None], out=b)
         np.multiply(b, y[None, :], out=b)
-        np.copyto(b, 0.0, where=b < PLAN_FLOOR)
+        _flush(b)
+    return P
+
+
+def round_plan(P, r, c, out=None):
+    """Round a near-feasible nonnegative plan onto the exact polytope.
+
+    Scales rows then columns down toward their targets and repairs the
+    remaining (nonnegative) deficit with a rank-one correction; the output
+    has row sums r and column sums c exactly up to roundoff.  Entries below
+    ``PLAN_FLOOR`` are set to 0, so the plan holds no subnormals (the
+    scalings can push entries near the floor below it).  By default the
+    result is a copy of ``P``; with ``out=P`` (a float64 array) ``P`` is
+    rounded in place, and no other ``out`` is accepted.  The repair and the
+    flush run over row tiles, so no other n-by-n array is made.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    if out is not None and out is not P:
+        raise DomainError("round_plan rounds into a copy or in place (out=P)")
+    if P.min() < 0.0:
+        raise DomainError("round_plan needs a nonnegative plan")
+    total = P.sum()
+    if not total > 0.0:
+        raise DegenerateInputError("round_plan needs positive total mass")
+    if out is None:
+        P = P.copy()
+    opcount.add(2)
+    rP = P.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_scale = np.where(rP > 0.0, np.minimum(1.0, r / rP), 1.0)
+    P *= row_scale[:, None]
+    opcount.add(2)
+    cP = P.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col_scale = np.where(cP > 0.0, np.minimum(1.0, c / cP), 1.0)
+    P *= col_scale[None, :]
+    opcount.add(1)
+    # The deficits are nonnegative in exact arithmetic; clamp the roundoff
+    # below zero so the rank-one repair cannot make an entry negative.
+    err_r = np.maximum(r - P.sum(axis=1), 0.0)
+    err_c = np.maximum(c - P.sum(axis=0), 0.0)
+    deficit = err_r.sum()
+    if deficit > 0.0:
+        opcount.add(1)
+    for lo, hi, b in row_tiles(*P.shape):
+        tile = P[lo:hi]
+        if deficit > 0.0:
+            np.multiply(err_r[lo:hi, None], err_c[None, :], out=b)
+            b /= deficit
+            tile += b
+        _flush(tile)
     return P
 
 
@@ -354,6 +415,38 @@ def square_matvec(P, w, top=None):
         np.square(np.multiply(P[lo:hi], scale, out=b), out=b)
         out[lo:hi] = b @ w
     return np.ldexp(out, -2 * k, out=out)
+
+
+def round_trip_matrix(P, e_a, w, top):
+    """K = D(e^a) P D(w) P^T D(e^a) for a dense plan ``P``, ``e_a`` the row
+    scaling e^a (an n-vector or a scalar) and ``w`` the column weights; not
+    counted, as its products count the passes of the ones they replace
+    (``newton.DiscountedSystem``).
+
+    K is one gemm of two row-major arrays, the plan and
+    T = (P D(2^2k w))^T, the only n-by-n arrays made besides K.  The other
+    forms vary with the thread count (OpenBLAS, at n = 100): numpy takes
+    ``S @ S.T`` as syrk, and a product with a transposed view as a
+    transposed gemm.  2^k is the power of two that ``square_matvec`` scales
+    entries by (``_square_exp``), from ``top``, a bound on the plan's
+    entries (the plan's largest entry when None), raised to at least 1, so
+    every term of the product is finite, T too, and is normal where the
+    scaled square would be.  The product is then scaled by e^a 2^-k on each
+    side.  Entries of T and K below ``PLAN_FLOOR`` are set to 0, so no BLAS
+    operand is subnormal.
+    """
+    top = float(P.max()) if top is None else top
+    k = _square_exp(max(top, 1.0), w)
+    T = np.ascontiguousarray(P.T)
+    T *= np.ldexp(w, 2 * k)[:, None]
+    _flush(T)
+    K = P @ T
+    del T  # a broadcast product takes an n-by-n buffer in numpy
+    c = np.full(P.shape[0], np.ldexp(e_a, -k))  # e^a 2^-k, also for a scalar a
+    K *= c[:, None]
+    K *= c
+    _flush(K)
+    return K
 
 
 def plan_matvec(P, x, transpose=False):

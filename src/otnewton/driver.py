@@ -6,7 +6,9 @@ the previous two dual iterates.  The final plan is rounded onto the exact
 polytope of the *original* marginals, which yields the standard guarantee
 ``<P - P*, C> <= 2 min(H(r), H(c)) / gamma_f`` for the rounded cost.  The
 final plan is the state's anchored plan, scaled in place to the final
-potentials and rounded in place, so a solve allocates one n-by-n plan.
+potentials and rounded in place (``_kernels.round_plan``, imported here as
+``round_plan``), so a solve allocates one n-by-n plan.  The driver only
+orchestrates: every n-by-n pass is a kernel's.
 
 Each solve also certifies its own gap.  With ``f = u / gamma_f`` at the
 final row potentials and ``g`` its c-transform, ``g_j = min_i (C_ij - f_i)``,
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcount, oracles
-from ._kernels import PLAN_FLOOR, log_plan_max, plan_cost, row_tiles
+from ._kernels import log_plan_max, plan_cost, round_plan
 from .core import shannon_entropy
 from .dual import DualState
 from .errors import DegenerateInputError, DomainError, OTNError
@@ -179,57 +181,6 @@ def extrapolate(z_t, z_tm1, gamma_next, gamma_t, gamma_tm1):
         raise DomainError("extrapolation needs distinct consecutive gammas")
     step = (gamma_next - gamma_t) / (gamma_t - gamma_tm1)
     return z_t + step * (z_t - z_tm1)
-
-
-def round_plan(P, r, c, out=None):
-    """Round a near-feasible nonnegative plan onto the exact polytope.
-
-    Scales rows then columns down toward their targets and repairs the
-    remaining (nonnegative) deficit with a rank-one correction; the output
-    has row sums r and column sums c exactly up to roundoff.  Entries below
-    ``PLAN_FLOOR`` = e^EXP_FLOOR, the kernels' plan floor, are set to 0, so
-    the plan holds no subnormals (the scalings can push entries near the
-    floor below it).  By default the result is a copy of ``P``; with
-    ``out=P`` (a float64 array) ``P`` is rounded in place, and no other
-    ``out`` is accepted.  The repair and the flush run over the kernels'
-    tiles, so no other n-by-n array is made.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    if out is not None and out is not P:
-        raise DomainError("round_plan rounds into a copy or in place (out=P)")
-    if P.min() < 0.0:
-        raise DomainError("round_plan needs a nonnegative plan")
-    total = P.sum()
-    if not total > 0.0:
-        raise DegenerateInputError("round_plan needs positive total mass")
-    if out is None:
-        P = P.copy()
-    opcount.add(2)
-    rP = P.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_scale = np.where(rP > 0.0, np.minimum(1.0, r / rP), 1.0)
-    P *= row_scale[:, None]
-    opcount.add(2)
-    cP = P.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        col_scale = np.where(cP > 0.0, np.minimum(1.0, c / cP), 1.0)
-    P *= col_scale[None, :]
-    opcount.add(1)
-    # The deficits are nonnegative in exact arithmetic; clamp the roundoff
-    # below zero so the rank-one repair cannot make an entry negative.
-    err_r = np.maximum(r - P.sum(axis=1), 0.0)
-    err_c = np.maximum(c - P.sum(axis=0), 0.0)
-    deficit = err_r.sum()
-    if deficit > 0.0:
-        opcount.add(1)
-    for lo, hi, b in row_tiles(*P.shape):
-        tile = P[lo:hi]
-        if deficit > 0.0:
-            np.multiply(err_r[lo:hi, None], err_c[None, :], out=b)
-            b /= deficit
-            tile += b
-        tile[tile < PLAN_FLOOR] = 0.0
-    return P
 
 
 def error_bound(gamma_f, r, c):

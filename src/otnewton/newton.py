@@ -18,11 +18,13 @@ temperatures where most of its entries are exact zeros, a
 
 A product with ``D(rP) P_rc`` is two ``_kernels.plan_matvec`` passes, and
 ``P_rc`` is never formed, except in a dense system of at most
-``EXPLICIT_MAX_N`` rows.  Such a system forms the round-trip matrix
-``K = S S^T = D(rP) P_rc``, ``S = D(e^a) P0 D(e^b / sqrt(cP))``, once, and
-applies ``F(rho) = D(rP) - rho K``, formed once per rho, as one gemv: at
-small n a CG iteration is bound by per-call dispatch, and one product costs
-less than two.  Its products are counted as the passes of the products they
+``EXPLICIT_MAX_N`` rows.  Such a system has the round-trip matrix
+``K = S S^T = D(rP) P_rc``, ``S = D(e^a) P0 D(e^b / sqrt(cP))``, formed
+once by ``_kernels.round_trip_matrix`` (every flush and power-of-two
+scaling is a kernel's; this module applies the operators), and applies
+``F(rho) = D(rP) - rho K``, formed once per rho, as one gemv: at small n a
+CG iteration is bound by per-call dispatch, and one product costs less
+than two.  Its products are counted as the passes of the products they
 replace (see ``opcount``).
 
 When annealing reaches ``RHO_CAP`` without meeting the forcing test,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcount
-from ._kernels import PLAN_FLOOR, _square_exp, plan_matvec, square_matvec
+from ._kernels import plan_matvec, round_trip_matrix, square_matvec
 from .errors import ConditioningError, NonconvergenceError, StagnationError
 
 # Annealing stops once 1 - rho falls below this: with the relaxed exit, or
@@ -95,9 +97,10 @@ class DiscountedSystem:
     ``ConditioningError``.
 
     A dense system of at most ``EXPLICIT_MAX_N`` rows forms the round-trip
-    matrix ``K`` when it is built (``_round_trip_matrix``): ``round_trip``
-    is then ``K d``, ``apply_F`` one product with ``F(rho)``, and
-    ``diag_prc`` reads ``diag(K) / rP``.
+    matrix ``K`` when it is built (``_kernels.round_trip_matrix``, under
+    the squared product's scaling and the plan floor): ``round_trip`` is
+    then ``K d``, ``apply_F`` one product with ``F(rho)``, and ``diag_prc``
+    reads ``diag(K) / rP``.
     """
 
     def __init__(self, P, rP, cP, a=0.0, b=0.0, top=None):
@@ -119,36 +122,7 @@ class DiscountedSystem:
         self._K = None
         self._F = None  # (rho, F(rho)) of the last rho applied
         if isinstance(P, np.ndarray) and self.n <= EXPLICIT_MAX_N:
-            self._K = self._round_trip_matrix()
-
-    def _round_trip_matrix(self):
-        """K = D(e^a) P D(w) P^T D(e^a), w = e^2b / cP; not counted, as its
-        products count the passes of the ones they replace.
-
-        K is one gemm of two row-major arrays, the plan and
-        T = (P D(2^2k w))^T, the only n-by-n arrays made besides K.  The
-        other forms vary with the thread count (OpenBLAS, at n = 100): numpy
-        takes ``S @ S.T`` as syrk, and a product with a transposed view as a
-        transposed gemm.  2^k is the power of two that
-        ``_kernels.square_matvec`` scales entries by (``_square_exp``), from
-        a bound of at least 1 on the plan's entries, so every term of the
-        product is finite, T too, and is normal where the scaled square
-        would be.  The product is then scaled by e^a 2^-k on each side.
-        Entries of T and K below ``PLAN_FLOOR`` are set to 0, so no BLAS
-        operand is subnormal.
-        """
-        top = float(self.P.max()) if self._top is None else self._top
-        k = _square_exp(max(top, 1.0), self._w)
-        T = np.ascontiguousarray(self.P.T)
-        T *= np.ldexp(self._w, 2 * k)[:, None]
-        np.putmask(T, T < PLAN_FLOOR, 0.0)
-        K = self.P @ T
-        del T  # a broadcast product takes an n-by-n buffer in numpy
-        c = np.full(self.n, np.ldexp(self._e_a, -k))  # e^a 2^-k, also for a scalar a
-        K *= c[:, None]
-        K *= c
-        np.putmask(K, K < PLAN_FLOOR, 0.0)
-        return K
+            self._K = round_trip_matrix(P, self._e_a, self._w, top)
 
     @classmethod
     def from_state(cls, state):

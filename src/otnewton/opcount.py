@@ -11,8 +11,8 @@ behalf of a callee.  The counting functions are the dense kernels in
 pass, whether it serves ``newton.DiscountedSystem`` or a log sum from the
 anchored plan; the length-n scalings around it are not passes, and the log
 kernel ``-gamma C`` is formed inside the kernels' tiles, not in a pass of
-its own; the final plan's cost, ``plan_cost``, is one pass too), and
-``driver.round_plan``.  A
+its own; the final plan's cost, ``plan_cost``, is one pass too, and
+rounding it, ``round_plan``, 5, or 6 with a rank-one repair).  A
 kernel on a sparse plan (``_kernels.SparsePlan``) counts as the dense pass
 it replaces, although it touches only the nonzeros: the count stays a
 measure of the algorithm, not of the storage.  So does a small dense

@@ -110,21 +110,21 @@ def _mass(log_cols):
         return float(np.exp(log_cols).sum())
 
 
-def chi_sinkhorn(state, r, c, eps_chi, budget=10 ** 6):
-    """Row-scale / column-rebalance sweeps until chi^2(r | r(P)) <= eps_chi.
+def chi_sinkhorn(state, eps_chi, budget=10 ** 6):
+    """Row-scale / column-rebalance sweeps until chi^2(r | r(P)) <= eps_chi,
+    r the state's row target.
 
     Expects column sums already on target; every sweep restores them exactly,
     so the column half of the gradient stays zero throughout.  Returns the
     number of sweeps taken.
     """
-    state.set_targets(r, c)
     steps = 0
     with opcount.category("chi_sinkhorn"):
-        while chi_sq_div(r, state.row_sums()) > eps_chi:
+        while chi_sq_div(state.r, state.row_sums()) > eps_chi:
             if steps >= budget:
                 raise NonconvergenceError(
                     f"chi-square balancing still above {eps_chi:.3g} after {budget} sweeps",
-                    diagnostics={"chi_sq": chi_sq_div(r, state.row_sums())},
+                    diagnostics={"chi_sq": chi_sq_div(state.r, state.row_sums())},
                 )
             state.sinkhorn_sweep()
             steps += 1
@@ -153,11 +153,10 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
     with opcount.category("mirror_descent"):
         state.rebalance_columns()
 
-    while True:
-        grad_u = state.row_sums() - r
-        grad_norm = float(np.abs(grad_u).sum())
-        if grad_norm <= eps_d:
-            break
+    # The row gradient's L1 norm at the state, carried from the last
+    # accepted step into the exit test (a NaN norm does not exit).
+    grad_norm = float(np.abs(state.row_sums() - r).sum())
+    while not grad_norm <= eps_d:
         if stats.newton_steps >= newton_step_budget:
             raise NonconvergenceError(
                 f"projection still at gradient norm {grad_norm:.3g} > {eps_d:.3g} "
@@ -170,7 +169,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
                              "backtracks": stats.backtracks},
             )
 
-        stats.sinkhorn_steps += chi_sinkhorn(state, r, c, eps_chi)
+        stats.sinkhorn_steps += chi_sinkhorn(state, eps_chi)
         grad_u = state.row_sums() - r
         grad_norm = float(np.abs(grad_u).sum())
         if grad_norm <= eps_d:
@@ -191,6 +190,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
             with opcount.category("chi_sinkhorn"):
                 state.sinkhorn_sweep()
             stats.sinkhorn_steps += 1
+            grad_norm = float(np.abs(state.row_sums() - r).sum())
             continue
 
         # The mass increment over alpha = 0 is measured on one evaluation
@@ -228,6 +228,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
         stats.newton_steps += 1
         stats.cg_iters += result.cg_iters
         stats.backtracks += backtracks
+        grad_norm = grad_after
 
     with opcount.category("mirror_descent"):
         state.scale_rows_to_target()

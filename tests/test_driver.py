@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse  # noqa: F401  (imported before tracemalloc starts)
 
 import otnewton
-from otnewton._kernels import BLOCK, SparsePlan
+from otnewton._kernels import BLOCK, PLAN_FLOOR, SparsePlan
 from otnewton.core import shannon_entropy
 from otnewton.driver import (
     MdotOptions,
@@ -164,7 +164,7 @@ def round_plan_reference(P, r, c):
     deficit = err_r.sum()
     if deficit > 0.0:
         P = P + np.outer(err_r, err_c) / deficit
-    P[P < driver.PLAN_FLOOR] = 0.0
+    P[P < PLAN_FLOOR] = 0.0
     return P
 
 

@@ -17,9 +17,8 @@ from scipy.special import logsumexp
 
 from otnewton import _kernels, dual, opcount
 from otnewton._kernels import (BLOCK, EXP_FLOOR, LOG_OVERFLOW, PLAN_FLOOR, SparsePlan,
-                               log_plan_max, materialize_plan,
-                               plan_cost, plan_matvec, scale_plan, square_matvec, tile_rows)
-from otnewton.driver import round_plan
+                               log_plan_max, materialize_plan, plan_cost, plan_matvec,
+                               round_plan, scale_plan, square_matvec, tile_rows)
 from otnewton.dual import OFFSET_RANGE, SPARSE_SCALE_MAX, DualState
 from otnewton.errors import ConditioningError, PlanOverflowError
 from otnewton.newton import DiscountedSystem
@@ -217,6 +216,25 @@ class TestExpFloor:
         r = c = np.full(n, 0.25)
         rounded = round_plan(P, r, c)
         np.testing.assert_array_equal(rounded, np.diag(r))
+
+    def test_flush_sets_what_is_below_the_floor_to_zero(self):
+        # Below, at and above the floor, negative, -0.0, NaN, subnormal and
+        # infinite entries, each flushed as the three idioms the kernels'
+        # flush replaced would, bit for bit: below the floor (negatives and
+        # -0.0 too) to +0.0, the rest as they are.
+        above = np.nextafter(PLAN_FLOOR, 1.0)
+        flushed = [PLAN_FLOOR / 2, np.nextafter(PLAN_FLOOR, 0.0), -1.0, -PLAN_FLOOR,
+                   0.0, -0.0, 5e-324, np.finfo(float).tiny / 2, -np.inf]
+        kept = [PLAN_FLOOR, above, 1.0, np.nan, np.inf]
+        b = np.array((flushed + kept) * 2).reshape(2, -1)
+        expected = np.array(([0.0] * len(flushed) + kept) * 2).reshape(2, -1)
+        copied, indexed, masked = b.copy(), b.copy(), b.copy()
+        np.copyto(copied, 0.0, where=copied < PLAN_FLOOR)
+        indexed[indexed < PLAN_FLOOR] = 0.0
+        np.putmask(masked, masked < PLAN_FLOOR, 0.0)
+        _kernels._flush(b)
+        assert b.tobytes() == expected.tobytes()
+        assert copied.tobytes() == indexed.tobytes() == masked.tobytes() == expected.tobytes()
 
 
 def anchored_state(cost, kind, gamma, monkeypatch, sparse=False, n=BLOCK + 17):

@@ -99,7 +99,7 @@ class TestChiSinkhorn:
         state.rebalance_columns()
         u0, v0 = state.u.copy(), state.v.copy()
         chi = chi_sq_div(state.r, state.row_sums())
-        steps = chi_sinkhorn(state, state.r, state.c, eps_chi=chi * 1.01)
+        steps = chi_sinkhorn(state, eps_chi=chi * 1.01)
         assert steps == 0
         np.testing.assert_array_equal(state.u, u0)
         np.testing.assert_array_equal(state.v, v0)
@@ -107,7 +107,7 @@ class TestChiSinkhorn:
     def test_zero_cost_converges_in_one_sweep(self):
         state = make_state(6, seed=2, zero_cost=True)
         state.rebalance_columns()
-        steps = chi_sinkhorn(state, state.r, state.c, eps_chi=1e-13)
+        steps = chi_sinkhorn(state, eps_chi=1e-13)
         assert steps == 1
         np.testing.assert_allclose(state.row_sums(), state.r, rtol=1e-12)
 
@@ -118,7 +118,7 @@ class TestChiSinkhorn:
             s = make_state(8, seed=3, gamma=8.0, spread=1.0)
             s.rebalance_columns()
             try:
-                chi_sinkhorn(s, s.r, s.c, eps_chi=0.0, budget=budget)
+                chi_sinkhorn(s, eps_chi=0.0, budget=budget)
             except NonconvergenceError:
                 pass
             assert np.abs(s.col_sums() - s.c).sum() <= 1e-12
@@ -127,7 +127,7 @@ class TestChiSinkhorn:
         state = make_state(8, seed=4, spread=1.0)
         state.rebalance_columns()
         eps_chi = 1e-4
-        chi_sinkhorn(state, state.r, state.c, eps_chi=eps_chi)
+        chi_sinkhorn(state, eps_chi=eps_chi)
         assert chi_sq_div(state.r, state.row_sums()) <= eps_chi
 
 
@@ -216,8 +216,7 @@ class TestProject:
         # rounding.
         twin.rebalance_columns()
         with pytest.raises(NonconvergenceError):
-            chi_sinkhorn(twin, twin.r, twin.c, eps_chi=0.0,
-                         budget=stats.sinkhorn_steps)
+            chi_sinkhorn(twin, eps_chi=0.0, budget=stats.sinkhorn_steps)
         twin.scale_rows_to_target()
         np.testing.assert_allclose(twin.u, state.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(twin.v, state.v, rtol=0, atol=1e-12)

@@ -14,10 +14,13 @@ digest over all instances closes each workload.  The output is JSON.
 
 ``--compare`` names the instances whose digests differ between two outputs,
 with the anchors of each side, the relative move of the primal cost and
-``certified_gap / error_bound`` of each side.  It ends each workload with a
-summary line: the number of instances whose anchor counts moved, the
-largest relative move of the primal cost and the largest move of
-``certified_gap / error_bound``.
+``certified_gap / error_bound`` of each side.  Workloads are matched by
+name and instances by label; one that only one output holds counts as
+moved.  It ends each workload with a summary line: the number of instances
+whose anchor counts moved, the largest relative move of the primal cost and
+the largest move of ``certified_gap / error_bound``.  It exits with 1 when
+any digest differs, else 0, so its status alone decides a bit-identity
+claim.
 """
 
 from __future__ import annotations
@@ -75,12 +78,30 @@ def digest_workload(name, count):
 
 def compare(old, new):
     """Lines naming each instance whose digest differs between two outputs,
-    and a summary line per workload."""
-    lines = []
-    for wo, wn in zip(old, new):
+    and a summary line per workload; and whether every digest is the same.
+
+    Workloads are matched by name and instances by label, so the order of
+    either output does not matter; a workload or an instance that only one
+    output holds counts as moved."""
+    lines, same_all = [], True
+    old_w = {w["workload"]: w for w in old}
+    new_w = {w["workload"]: w for w in new}
+    for name in {**old_w, **new_w}:
+        wo, wn = old_w.get(name), new_w.get(name)
+        if wo is None or wn is None:
+            lines.append(f"{name}: only in the {'new' if wo is None else 'old'} output")
+            same_all = False
+            continue
+        old_i = {inst["label"]: inst for inst in wo["instances"]}
+        new_i = {inst["label"]: inst for inst in wn["instances"]}
+        labels = {**old_i, **new_i}
         moved = []
         anchors_moved, primal_move, ratio_move = 0, 0.0, 0.0
-        for a, b in zip(wo["instances"], wn["instances"]):
+        for label in labels:
+            a, b = old_i.get(label), new_i.get(label)
+            if a is None or b is None:
+                moved.append(f"  {label}: only in the {'new' if a is None else 'old'} output")
+                continue
             rel = abs(b["primal"] - a["primal"]) / abs(a["primal"])
             ratio_a = a["certified_gap"] / a["error_bound"]
             ratio_b = b["certified_gap"] / b["error_bound"]
@@ -88,16 +109,18 @@ def compare(old, new):
             primal_move = max(primal_move, rel)
             ratio_move = max(ratio_move, abs(ratio_b - ratio_a))
             if a["sha256"] != b["sha256"]:
-                moved.append(f"  {a['label']}: anchors {a['anchors']} -> {b['anchors']}, "
+                moved.append(f"  {label}: anchors {a['anchors']} -> {b['anchors']}, "
                              f"primal moved {rel:.2e} relative, gap / bound "
                              f"{ratio_a:.6g} -> {ratio_b:.6g}")
-        same = "same" if wo["digest"] == wn["digest"] else "differs"
-        count = len(wo["instances"])
-        lines.append(f"{wo['workload']}: digest {same}, {len(moved)} of {count} instances moved")
+        same = wo["digest"] == wn["digest"] and not moved
+        same_all = same_all and same
+        count = len(labels)
+        lines.append(f"{name}: digest {'same' if same else 'differs'}, "
+                     f"{len(moved)} of {count} instances moved")
         lines.extend(moved)
         lines.append(f"  summary: anchors moved on {anchors_moved} of {count}, primal moved "
                      f"at most {primal_move:.2e} relative, gap / bound at most {ratio_move:.2e}")
-    return lines
+    return lines, same_all
 
 
 def main(argv=None):
@@ -109,8 +132,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.compare:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
-        print("\n".join(compare(old, new)))
-        return
+        lines, same = compare(old, new)
+        print("\n".join(lines))
+        return 0 if same else 1
     if not args.workloads:
         ap.error("name at least one workload, or --compare two outputs")
     count = count_anchors()
@@ -122,4 +146,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
