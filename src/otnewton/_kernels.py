@@ -338,13 +338,13 @@ def round_plan(P, r, c, out=None):
         raise DomainError("round_plan rounds into a copy or in place (out=P)")
     if P.min() < 0.0:
         raise DomainError("round_plan needs a nonnegative plan")
-    total = P.sum()
-    if not total > 0.0:
-        raise DegenerateInputError("round_plan needs positive total mass")
     if out is None:
         P = P.copy()
-    opcount.add(2)
     rP = P.sum(axis=1)
+    # The total mass, NaN when an entry is.
+    if not rP.sum() > 0.0:
+        raise DegenerateInputError("round_plan needs positive total mass")
+    opcount.add(2)
     with np.errstate(divide="ignore", invalid="ignore"):
         row_scale = np.where(rP > 0.0, np.minimum(1.0, r / rP), 1.0)
     P *= row_scale[:, None]

@@ -195,9 +195,10 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     Runs the outer mirror-descent loop: per iteration, pick the gradient
     tolerance for the current gamma, smooth the marginals, project to half
     the tolerance on the smoothed marginals, adapt the decay rate from the
-    projection's worst reduction ratio, decay the temperature, and
-    extrapolate the duals.  Wall time covers solve, certificate and
-    rounding, no I/O.
+    projection's worst reduction ratio and record the iteration.  The loop
+    leaves after the iteration at ``gamma_f``; before any other temperature
+    it decays gamma and extrapolates the duals to warm start the next
+    projection.  Wall time covers solve, certificate and rounding, no I/O.
     A point-mass marginal raises ``DegenerateInputError`` before any pass.
     """
     for name, x in (("gamma_i", gamma_i), ("gamma_f", gamma_f), ("p", p), ("q_init", q_init)):
@@ -220,17 +221,15 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
                 diagnostics={f"nonzeros_{name}": 1})
 
     t0 = time.monotonic()
-    ops_start = opcount.total()
     ops_cat_start = opcount.snapshot()
 
-    t, gamma_prev, gamma, q = 1, 0.0, min(gamma_i, gamma_f), float(q_init)
-    z_prev = None
+    gamma_prev, gamma, q = 0.0, min(gamma_i, gamma_f), float(q_init)
     state = None
     rho_next = 0.0
     iterations = []
 
     while True:
-        done = gamma == gamma_f
+        t = len(iterations) + 1
         it_t0 = time.monotonic()
         it_ops0 = opcount.total()
         eps_d = eps_rule(gamma, p, problem.r, problem.c)
@@ -238,7 +237,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
             raise DomainError(
                 f"tolerance {eps_d:.3g} >= 1 at gamma={gamma}; raise gamma_i")
         r_s, c_s = smooth_marginals(problem.r, problem.c, eps_d, opts.w_r)
-        if t == 1:
+        if state is None:
             state = DualState(problem, gamma, u=np.log(r_s), v=np.log(c_s), r=r_s, c=c_s)
             z_prev = np.concatenate([state.u, state.v])
         else:
@@ -248,7 +247,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
             if opts.projector == "newton":
                 stats = project(state, r_s, c_s, eps_d / 2.0, rho0=rho_next,
                                 adaptive_rho0=opts.adaptive_rho0)
-                rho_next = next_rho0(stats.rho_final) if opts.adaptive_rho0 else 0.0
+                rho_next = next_rho0(stats.rho_final)
             else:
                 # Looked up in oracles at call time, so that a wrapper installed
                 # there (perfbench/spans.py) sees the call.
@@ -262,23 +261,19 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
 
         if opts.adaptive_q:
             q = adjust_schedule(q, stats.delta_min)
-        gamma_next = min(q * gamma, gamma_f)
-        z = np.concatenate([state.u, state.v])
-        z_new = extrapolate(z, z_prev, gamma_next, gamma, gamma_prev)
-
         iterations.append(OuterIteration(
             t=t, gamma=gamma, eps_d=eps_d, q_next=q, stats=stats,
             ops_n2=opcount.total() - it_ops0,
             wall_ms=(time.monotonic() - it_t0) * 1e3,
             plan_density=state.plan_density,
         ))
-        if done:
+        if gamma == gamma_f:
             break
-        z_prev = z
-        gamma_prev = gamma
-        gamma = gamma_next
+        gamma_next = min(q * gamma, gamma_f)
+        z = np.concatenate([state.u, state.v])
+        z_new = extrapolate(z, z_prev, gamma_next, gamma, gamma_prev)
         state.set_potentials(z_new[:problem.n], z_new[problem.n:])
-        t += 1
+        z_prev, gamma_prev, gamma = z, gamma, gamma_next
 
     dual_final = state.dual_value()
     with opcount.category("mirror_descent"):
@@ -296,7 +291,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     ops = {k: ops_cat_end.get(k, 0) - ops_cat_start.get(k, 0)
            for k in ops_cat_end
            if ops_cat_end.get(k, 0) != ops_cat_start.get(k, 0)}
-    ops["total"] = opcount.total() - ops_start
+    ops["total"] = sum(ops.values())
 
     bound = error_bound(gamma_f, problem.r, problem.c)
     report = RunReport(

@@ -292,6 +292,7 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
     warm-starts each solve.  Once ``1 - rho`` is below ``RHO_CAP``, the
     direction is returned with ``relaxed`` set if its residual is at most
     ``ETA_MAX * ||grad_u||_1``, and ``StagnationError`` is raised otherwise.
+    A zero gradient passes the forcing test at once with a zero direction.
     The result carries the column step ``d_v = -P_c d_u``, scaled from the
     transposed product of the last forcing test (an explicit system takes
     that product only on return).
@@ -301,8 +302,6 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
     if not 0.0 <= rho0 < 1.0:
         raise ConditioningError(f"rho0 must be in [0, 1), got {rho0}")
     grad_norm = float(np.abs(grad_u).sum())
-    if grad_norm == 0.0:
-        return NewtonResult(np.zeros(sys.n), rho0, 0, 0.0, d_v=np.zeros(sys.n))
     d = -grad_u / sys.rP
     rho = rho0
     rho_used = rho0
@@ -315,12 +314,12 @@ def newton_solve(grad_u, sys, eta, rho0=0.0):
         pt = None if sys._K is not None else sys.transposed(d)
         Q = sys.round_trip(d, pt)
         res_norm = float(np.abs((sys.rP * d - Q) + grad_u).sum())
-        if res_norm <= eta * grad_norm:
-            return NewtonResult(d, rho_used, total_cg, res_norm, d_v=sys._column_step(d, pt))
-        if 1.0 - rho < RHO_CAP:
-            if res_norm <= ETA_MAX * grad_norm:
-                return NewtonResult(d, rho_used, total_cg, res_norm, relaxed=True,
-                                    d_v=sys._column_step(d, pt))
+        strict = res_norm <= eta * grad_norm
+        at_cap = 1.0 - rho < RHO_CAP
+        if strict or (at_cap and res_norm <= ETA_MAX * grad_norm):
+            return NewtonResult(d, rho_used, total_cg, res_norm, relaxed=not strict,
+                                d_v=sys._column_step(d, pt))
+        if at_cap:
             raise StagnationError(
                 f"discount reached {rho} without meeting the forcing test "
                 f"(residual {res_norm:.3g} > {eta * grad_norm:.3g})",

@@ -94,11 +94,12 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     with opcount.category("sinkhorn"):
         while True:
             state.anchored_plan()
-            if state.grad_norm_l1() <= eps_d:
+            grad_norm = state.grad_norm_l1()
+            if grad_norm <= eps_d:
                 break
             if steps >= sweep_budget:
                 raise NonconvergenceError(
-                    f"Sinkhorn still at gradient norm {state.grad_norm_l1():.3g} "
+                    f"Sinkhorn still at gradient norm {grad_norm:.3g} "
                     f"> {eps_d:.3g} after {steps} sweeps",
                     diagnostics={"gamma": state.gamma, "eps_d": eps_d},
                 )

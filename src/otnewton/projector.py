@@ -60,17 +60,27 @@ class ProjStats:
     ``delta_min`` drives the annealing schedule and excludes a terminal step
     whose forcing parameter came from the target-tolerance branch (such a
     step deliberately over-solves, so its reduction ratio is off-model).  It
-    is ``+inf`` when no Newton step ran.
+    is ``+inf`` when no Newton step ran.  ``newton_steps``, ``cg_iters`` and
+    ``backtracks`` are read off the step records.
     """
 
-    newton_steps: int = 0
-    cg_iters: int = 0
     sinkhorn_steps: int = 0
-    backtracks: int = 0
     delta_min: float = math.inf
     grad_norm_final: float = math.nan
     rho_final: float = 0.0
     steps: list[StepRecord] = field(default_factory=list)
+
+    @property
+    def newton_steps(self):
+        return len(self.steps)
+
+    @property
+    def cg_iters(self):
+        return sum(s.cg_iters for s in self.steps)
+
+    @property
+    def backtracks(self):
+        return sum(s.backtracks for s in self.steps)
 
 
 def eta_rule(grad_norm_l1, eps_d):
@@ -120,15 +130,21 @@ def chi_sinkhorn(state, eps_chi, budget=10 ** 6):
     """
     steps = 0
     with opcount.category("chi_sinkhorn"):
-        while chi_sq_div(state.r, state.row_sums()) > eps_chi:
+        while (chi_sq := chi_sq_div(state.r, state.row_sums())) > eps_chi:
             if steps >= budget:
                 raise NonconvergenceError(
                     f"chi-square balancing still above {eps_chi:.3g} after {budget} sweeps",
-                    diagnostics={"chi_sq": chi_sq_div(state.r, state.row_sums())},
+                    diagnostics={"chi_sq": chi_sq},
                 )
             state.sinkhorn_sweep()
             steps += 1
     return steps
+
+
+def _row_gradient(state, r):
+    """The row half of the gradient, r(P) - r, and its L1 norm."""
+    grad_u = state.row_sums() - r
+    return grad_u, float(np.abs(grad_u).sum())
 
 
 def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget=200):
@@ -137,10 +153,16 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
     Implements the truncated Newton projection loop: entry column rebalance;
     then, while the row mismatch exceeds ``eps_d``, chi-square balancing to
     ``eps_d ** 0.4``, an annealed discounted Newton direction, backtracking
-    from step size 1, and an exact column rebalance.  A final exact row step
-    zeroes the row half of the gradient on exit.  ``adaptive_rho0`` warm
-    starts each discount from ``rho0``, then from the previous solve's.  The
-    state is updated in place; returns :class:`ProjStats`.
+    from step size 1, and an exact column rebalance.  The loop's head holds
+    its one exit test; a chi-square phase that swept, or the fallback sweep
+    after a non-descent direction, re-enters it.  The row gradient and its
+    norm are formed once per state (at the entry, after a phase that swept,
+    after the fallback sweep and after an accepted step) and serve the exit
+    test, the Newton system's right-hand side and the slope.  A final exact
+    row step zeroes the row half of the gradient on exit.  ``adaptive_rho0``
+    warm starts each discount from ``rho0``, then from the previous solve's;
+    without it ``rho0`` is ignored.  The state is updated in place; returns
+    :class:`ProjStats`.
     """
     if not 0.0 < eps_d < 1.0:
         raise DomainError(f"eps_d must be in (0, 1), got {eps_d}")
@@ -153,10 +175,8 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
     with opcount.category("mirror_descent"):
         state.rebalance_columns()
 
-    # The row gradient's L1 norm at the state, carried from the last
-    # accepted step into the exit test (a NaN norm does not exit).
-    grad_norm = float(np.abs(state.row_sums() - r).sum())
-    while not grad_norm <= eps_d:
+    grad_u, grad_norm = _row_gradient(state, r)
+    while not grad_norm <= eps_d:  # a NaN norm does not exit
         if stats.newton_steps >= newton_step_budget:
             raise NonconvergenceError(
                 f"projection still at gradient norm {grad_norm:.3g} > {eps_d:.3g} "
@@ -169,11 +189,11 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
                              "backtracks": stats.backtracks},
             )
 
-        stats.sinkhorn_steps += chi_sinkhorn(state, eps_chi)
-        grad_u = state.row_sums() - r
-        grad_norm = float(np.abs(grad_u).sum())
-        if grad_norm <= eps_d:
-            break
+        sweeps = chi_sinkhorn(state, eps_chi)
+        if sweeps:
+            stats.sinkhorn_steps += sweeps
+            grad_u, grad_norm = _row_gradient(state, r)
+            continue
 
         eta, terminal_branch = eta_rule(grad_norm, eps_d)
         with opcount.category("newton_solve"):
@@ -190,7 +210,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
             with opcount.category("chi_sinkhorn"):
                 state.sinkhorn_sweep()
             stats.sinkhorn_steps += 1
-            grad_norm = float(np.abs(state.row_sums() - r).sum())
+            grad_u, grad_norm = _row_gradient(state, r)
             continue
 
         # The mass increment over alpha = 0 is measured on one evaluation
@@ -217,18 +237,14 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
         with opcount.category("newton_solve"):
             state.rebalance_columns(state.u + alpha * d_u, state.v + alpha * d_v, trial_cols)
 
-        grad_after = float(np.abs(state.row_sums() - r).sum())
-        delta = delta_ratio(grad_norm, grad_after, eta)
+        grad_before = grad_norm
+        grad_u, grad_norm = _row_gradient(state, r)
         stats.steps.append(StepRecord(
-            eta=eta, grad_before=grad_norm, grad_after=grad_after, alpha=alpha,
-            delta=delta, rho_final=result.rho_final, cg_iters=result.cg_iters,
-            backtracks=backtracks, eta_terminal_branch=terminal_branch,
-            relaxed=result.relaxed,
+            eta=eta, grad_before=grad_before, grad_after=grad_norm, alpha=alpha,
+            delta=delta_ratio(grad_before, grad_norm, eta), rho_final=result.rho_final,
+            cg_iters=result.cg_iters, backtracks=backtracks,
+            eta_terminal_branch=terminal_branch, relaxed=result.relaxed,
         ))
-        stats.newton_steps += 1
-        stats.cg_iters += result.cg_iters
-        stats.backtracks += backtracks
-        grad_norm = grad_after
 
     with opcount.category("mirror_descent"):
         state.scale_rows_to_target()

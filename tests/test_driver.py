@@ -297,6 +297,17 @@ class TestMdot:
         sol = mdot(grid_problem(16, seed=2), 512.0, 64.0)
         assert sol.report.outer_iterations == 1
 
+    def test_extrapolates_only_toward_a_next_temperature(self, monkeypatch):
+        # One warm start per temperature after the first, each toward the
+        # gamma of the projection that follows; none after gamma_f.
+        targets = []
+        real = driver.extrapolate
+        monkeypatch.setattr(driver, "extrapolate",
+                            lambda *args: targets.append(args[2]) or real(*args))
+        sol = mdot(grid_problem(16, seed=1), 2.0 ** 5, 2.0 ** 10)
+        assert len(targets) == sol.report.outer_iterations - 1
+        assert targets == [it.gamma for it in sol.iterations[1:]]
+
     def test_signature_defaults(self):
         import inspect
         sig = inspect.signature(mdot)
@@ -615,6 +626,32 @@ class TestBatchInstances:
         assert set(diag) == {"rho", "residual_l1", "target_l1", "outer_iteration", "gamma"}
         assert diag["residual_l1"] > diag["target_l1"] > 0.0
         assert 1.0 - diag["rho"] < 1e-11
+
+
+def test_sweepless_projections_take_three_row_sums_per_newton_step(monkeypatch):
+    # On batch instance 0 the row gradient is formed once per state: a
+    # Newton step reads the row sums for the chi-square test, the Newton
+    # system and the gradient after the step.  The projection's entry
+    # gradient and its exit norm read them once each.
+    calls, seen = [0], []
+    row_sums, project = dual.DualState.row_sums, driver.project
+
+    def counted(state):
+        calls[0] += 1
+        return row_sums(state)
+
+    def spy_project(*args, **kwargs):
+        before = calls[0]
+        stats = project(*args, **kwargs)
+        seen.append((stats.sinkhorn_steps, stats.newton_steps, calls[0] - before))
+        return stats
+
+    monkeypatch.setattr(dual.DualState, "row_sums", counted)
+    monkeypatch.setattr(driver, "project", spy_project)
+    mdot(batch_instance(0), 2.0 ** 5, 2.0 ** 18)
+    sweepless = [(steps, got) for sweeps, steps, got in seen if sweeps == 0 and steps]
+    assert len(sweepless) >= 5
+    assert [got for _, got in sweepless] == [3 * steps + 2 for steps, _ in sweepless]
 
 
 @pytest.mark.parametrize("error", [ConditioningError, PlanOverflowError, DomainError])

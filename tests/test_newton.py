@@ -379,6 +379,11 @@ class TestNewtonSolve:
         else:
             with pytest.raises(StagnationError):
                 newton_solve(grad, sys, eta=1e-12, rho0=0.75)
+        # A direction at the cap that meets the strict forcing test is
+        # returned unflagged, whatever ETA_MAX is.
+        res = newton_solve(grad, sys, eta=0.99, rho0=0.75)
+        assert not res.relaxed and res.cg_iters == 0
+        np.testing.assert_array_equal(res.d_u, d)
 
 
 class TestNextRho0:
