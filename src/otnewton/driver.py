@@ -132,11 +132,14 @@ class Solution:
     final_state: DualState | None = None
 
 
-def eps_rule(gamma, p, r, c):
-    """Gradient-norm tolerance min(H(r), H(c)) / gamma^p for this temperature."""
+def eps_rule(gamma, p, r, c, entropy=None):
+    """Gradient-norm tolerance min(H(r), H(c)) / gamma^p for this temperature;
+    ``entropy`` is min(H(r), H(c)) when the caller has taken it already."""
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
-    return min(shannon_entropy(r), shannon_entropy(c)) / gamma ** p
+    if entropy is None:
+        entropy = min(shannon_entropy(r), shannon_entropy(c))
+    return entropy / gamma ** p
 
 
 def smooth_marginals(r, c, eps_d, w_r=DEFAULT_W_R):
@@ -183,10 +186,10 @@ def extrapolate(z_t, z_tm1, gamma_next, gamma_t, gamma_tm1):
     return z_t + step * (z_t - z_tm1)
 
 
-def error_bound(gamma_f, r, c):
+def error_bound(gamma_f, r, c, entropy=None):
     """Worst-case suboptimality of the rounded plan at final temperature:
     twice ``eps_rule`` at p = 1."""
-    return 2.0 * eps_rule(gamma_f, 1.0, r, c)
+    return 2.0 * eps_rule(gamma_f, 1.0, r, c, entropy)
 
 
 def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
@@ -223,6 +226,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
     t0 = time.monotonic()
     ops_cat_start = opcount.snapshot()
 
+    entropy = min(shannon_entropy(problem.r), shannon_entropy(problem.c))
     gamma_prev, gamma, q = 0.0, min(gamma_i, gamma_f), float(q_init)
     state = None
     rho_next = 0.0
@@ -232,7 +236,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
         t = len(iterations) + 1
         it_t0 = time.monotonic()
         it_ops0 = opcount.total()
-        eps_d = eps_rule(gamma, p, problem.r, problem.c)
+        eps_d = eps_rule(gamma, p, problem.r, problem.c, entropy)
         if eps_d >= 1.0:
             raise DomainError(
                 f"tolerance {eps_d:.3g} >= 1 at gamma={gamma}; raise gamma_i")
@@ -293,7 +297,7 @@ def mdot(problem, gamma_i, gamma_f, p=1.5, q_init=2.0, opts=None):
            if ops_cat_end.get(k, 0) != ops_cat_start.get(k, 0)}
     ops["total"] = sum(ops.values())
 
-    bound = error_bound(gamma_f, problem.r, problem.c)
+    bound = error_bound(gamma_f, problem.r, problem.c, entropy)
     report = RunReport(
         label=problem.label, n=problem.n, gamma_i=gamma_i, gamma_f=gamma_f,
         p=p, q_init=q_init, adaptive_q=opts.adaptive_q,

@@ -24,15 +24,19 @@ side's offset is 0 and the other side's stays outside the log, so the sum
 is log-sum-exp's own computation, with entries below e^-700 dropped (below
 the floor, for a sparse anchor), at any offset size.  Every anchor is one
 ``_kernels.materialize_plan`` call (``_anchor_plan``), which takes the
-column maxima itself; only a row anchor takes its maxima here.  ``anchored_plan``, which serves the Newton system and the
-Sinkhorn projector's gradient checks (``oracles.sinkhorn_project``),
-anchors as the column sums do.  The one exact column scaling,
-``rebalance_columns``, at a Newton projection's entry takes v from the
-anchor serving the column sums and one transposed product,
+column maxima itself; only a row anchor takes its maxima here.
+``anchored_plan``, which serves the Newton system and the Sinkhorn
+projector's sweeps (``scaling_sweeps``), anchors as the column sums do.
+The one exact column scaling, ``rebalance_columns``, at a Newton
+projection's entry takes v from the anchor serving the column sums and
+one transposed product,
 ``v = v0 + log c - log(P0^T e^a)``: ``-m + log c - log(P0^T 1)`` once per
 temperature, when it has just anchored.  After a row scaling
 (``sinkhorn_sweep``) or an accepted Newton step it takes the column sums
-that step computed.  Only ``release_plan`` materializes a plan at the
+that step computed.  The Sinkhorn baseline's sweeps (``scaling_sweeps``)
+run as scalings ``e^a``, ``e^b`` of the anchored plan, one product each,
+and fold them into the potentials when they leave what the anchor serves
+or the loop ends.  Only ``release_plan`` materializes a plan at the
 potentials themselves.  ``set_gamma`` drops the anchor (the buffer is kept
 for the next one).  Every anchor is taken at maxima, so a dense anchor's
 entries are at most 1 (exactly for a column anchor, up to rounding for a
@@ -81,7 +85,7 @@ import math
 import numpy as np
 
 from ._kernels import (BLOCK, EXP_FLOOR, SparsePlan, log_plan_matvec, log_plan_max,
-                       materialize_plan, scale_plan)
+                       materialize_plan, plan_matvec, scale_plan)
 from .errors import DomainError
 
 # The serving rule (DualState.serves).  An anchor flushed to 0 each entry
@@ -196,8 +200,7 @@ class DualState:
         self.set_potentials(np.zeros(n) if u is None else u,
                             np.zeros(n) if v is None else v)
         self.set_gamma(gamma)
-        self.r = problem.r if r is None else np.asarray(r, dtype=np.float64)
-        self.c = problem.c if c is None else np.asarray(c, dtype=np.float64)
+        self.set_targets(problem.r if r is None else r, problem.c if c is None else c)
 
     @property
     def n(self):
@@ -236,9 +239,14 @@ class DualState:
         self._set(self.u, self.v)
 
     def set_targets(self, r, c):
-        """Swap the target marginals (does not touch the plan caches)."""
+        """Swap the target marginals, and keep their logs ``log_r`` and
+        ``log_c`` (-inf at a zero target) for the exact scalings (does not
+        touch the plan caches)."""
         self.r = np.asarray(r, dtype=np.float64)
         self.c = np.asarray(c, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            self.log_r = np.log(self.r)
+            self.log_c = np.log(self.c)
 
     # -- the anchored plan ---------------------------------------------------
 
@@ -293,10 +301,13 @@ class DualState:
         """Whether the anchor serves sums at offsets (a, b): ``max a + max b``
         within its budget, and each offset within ``OFFSET_RANGE`` (the
         serving rule above).  Four reductions; a NaN offset is not served."""
-        top_a, top_b = a.max(), b.max()
+        return self._serves_extremes(a.max(), a.min(), b.max(), b.min())
+
+    def _serves_extremes(self, top_a, low_a, top_b, low_b):
+        """``serves`` on the largest and smallest entry of each offset."""
         return bool(top_a + top_b <= self.budget and top_a <= OFFSET_RANGE
-                    and top_b <= OFFSET_RANGE and a.min() >= -OFFSET_RANGE
-                    and b.min() >= -OFFSET_RANGE)
+                    and top_b <= OFFSET_RANGE and low_a >= -OFFSET_RANGE
+                    and low_b >= -OFFSET_RANGE)
 
     def _plan_offsets(self, u, v):
         """(u - u0, v - v0) when the anchored plan serves sums at (u, v), else None."""
@@ -467,7 +478,7 @@ class DualState:
         """
         if sum(x is None for x in (u, v, log_cols)) not in (0, 3):
             raise TypeError("rebalance_columns takes u, v and log_cols together or none of them")
-        log_c = np.log(self.c)
+        log_c = self.log_c
         if log_cols is None:
             u = self.u
             u0, v = self._serving_anchor(u, self.v, 0)
@@ -477,12 +488,90 @@ class DualState:
 
     def scale_rows_to_target(self):
         """One exact row Sinkhorn step: u += log r - log r(P); refresh the column sums."""
-        log_r = np.log(self.r)
-        u = self.u + log_r - self.log_rP
-        self._set(u, self.v, log_r, self._log_col_sums(u, self.v))
+        self._install_row_scaled(self.u + self.log_r - self.log_rP, self.v)
 
     def sinkhorn_sweep(self):
         """One exact Sinkhorn sweep, two products: scale the rows onto r,
         then rebalance the columns from the column sums that step computed."""
         self.scale_rows_to_target()
         self.rebalance_columns(self.u, self.v, self.log_cP)
+
+    def _install_row_scaled(self, u, v):
+        """Install potentials (u, v) just scaled onto the row target, whose
+        row sums are r, with their column sums (one product)."""
+        self._set(u, v, self.log_r, self._log_col_sums(u, v))
+
+    def scaling_sweeps(self, stop):
+        """Exact Sinkhorn sweeps in the scaling domain at the anchor, until
+        ``stop(rows, sweeps)``, given the row sums after each sweep and the
+        sweeps made, is true; returns the sweeps made.
+
+        With ``alpha = e^a`` and ``beta = e^b`` at the anchor's offsets,
+        each sweep is ``alpha = r / (P0 beta)``, then
+        ``beta = c / (P0^T alpha)``, one ``plan_matvec`` each; the row
+        sums ``alpha * (P0 beta)`` come from the product the next row
+        scaling divides by.  The first row scaling at an anchor is taken in
+        log form from the installed row sums, as ``scale_rows_to_target``
+        takes it.  Before each product the loop checks the offsets the
+        scalings stand for under the serving rule (``serves``, on the logs
+        of the scalings' extremes).  Where it refuses, it installs the
+        potentials ``(u0 + log alpha, v0 + log beta)`` and finishes the
+        sweep in the log domain as ``sinkhorn_sweep`` does, which anchors
+        anew at the maxima of the axis it sums; the next sweep starts at the
+        anchor that serves the column sums (``anchored_plan``).  On exit,
+        also when ``stop`` raises, it installs the potentials with their log
+        sums, ``log rows`` and ``log c``, in one ``_set``.  So the iterates are those of
+        ``sinkhorn_sweep`` up to rounding, with its anchors and its passes,
+        two per sweep, but a fraction of its vector work.  The column sums
+        after a sweep are c, so the column half of the gradient is the same
+        after every sweep.
+        """
+        r, c, log_c = self.r, self.c, self.log_c
+        sweeps, held = 0, False  # held: the potentials are the scalings at the anchor
+        with np.errstate(divide="ignore"):  # a zero sum is refused, as in log_plan_matvec
+            while True:
+                if held:
+                    alpha = r / prod
+                    top_a, low_a = _log_extremes(alpha)
+                else:
+                    P0, _, b = self.anchored_plan()
+                    u0, v0 = self._anchor
+                    u, v = self.u + self.log_r - self.log_rP, self.v
+                    a = u - u0
+                    top_a, low_a, top_b, low_b = a.max(), a.min(), b.max(), b.min()
+                if not self._serves_extremes(top_a, low_a, top_b, low_b):
+                    if held:
+                        u, v = u0 + np.log(alpha), v0 + np.log(beta)
+                    self._install_row_scaled(u, v)
+                    self.rebalance_columns(u, v, self.log_cP)
+                    held = False
+                else:
+                    if not held:
+                        alpha = np.exp(a)
+                    beta = c / plan_matvec(P0, alpha, transpose=True)
+                    top_b, low_b = _log_extremes(beta)
+                    held = self._serves_extremes(top_a, low_a, top_b, low_b)
+                    if held:
+                        prod = plan_matvec(P0, beta)
+                        rows = alpha * prod
+                    else:
+                        u, v = u0 + np.log(alpha), v0 + np.log(beta)
+                        self._set(u, v, self._log_row_sums(u, v), log_c)
+                sweeps += 1
+                done = True  # a test that raises leaves the state at this sweep
+                try:
+                    done = stop(rows if held else self.row_sums(), sweeps)
+                finally:
+                    if done and held:
+                        self._set(u0 + np.log(alpha), v0 + np.log(beta), np.log(rows), log_c)
+                if done:
+                    return sweeps
+
+
+def _log_extremes(x):
+    """The logs of the largest and the smallest entry of scalings ``x``, the
+    extremes of the offsets they stand for: -inf for a 0, and for a NaN,
+    which makes both extremes NaN, so that the range refuses it."""
+    top, low = float(x.max()), float(x.min())
+    return (math.log(top) if top > 0.0 else -math.inf,
+            math.log(low) if low > 0.0 else -math.inf)

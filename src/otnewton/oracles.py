@@ -76,33 +76,40 @@ def sinkhorn_project(state, r, c, eps_d, sweep_budget=10 ** 6):
     driver and, at extreme tolerances, as a fixed-point oracle for the
     Newton projector.  Returns ``(state, sweeps)``.
 
-    Stabilized by absorption (Schmitzer, SIAM J. Sci. Comput. 2019): before
-    each gradient check, unless the state's anchored plan covers the
-    potentials, ``DualState.anchored_plan`` anchors it at the column maxima,
-    so each sweep's two exact scalings (``DualState.sinkhorn_sweep``) take
-    their sums from one product with that plan each.  The iterates are
-    those of log-domain Sinkhorn.  A scaling whose step leaves the offsets
-    the anchor serves (``dual.DualState.serves``: ``max a + max b`` within
-    the budget of the anchor's floor, each offset within
-    ``dual.OFFSET_RANGE``) re-anchors at the maxima of the axis it sums, and
-    that anchor serves the later sums and checks while it covers them.
+    Stabilized by absorption (Schmitzer, SIAM J. Sci. Comput. 2019): unless
+    the state's anchored plan covers the potentials,
+    ``DualState.anchored_plan`` anchors it at the column maxima before the
+    first gradient check, and ``DualState.scaling_sweeps`` then runs the
+    sweeps as scalings ``alpha = e^a``, ``beta = e^b`` of that plan, one
+    product each, with the gradient checked after each sweep.  The iterates
+    are those of log-domain Sinkhorn (``DualState.sinkhorn_sweep``) up to
+    rounding.  A scaling whose step leaves the offsets the anchor serves
+    (``dual.DualState.serves``: ``max a + max b`` within the budget of the
+    anchor's floor, each offset within ``dual.OFFSET_RANGE``) is folded
+    into the potentials, and its sweep finished in the log domain, which
+    anchors anew at the maxima of the axis it sums.  After a sweep the
+    column sums are c, so the column half of the gradient is taken once.
     """
     if np.min(r) <= 0.0 or np.min(c) <= 0.0:
         raise DomainError("sinkhorn_project requires strictly positive marginals")
     state.set_targets(r, c)
-    steps = 0
+
+    def converged(grad_norm, sweeps):
+        if grad_norm <= eps_d:
+            return True
+        if sweeps >= sweep_budget:
+            raise NonconvergenceError(
+                f"Sinkhorn still at gradient norm {grad_norm:.3g} "
+                f"> {eps_d:.3g} after {sweeps} sweeps",
+                diagnostics={"gamma": state.gamma, "eps_d": eps_d},
+            )
+        return False
+
+    sweeps = 0
     with opcount.category("sinkhorn"):
-        while True:
-            state.anchored_plan()
-            grad_norm = state.grad_norm_l1()
-            if grad_norm <= eps_d:
-                break
-            if steps >= sweep_budget:
-                raise NonconvergenceError(
-                    f"Sinkhorn still at gradient norm {grad_norm:.3g} "
-                    f"> {eps_d:.3g} after {steps} sweeps",
-                    diagnostics={"gamma": state.gamma, "eps_d": eps_d},
-                )
-            state.sinkhorn_sweep()
-            steps += 1
-    return state, steps
+        state.anchored_plan()
+        if not converged(state.grad_norm_l1(), 0):
+            col_half = np.abs(np.exp(state.log_c) - state.c).sum()
+            sweeps = state.scaling_sweeps(
+                lambda rows, k: converged(np.abs(rows - state.r).sum() + col_half, k))
+    return state, sweeps

@@ -155,14 +155,15 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
     ``eps_d ** 0.4``, an annealed discounted Newton direction, backtracking
     from step size 1, and an exact column rebalance.  The loop's head holds
     its one exit test; a chi-square phase that swept, or the fallback sweep
-    after a non-descent direction, re-enters it.  The row gradient and its
-    norm are formed once per state (at the entry, after a phase that swept,
-    after the fallback sweep and after an accepted step) and serve the exit
-    test, the Newton system's right-hand side and the slope.  A final exact
-    row step zeroes the row half of the gradient on exit.  ``adaptive_rho0``
-    warm starts each discount from ``rho0``, then from the previous solve's;
-    without it ``rho0`` is ignored.  The state is updated in place; returns
-    :class:`ProjStats`.
+    after a non-descent direction, re-enters it, and after a phase that swept
+    the Newton step follows with no second chi-square test.  The row
+    gradient and its norm are formed once per state (at the entry, after a
+    phase that swept, after the fallback sweep and after an accepted step)
+    and serve the exit test, the Newton system's right-hand side and the
+    slope.  A final exact row step zeroes the row half of the gradient on
+    exit.  ``adaptive_rho0`` warm starts each discount from ``rho0``, then
+    from the previous solve's; without it ``rho0`` is ignored.  The state is
+    updated in place; returns :class:`ProjStats`.
     """
     if not 0.0 < eps_d < 1.0:
         raise DomainError(f"eps_d must be in (0, 1), got {eps_d}")
@@ -176,6 +177,7 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
         state.rebalance_columns()
 
     grad_u, grad_norm = _row_gradient(state, r)
+    balanced = False
     while not grad_norm <= eps_d:  # a NaN norm does not exit
         if stats.newton_steps >= newton_step_budget:
             raise NonconvergenceError(
@@ -189,8 +191,11 @@ def project(state, r, c, eps_d, rho0=0.0, adaptive_rho0=True, newton_step_budget
                              "backtracks": stats.backtracks},
             )
 
-        sweeps = chi_sinkhorn(state, eps_chi)
-        if sweeps:
+        # After a chi-square phase that swept, the next pass goes straight to
+        # the Newton step: the phase's test would pass again at that state.
+        sweeps = 0 if balanced else chi_sinkhorn(state, eps_chi)
+        balanced = sweeps > 0
+        if balanced:
             stats.sinkhorn_steps += sweeps
             grad_u, grad_norm = _row_gradient(state, r)
             continue

@@ -31,12 +31,12 @@ def test_digests_repeat_and_compare_names_what_moved(monkeypatch):
     assert lines[1].startswith(f"  {first['label']}: anchors {first['anchors'] - 1} -> "
                                f"{first['anchors']}, primal moved 0.00e+00 relative")
     assert lines[2] == ("  summary: anchors moved on 1 of 6, primal moved at most 0.00e+00 "
-                        "relative, gap / bound at most 0.00e+00")
+                        "relative, gap / bound at most 0.00e+00, failed 0 old, 0 new")
     assert len(lines) == 3
     assert digest.compare([old], [old]) == ([
         "tn-mixed-n64-batch: digest same, 0 of 6 instances moved",
         "  summary: anchors moved on 0 of 6, primal moved at most 0.00e+00 relative, "
-        "gap / bound at most 0.00e+00"], True)
+        "gap / bound at most 0.00e+00, failed 0 old, 0 new"], True)
 
 
 def inst(label, primal, gap, anchors):
@@ -55,7 +55,7 @@ def test_summary_takes_the_largest_moves():
     assert not same
     assert lines[0] == "w: digest differs, 2 of 2 instances moved"
     assert lines[-1] == ("  summary: anchors moved on 1 of 2, primal moved at most 3.00e-08 "
-                         "relative, gap / bound at most 2.50e-01")
+                         "relative, gap / bound at most 2.50e-01, failed 0 old, 0 new")
     assert len(lines) == 4
 
 
@@ -78,7 +78,7 @@ def test_matches_workloads_by_name_and_instances_by_label(tmp_path):
                          "w: digest differs, 1 of 2 instances moved",
                          "  x: only in the old output"]
     assert lines[3] == ("  summary: anchors moved on 0 of 2, primal moved at most 0.00e+00 "
-                        "relative, gap / bound at most 0.00e+00")
+                        "relative, gap / bound at most 0.00e+00, failed 0 old, 0 new")
     lines, same = digest.compare([short], [w])
     assert not same and lines[1] == "  x: only in the new output"
 
@@ -93,3 +93,49 @@ def test_matches_workloads_by_name_and_instances_by_label(tmp_path):
     assert status([v, w], [v, short]) == 1
     moved = dict(w, digest="g", instances=[x, dict(y, sha256="0")])
     assert status([v, w], [v, moved]) == 1
+
+
+def test_a_solve_that_raises_is_a_failed_instance(monkeypatch):
+    # On the toy batch, the second instance's solve raises: the run goes on,
+    # records its label and error class in place of a digest, and --compare
+    # counts it as moved against a run where it solved, also when both
+    # sides failed, and prints each side's failed count.
+    from otnewton.errors import NonconvergenceError
+
+    build = digest.workloads.build
+    monkeypatch.setattr(digest.workloads, "build", lambda name: build(name, toy=True))
+    monkeypatch.setattr(DualState, "_anchor_plan", DualState._anchor_plan)  # restored after
+    count = digest.count_anchors()
+    good = digest.digest_workload("tn-mixed-n64-batch", count)
+
+    def failing_build(name):
+        wl = build(name, toy=True)
+        bad = wl.problems[1].label
+        solve = wl.solve
+
+        def solve_or_raise(prob):
+            if prob.label == bad:
+                raise NonconvergenceError("no convergence")
+            return solve(prob)
+
+        wl.solve = solve_or_raise
+        return wl
+
+    monkeypatch.setattr(digest.workloads, "build", failing_build)
+    bad = digest.digest_workload("tn-mixed-n64-batch", count)
+    label = good["instances"][1]["label"]
+    assert bad["instances"][1] == {"label": label, "failed": "NonconvergenceError",
+                                   "anchors": 0}
+    assert bad["instances"][0] == good["instances"][0]
+    assert bad["instances"][2:] == good["instances"][2:]
+    assert bad["digest"] != good["digest"]
+
+    lines, same = digest.compare([good], [bad])
+    assert not same
+    assert lines[:2] == ["tn-mixed-n64-batch: digest differs, 1 of 6 instances moved",
+                         f"  {label}: solved -> NonconvergenceError"]
+    assert lines[2].endswith("failed 0 old, 1 new")
+    lines, same = digest.compare([bad], [bad])
+    assert not same
+    assert lines[1] == f"  {label}: NonconvergenceError -> NonconvergenceError"
+    assert lines[2].endswith("failed 1 old, 1 new")

@@ -57,6 +57,20 @@ class TestEpsRule:
         u = np.full(4096, 1.0 / 4096)
         assert eps_rule(2.0 ** 5, 1.5, u, u) == pytest.approx(0.045949, rel=1e-4)
 
+    def test_mdot_takes_the_entropies_once(self, monkeypatch):
+        # Every tolerance of a solve, and its error bound, come from one
+        # min(H(r), H(c)), and equal the rule's value from the marginals.
+        calls = []
+        monkeypatch.setattr(driver, "shannon_entropy",
+                            lambda p: calls.append(1) or shannon_entropy(p))
+        prob = grid_problem(16)
+        sol = mdot(prob, 2.0 ** 5, 2.0 ** 10)
+        assert len(calls) == 2 and len(sol.iterations) > 2
+        monkeypatch.undo()
+        for it in sol.iterations:
+            assert it.eps_d == eps_rule(it.gamma, 1.5, prob.r, prob.c)
+        assert sol.error_bound == error_bound(2.0 ** 10, prob.r, prob.c)
+
 
 class TestSmoothMarginals:
     def test_point_mass_example(self):
@@ -652,6 +666,26 @@ def test_sweepless_projections_take_three_row_sums_per_newton_step(monkeypatch):
     sweepless = [(steps, got) for sweeps, steps, got in seen if sweeps == 0 and steps]
     assert len(sweepless) >= 5
     assert [got for _, got in sweepless] == [3 * steps + 2 for steps, _ in sweepless]
+
+
+def test_no_chi_square_test_repeats_where_a_phase_swept_to(monkeypatch):
+    # After a chi-square phase that swept, the Newton step follows: no
+    # chi-square phase starts at the potentials such a phase ended at.
+    from otnewton import projector
+
+    chi, ended, phases = projector.chi_sinkhorn, [None], []
+
+    def spy(state, *args, **kwargs):
+        start = state.u.tobytes() + state.v.tobytes()
+        sweeps = chi(state, *args, **kwargs)
+        phases.append((sweeps, start == ended[0]))
+        ended[0] = state.u.tobytes() + state.v.tobytes() if sweeps else None
+        return sweeps
+
+    monkeypatch.setattr(projector, "chi_sinkhorn", spy)
+    mdot(grid_problem(64), 2.0 ** 5, 2.0 ** 14)
+    assert any(sweeps for sweeps, _ in phases)
+    assert not any(repeat for _, repeat in phases)
 
 
 @pytest.mark.parametrize("error", [ConditioningError, PlanOverflowError, DomainError])

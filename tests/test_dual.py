@@ -32,6 +32,23 @@ def random_state(n, seed=0, gamma=4.0, spread=0.5):
                      v=np.log(prob.c) + spread * rng.standard_normal(n))
 
 
+class TestTargets:
+    def test_set_targets_keeps_their_logs(self):
+        # -inf at a zero target, with no warning; the exact scalings read them.
+        state = random_state(6, seed=3)
+        r, c = state.r, state.c
+        assert np.array_equal(state.log_r, np.log(r)) and np.array_equal(state.log_c, np.log(c))
+        zero = r.copy()
+        zero[0] = 0.0
+        state.set_targets(zero, c)
+        assert state.log_r[0] == -np.inf
+        np.testing.assert_array_equal(state.log_r[1:], np.log(r[1:]))
+        state.set_targets(c, r)
+        state.sinkhorn_sweep()
+        np.testing.assert_array_equal(state.log_cP, state.log_c)
+        np.testing.assert_allclose(state.col_sums(), state.c, rtol=1e-13)
+
+
 class TestRowSums:
     def test_independence_coupling(self):
         prob = make_problem(5, zero_cost=True)

@@ -277,6 +277,131 @@ class TestAbsorbedSinkhorn:
         assert calls["anchor"] == 2
 
 
+def full_gradient_stop(state, eps_d):
+    """``sinkhorn_project``'s test for ``scaling_sweeps``: the full gradient
+    norm at most eps_d, the column half taken once (the column sums are c
+    after every sweep)."""
+    col_half = np.abs(np.exp(state.log_c) - state.c).sum()
+    return lambda rows, sweeps: np.abs(rows - state.r).sum() + col_half <= eps_d
+
+
+def log_domain_sweeps(state, stop):
+    """The log-domain reference for ``DualState.scaling_sweeps``: one
+    ``sinkhorn_sweep`` after each gradient check's ``anchored_plan``."""
+    sweeps = 0
+    while True:
+        state.anchored_plan()
+        state.sinkhorn_sweep()
+        sweeps += 1
+        if stop(state.row_sums(), sweeps):
+            return sweeps
+
+
+def anchor_events(monkeypatch, sweeps_done):
+    """The anchors taken, as (sweeps made when taken, axis summed)."""
+    events = []
+    anchor = DualState._anchor_plan
+
+    def spy(self, u, v=None):
+        events.append((sweeps_done[0], "cols" if v is None else "rows"))
+        return anchor(self, u, v)
+
+    monkeypatch.setattr(DualState, "_anchor_plan", spy)
+    return events
+
+
+def cold_grid_state(n=64, gamma=2.0 ** 8):
+    prob = Problem(C=grid_points_cost(n, "l2sq"), r=gen_marginal(n, "smooth-random", 0),
+                   c=gen_marginal(n, "smooth-random", 1))
+    return DualState(prob, gamma, u=np.log(prob.r), v=np.log(prob.c))
+
+
+class TestScalingSweeps:
+    """``DualState.scaling_sweeps``: Sinkhorn sweeps as scalings of the anchored plan."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_gives_the_log_domain_iterates(self, sparse, monkeypatch):
+        if sparse:
+            monkeypatch.setattr(dual, "sparse_anchor", lambda n, prev_nnz: True)
+            monkeypatch.setattr(dual, "sparse_limit", lambda n: n * n)
+        states = [make_state(32, seed=11, gamma=64.0) for _ in range(2)]
+        for state in states:
+            state.anchored_plan()
+            state.refresh()
+        scaled, logged = states
+        steps = scaled.scaling_sweeps(full_gradient_stop(scaled, 1e-10))
+        assert isinstance(scaled.anchored_plan()[0], SparsePlan) == sparse
+        assert log_domain_sweeps(logged, full_gradient_stop(logged, 1e-10)) == steps > 10
+        np.testing.assert_allclose(scaled.u, logged.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled.v, logged.v, rtol=0, atol=1e-12)
+        # the installed sums are those of the potentials
+        assert_no_less_accurate_than_lse(scaled.problem.C, scaled.gamma, scaled.u, scaled.v,
+                                         scaled.log_rP, scaled.log_cP)
+
+    def test_a_test_that_raises_leaves_the_state_at_its_sweep(self):
+        # The budget error comes from the test after the third sweep; the
+        # state holds that sweep's potentials and their sums, as the
+        # log-domain sweeps leave them.
+        scaled, logged = (make_state(32, seed=11, gamma=64.0) for _ in range(2))
+        with pytest.raises(NonconvergenceError, match="after 3 sweeps"):
+            sinkhorn_project(scaled, scaled.r, scaled.c, 1e-10, sweep_budget=3)
+        logged.anchored_plan()
+        logged.refresh()
+        log_domain_sweeps(logged, lambda rows, sweeps: sweeps == 3)
+        np.testing.assert_allclose(scaled.u, logged.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled.v, logged.v, rtol=0, atol=1e-12)
+        assert_no_less_accurate_than_lse(scaled.problem.C, scaled.gamma, scaled.u, scaled.v,
+                                         scaled.log_rP, scaled.log_cP)
+
+    def test_two_passes_per_sweep_and_the_plan_row_sums(self, calls):
+        state = make_state(16, seed=7, gamma=16.0)
+        sinkhorn_project(state, state.r, state.c, 1e-3)
+        calls.update(anchor=0)
+        seen = []
+
+        def stop(rows, sweeps):
+            seen.append(rows)
+            return sweeps == 5
+
+        with opcount.category("scaling"):
+            before = opcount.snapshot().get("scaling", 0)
+            assert state.scaling_sweeps(stop) == 5
+            assert opcount.snapshot()["scaling"] - before == 2 * 5
+        assert calls == {"anchor": 0}
+        np.testing.assert_allclose(seen[-1], plan_at(state).sum(axis=1), rtol=1e-13)
+        np.testing.assert_array_equal(state.log_rP, np.log(seen[-1]))
+        np.testing.assert_array_equal(state.log_cP, state.log_c)
+
+    def test_absorbs_and_reanchors_where_serves_refuses(self, monkeypatch):
+        # With offsets served only within 8, a cold start at 2^8 leaves the
+        # range before column products (at an anchor's first sweep and at
+        # later ones) and before row products; each time the loop anchors as
+        # the log-domain sweeps do, at the same sweep and on the same axis.
+        monkeypatch.setattr(dual, "OFFSET_RANGE", 8.0)
+        done = [0]
+        events = anchor_events(monkeypatch, done)
+        runs = []
+        for sweeps in (DualState.scaling_sweeps, log_domain_sweeps):
+            state = cold_grid_state()
+            state.anchored_plan()
+            state.grad_norm_l1()
+            events.clear()
+            done[0] = 0
+
+            def stop(rows, k):
+                done[0] = k
+                return k == 40
+
+            sweeps(state, stop)
+            runs.append((list(events), state))
+        (scaled_events, scaled), (logged_events, logged) = runs
+        assert scaled_events == logged_events
+        assert {axis for _, axis in scaled_events} == {"rows", "cols"}
+        assert len(scaled_events) >= 8
+        np.testing.assert_allclose(scaled.u, logged.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled.v, logged.v, rtol=0, atol=1e-12)
+
+
 class TestFiniteDiffGrad:
     def test_zero_at_independence_optimum(self):
         state = make_state(5, seed=4, zero_cost=True)

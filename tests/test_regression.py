@@ -70,7 +70,7 @@ PINNED = {
     "l1-grid-sinkhorn": (
         l1_grid, 2.0 ** 8, "sinkhorn",
         {"mirror_descent": 9, "sinkhorn": 1526, "total": 1535},
-        0.16378771263214142,
+        0.16378771263214126,
         [(0, 0, 33, 0), (0, 0, 219, 0), (0, 0, 291, 0), (0, 0, 206, 0)],
     ),
 }

@@ -12,15 +12,20 @@ the lower and error bounds, ``RunReport`` minus ``wall_ms``, and the number
 of anchored plans the solve took (calls of ``DualState._anchor_plan``).  One
 digest over all instances closes each workload.  The output is JSON.
 
+A solve that raises does not stop the run: its instance is recorded as
+failed, with its label and the error's class, in place of a digest.
+
 ``--compare`` names the instances whose digests differ between two outputs,
 with the anchors of each side, the relative move of the primal cost and
 ``certified_gap / error_bound`` of each side.  Workloads are matched by
 name and instances by label; one that only one output holds counts as
-moved.  It ends each workload with a summary line: the number of instances
-whose anchor counts moved, the largest relative move of the primal cost and
-the largest move of ``certified_gap / error_bound``.  It exits with 1 when
-any digest differs, else 0, so its status alone decides a bit-identity
-claim.
+moved, and so does one that failed on either side, whose line names each
+side's error class (or "solved").  It ends each workload with a summary
+line: the number of instances whose anchor counts moved, the largest
+relative move of the primal cost, the largest move of
+``certified_gap / error_bound`` and the failed instances of each side.  It
+exits with 1 when any digest differs, else 0, so its status alone decides a
+bit-identity claim.
 """
 
 from __future__ import annotations
@@ -63,11 +68,19 @@ def instance_digest(sol, anchors):
 
 
 def digest_workload(name, count):
+    """The digests of a workload's instances; a solve that raises is recorded
+    as a failed instance, with its label and the error's class."""
     wl = workloads.build(name)
     out, total = [], hashlib.sha256()
     for prob in wl.problems:
         count[0] = 0
-        sol = wl.solve(prob)
+        try:
+            sol = wl.solve(prob)
+        except Exception as exc:  # any error fails the instance, and the run goes on
+            failed = type(exc).__name__
+            total.update(f"{prob.label} failed {failed}".encode())
+            out.append({"label": prob.label, "failed": failed, "anchors": count[0]})
+            continue
         sha = instance_digest(sol, count[0])
         total.update(sha.encode())
         out.append({"label": prob.label, "sha256": sha, "anchors": count[0],
@@ -97,10 +110,15 @@ def compare(old, new):
         labels = {**old_i, **new_i}
         moved = []
         anchors_moved, primal_move, ratio_move = 0, 0.0, 0.0
+        failed = [sum("failed" in inst for inst in w["instances"]) for w in (wo, wn)]
         for label in labels:
             a, b = old_i.get(label), new_i.get(label)
             if a is None or b is None:
                 moved.append(f"  {label}: only in the {'new' if a is None else 'old'} output")
+                continue
+            if "failed" in a or "failed" in b:
+                moved.append(f"  {label}: {a.get('failed', 'solved')} -> "
+                             f"{b.get('failed', 'solved')}")
                 continue
             rel = abs(b["primal"] - a["primal"]) / abs(a["primal"])
             ratio_a = a["certified_gap"] / a["error_bound"]
@@ -119,7 +137,8 @@ def compare(old, new):
                      f"{len(moved)} of {count} instances moved")
         lines.extend(moved)
         lines.append(f"  summary: anchors moved on {anchors_moved} of {count}, primal moved "
-                     f"at most {primal_move:.2e} relative, gap / bound at most {ratio_move:.2e}")
+                     f"at most {primal_move:.2e} relative, gap / bound at most {ratio_move:.2e}, "
+                     f"failed {failed[0]} old, {failed[1]} new")
     return lines, same_all
 
 
